@@ -185,7 +185,7 @@ def _self_checks():
             if np.max(np.abs(full - full.conj().T)) != 0.0:
                 return False
             parts = liouvillian.coherent_only(0.3, rho, params, drive) + liouvillian.dissipator_only(rho, params)
-            if np.max(np.abs(parts - full)) > 1e-12:
+            if not np.array_equal(parts, full):
                 return False
         return True
 

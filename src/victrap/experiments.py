@@ -32,6 +32,8 @@ from .model import DriveConfig, Scenario, SystemParams
 __all__ = [
     "PRESET_NAMES",
     "SWEEPABLE_PARAMETERS",
+    "MAX_AXIS_POINTS",
+    "MAX_GRID_POINTS",
     "SweepAxis",
     "SweepSpec",
     "SweepRow",
@@ -51,6 +53,11 @@ SWEEPABLE_PARAMETERS = _PARAM_FIELDS + _DRIVE_FIELDS
 
 THETA_GRID_POINTS = 64
 
+# Caps on sweep grids, checked before any axis tuple is built; fig6 uses 64
+# points on one axis.
+MAX_AXIS_POINTS = 1024
+MAX_GRID_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -65,13 +72,17 @@ class SweepAxis:
             )
         if len(self.values) == 0:
             raise InvalidParameterError(f"sweep axis {self.parameter!r} has no grid points")
+        if len(self.values) > MAX_AXIS_POINTS:
+            raise InvalidParameterError(
+                f"sweep axis {self.parameter!r} has {len(self.values)} points; the cap is {MAX_AXIS_POINTS}"
+            )
         if not all(math.isfinite(v) for v in self.values):
             raise InvalidParameterError(f"sweep axis {self.parameter!r} has non-finite grid points")
 
     @classmethod
     def linspace(cls, parameter: str, start: float, stop: float, points: int) -> "SweepAxis":
-        if points < 1:
-            raise InvalidParameterError(f"sweep needs at least one point, got {points}")
+        if not 1 <= points <= MAX_AXIS_POINTS:
+            raise InvalidParameterError(f"sweep needs 1 to {MAX_AXIS_POINTS} points per axis, got {points}")
         if points == 1:
             values = (start,)
         else:
@@ -88,6 +99,9 @@ class SweepSpec:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise InvalidParameterError(f"sweeps take one or two axes, got {len(self.axes)}")
+        total = math.prod(len(axis.values) for axis in self.axes)
+        if total > MAX_GRID_POINTS:
+            raise InvalidParameterError(f"sweep grid has {total} points; the cap is {MAX_GRID_POINTS}")
 
     @property
     def parameters(self) -> tuple[str, ...]:

@@ -7,16 +7,22 @@ through the shared vacuum, producing the cross-damping rate gamma12 that
 couples populations to the doublet coherence and mixes the optical
 coherences pairwise.
 
-The generator splits into a drive commutator (coherent part) and a
-decay/dephasing part (dissipator); ``master_rhs`` is their exact sum.  All
-three public entry points accept a DensityMatrix or a raw Hermitian 4x4
-array and return a plain 4x4 complex array that is exactly Hermitian, with
-d(rho00)/dt fixed by trace conservation.
+The physics is stated once, in operator form: four unit Hamiltonians and
+three jump operators with their rate matrix.  On the packed 16-real state
+the generator is affine in the drive,
+
+    L(t) = L0 + g1(t) G1 + g2(t) G2 + delta1(t) D1 + delta2(t) D2,
+    L0 = gamma01 U01 + gamma02 U02 + gamma03 U03 + gamma12 U12 + gamma_coll Uc,
+
+with the nine unit matrices built from the operators once per process.  The
+coherent part -i[H, rho] and the dissipator are two separate matrix-vector
+products, so ``master_rhs`` (an exactly Hermitian 4x4 array) is their exact
+sum and the packed right-hand side uses the same arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
@@ -24,84 +30,21 @@ from .drive import chirped_detunings, pulse_envelopes
 from .errors import ContractViolationError
 from .model import DIM, HERMITICITY_TOL, DensityMatrix, DriveConfig, SystemParams
 
-__all__ = [
-    "RateSet",
-    "master_rhs",
-    "dissipator_only",
-    "coherent_only",
-    "effective_hamiltonian",
-    "pack_state",
-    "unpack_state",
-    "make_packed_rhs",
-]
+__all__ = ["master_rhs", "dissipator_only", "coherent_only", "pack_state", "unpack_state", "make_packed_rhs"]
+
+# Packed real state layout used by the steppers: the four populations
+# followed by (re, im) of the six lower-triangle coherences.  Evolving this
+# 16-vector keeps rho_ij and rho_ji* from drifting apart.
+PACKED_SIZE = 16
+_ROWS, _COLS = np.array([(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]).T
+# Index of each 4x4 entry in (populations, coherences, conjugated coherences).
+_GATHER = np.zeros((DIM, DIM), dtype=int)
+_GATHER[np.diag_indices(DIM)] = range(DIM)
+_GATHER[_ROWS, _COLS], _GATHER[_COLS, _ROWS] = range(DIM, 10), range(10, PACKED_SIZE)
 
 
-@dataclass(frozen=True)
-class RateSet:
-    """All decay and dephasing rates, precomputed once per run."""
-
-    g01: float
-    g02: float
-    g03: float
-    g12: float
-    gamma10: float
-    gamma20: float
-    gamma21: float
-    gamma30: float
-    gamma31: float
-    gamma32: float
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "RateSet":
-        return cls(
-            g01=params.gamma01,
-            g02=params.gamma02,
-            g03=params.gamma03,
-            g12=params.gamma12,
-            gamma10=params.coherence_rate(1, 0),
-            gamma20=params.coherence_rate(2, 0),
-            gamma21=params.coherence_rate(2, 1),
-            gamma30=params.coherence_rate(3, 0),
-            gamma31=params.coherence_rate(3, 1),
-            gamma32=params.coherence_rate(3, 2),
-        )
-
-
-def _coherent(g1, g2, d1, d2, p0, p1, p2, p3, c10, c20, c21, c30, c31, c32):
-    # -i[H, rho] written out per entry; conjugates kept where the drive
-    # amplitudes enter starred so complex amplitudes would still work.
-    g1c = g1.conjugate()
-    g2c = g2.conjugate()
-    dp1 = (1j * (g1 * c10.conjugate() - g1c * c10)).real
-    dp2 = (1j * (g1 * c20.conjugate() - g1c * c20)).real
-    dp3 = (1j * (g2 * c30.conjugate() - g2c * c30)).real
-    dp0 = -(dp1 + dp2 + dp3)
-    dc21 = 1j * (g1 * c10.conjugate() - g1c * c20)
-    dc10 = 1j * d1 * c10 + 1j * g1 * (p0 - p1) - 1j * g1 * c21.conjugate() - 1j * g2 * c31.conjugate()
-    dc20 = 1j * d1 * c20 + 1j * g1 * (p0 - p2) - 1j * g1 * c21 - 1j * g2 * c32.conjugate()
-    dc30 = 1j * d2 * c30 + 1j * g2 * (p0 - p3) - 1j * g1 * c31 - 1j * g1 * c32
-    dc31 = 1j * (d2 - d1) * c31 + 1j * g2 * c10.conjugate() - 1j * g1c * c30
-    dc32 = 1j * (d2 - d1) * c32 + 1j * g2 * c20.conjugate() - 1j * g1c * c30
-    return dp0, dp1, dp2, dp3, dc10, dc20, dc21, dc30, dc31, dc32
-
-
-def _dissipator(r: RateSet, p0, p1, p2, p3, c10, c20, c21, c30, c31, c32):
-    half_g12 = 0.5 * r.g12
-    dp1 = -r.g01 * p1 - r.g12 * c21.real
-    dp2 = -r.g02 * p2 - r.g12 * c21.real
-    dp3 = -r.g03 * p3
-    dp0 = -(dp1 + dp2 + dp3)
-    dc21 = -r.gamma21 * c21 - half_g12 * (p1 + p2)
-    dc10 = -r.gamma10 * c10 - half_g12 * c20
-    dc20 = -r.gamma20 * c20 - half_g12 * c10
-    dc30 = -r.gamma30 * c30
-    dc31 = -r.gamma31 * c31 - half_g12 * c32
-    dc32 = -r.gamma32 * c32 - half_g12 * c31
-    return dp0, dp1, dp2, dp3, dc10, dc20, dc21, dc30, dc31, dc32
-
-
-def _entries(rho: DensityMatrix | np.ndarray):
-    """Extract (p0..p3, c10, c20, c21, c30, c31, c32) from the lower triangle."""
+def pack_state(rho: DensityMatrix | np.ndarray) -> np.ndarray:
+    """Encode a Hermitian 4x4 matrix as 16 reals."""
     if isinstance(rho, DensityMatrix):
         m = rho.matrix
     else:
@@ -113,180 +56,95 @@ def _entries(rho: DensityMatrix | np.ndarray):
             raise ContractViolationError(
                 f"input is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.0e})"
             )
-    return (
-        m[0, 0].real,
-        m[1, 1].real,
-        m[2, 2].real,
-        m[3, 3].real,
-        complex(m[1, 0]),
-        complex(m[2, 0]),
-        complex(m[2, 1]),
-        complex(m[3, 0]),
-        complex(m[3, 1]),
-        complex(m[3, 2]),
-    )
+    return np.concatenate((m.diagonal().real, m[_ROWS, _COLS].view(float)))
 
 
-def _assemble(dp0, dp1, dp2, dp3, dc10, dc20, dc21, dc30, dc31, dc32) -> np.ndarray:
-    """Hermitian 4x4 derivative from diagonal + lower-triangle entries."""
-    out = np.empty((DIM, DIM), dtype=complex)
-    out[0, 0] = dp0
-    out[1, 1] = dp1
-    out[2, 2] = dp2
-    out[3, 3] = dp3
-    out[1, 0] = dc10
-    out[2, 0] = dc20
-    out[2, 1] = dc21
-    out[3, 0] = dc30
-    out[3, 1] = dc31
-    out[3, 2] = dc32
-    out[0, 1] = dc10.conjugate()
-    out[0, 2] = dc20.conjugate()
-    out[1, 2] = dc21.conjugate()
-    out[0, 3] = dc30.conjugate()
-    out[1, 3] = dc31.conjugate()
-    out[2, 3] = dc32.conjugate()
-    return out
+def unpack_state(y: np.ndarray) -> np.ndarray:
+    """Rebuild the exactly Hermitian 4x4 matrix from 16 reals."""
+    coherences = np.ascontiguousarray(y[DIM:], dtype=float).view(complex)
+    return np.concatenate((y[:DIM], coherences, coherences.conj()))[_GATHER]
 
 
-def master_rhs(
-    t: float,
-    rho: DensityMatrix | np.ndarray,
-    params: SystemParams,
-    drive: DriveConfig,
-) -> np.ndarray:
+def _lindblad(*pairs):
+    """rho -> sum of A rho B^T - {B^T A, rho}/2 over pairs (A, B) of real jump operators."""
+    return lambda rho: sum(a @ rho @ b.T - 0.5 * (b.T @ a @ rho + rho @ b.T @ a) for a, b in pairs)
+
+
+@functools.cache
+def _units() -> tuple[np.ndarray, np.ndarray]:
+    """Unit generators in the packed basis, flattened: (drive (4, 256), decay (5, 256)).
+
+    Drive rows are -i[H_k, .] for the coefficients of (g1, g2, delta1,
+    delta2) in the rotating-frame Hamiltonian; decay rows belong to the
+    rates (gamma01, gamma02, gamma03, gamma12, gamma_coll).
+    """
+    ket = np.eye(DIM, dtype=complex)
+    kb = [[np.outer(ket[i], ket[j]) for j in range(DIM)] for i in range(DIM)]  # kb[i][j] = |i><j|
+    hamiltonians = (-(kb[1][0] + kb[2][0] + kb[0][1] + kb[0][2]), -(kb[3][0] + kb[0][3]),
+                    -(kb[1][1] + kb[2][2]), -kb[3][3])
+    # Jump operators |0><i| weighted by the rate matrix [[g01, g12, 0],
+    # [g12, g02, 0], [0, 0, g03]]; collisional dephasing damps every
+    # coherence at gamma_coll and leaves the populations alone.
+    a1, a2, a3 = kb[0][1:]
+    decays = (_lindblad((a1, a1)), _lindblad((a2, a2)), _lindblad((a3, a3)),
+              _lindblad((a1, a2), (a2, a1)), lambda rho: np.diag(np.diag(rho)) - rho)
+    commutators = [lambda rho, h=h: -1j * (h @ rho - rho @ h) for h in hamiltonians]
+
+    def packed(op):
+        columns = [pack_state(op(unpack_state(e))) for e in np.eye(PACKED_SIZE)]
+        return np.column_stack(columns).ravel()
+
+    return np.array([packed(op) for op in commutators]), np.array([packed(op) for op in decays])
+
+
+def _drive_generator(t: float, drive: DriveConfig) -> np.ndarray:
+    """Coherent part g1 G1 + g2 G2 + delta1 D1 + delta2 D2 at time t."""
+    g1, g2 = pulse_envelopes(t, drive)
+    d1, d2 = chirped_detunings(t, drive)
+    return (np.array((g1, g2, d1, d2)) @ _units()[0]).reshape(PACKED_SIZE, PACKED_SIZE)
+
+
+def _decay_generator(params: SystemParams) -> np.ndarray:
+    """Drive-independent part L0 of the generator."""
+    rates = np.array((params.gamma01, params.gamma02, params.gamma03, params.gamma12, params.gamma_coll))
+    return (rates @ _units()[1]).reshape(PACKED_SIZE, PACKED_SIZE)
+
+
+def master_rhs(t: float, rho: DensityMatrix | np.ndarray, params: SystemParams,
+               drive: DriveConfig) -> np.ndarray:
     """d(rho)/dt under drive and dissipation at time t.
 
     Equals ``coherent_only(t, rho, ...) + dissipator_only(rho, ...)`` exactly
     (entrywise, bit for bit).
     """
-    e = _entries(rho)
-    r = RateSet.from_params(params)
-    g1, g2 = pulse_envelopes(t, drive)
-    d1, d2 = chirped_detunings(t, drive)
-    coh = _coherent(g1, g2, d1, d2, *e)
-    dis = _dissipator(r, *e)
-    return _assemble(*(a + b for a, b in zip(coh, dis)))
+    y = pack_state(rho)
+    return unpack_state(_drive_generator(t, drive) @ y + _decay_generator(params) @ y)
 
 
 def dissipator_only(rho: DensityMatrix | np.ndarray, params: SystemParams) -> np.ndarray:
     """Decay/dephasing part of the generator alone (drive-independent)."""
-    e = _entries(rho)
-    return _assemble(*_dissipator(RateSet.from_params(params), *e))
+    return unpack_state(_decay_generator(params) @ pack_state(rho))
 
 
-def coherent_only(
-    t: float,
-    rho: DensityMatrix | np.ndarray,
-    params: SystemParams,
-    drive: DriveConfig,
-) -> np.ndarray:
+def coherent_only(t: float, rho: DensityMatrix | np.ndarray, params: SystemParams,
+                  drive: DriveConfig) -> np.ndarray:
     """Drive commutator -i[H(t), rho] alone; traceless for any input.
 
     ``params`` is unused but kept so the two parts share a call shape.
     """
     del params
-    e = _entries(rho)
-    g1, g2 = pulse_envelopes(t, drive)
-    d1, d2 = chirped_detunings(t, drive)
-    return _assemble(*_coherent(g1, g2, d1, d2, *e))
-
-
-def effective_hamiltonian(t: float, drive: DriveConfig) -> np.ndarray:
-    """Rotating-frame Hermitian drive Hamiltonian H(t).
-
-    The coherent part of the generator is -i[H, rho]; detunings appear as
-    negative diagonal shifts on the driven levels.
-    """
-    g1, g2 = pulse_envelopes(t, drive)
-    d1, d2 = chirped_detunings(t, drive)
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[1, 1] = -d1
-    h[2, 2] = -d1
-    h[3, 3] = -d2
-    h[1, 0] = h[2, 0] = -g1
-    h[3, 0] = -g2
-    h[0, 1] = h[0, 2] = -complex(g1).conjugate()
-    h[0, 3] = -complex(g2).conjugate()
-    return h
-
-
-# Packed real state layout used by the steppers: the four populations
-# followed by (re, im) of the six lower-triangle coherences.  Evolving this
-# 16-vector keeps rho_ij and rho_ji* from drifting apart.
-PACKED_SIZE = 16
-
-
-def pack_state(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Encode a Hermitian 4x4 matrix as 16 reals."""
-    p0, p1, p2, p3, c10, c20, c21, c30, c31, c32 = _entries(rho)
-    return np.array(
-        [
-            p0, p1, p2, p3,
-            c10.real, c10.imag,
-            c20.real, c20.imag,
-            c21.real, c21.imag,
-            c30.real, c30.imag,
-            c31.real, c31.imag,
-            c32.real, c32.imag,
-        ]
-    )
-
-
-def unpack_state(y: np.ndarray) -> np.ndarray:
-    """Rebuild the exactly Hermitian 4x4 matrix from 16 reals."""
-    p0, p1, p2, p3, a, b, c, d, e, f, g, h, i, j, k, l = y.tolist()
-    return _assemble(
-        p0, p1, p2, p3,
-        complex(a, b),
-        complex(c, d),
-        complex(e, f),
-        complex(g, h),
-        complex(i, j),
-        complex(k, l),
-    )
+    return unpack_state(_drive_generator(t, drive) @ pack_state(rho))
 
 
 def make_packed_rhs(params: SystemParams, drive: DriveConfig):
-    """Build the 16-real derivative function f(t, y) used by the steppers.
+    """Build the 16-real derivative function f(t, y) = L(t) y used by the steppers.
 
-    The closure precomputes all rates and works in scalar Python arithmetic;
-    it is the hot path of every integration.
+    L0 is contracted once here; each call adds the drive part as a separate
+    matrix-vector product, in the same arithmetic as ``master_rhs``.
     """
-    r = RateSet.from_params(params)
+    decay = _decay_generator(params)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        p0, p1, p2, p3, a, b, c, d, e, f, g, h, i, j, k, l = y.tolist()
-        c10 = complex(a, b)
-        c20 = complex(c, d)
-        c21 = complex(e, f)
-        c30 = complex(g, h)
-        c31 = complex(i, j)
-        c32 = complex(k, l)
-        g1, g2 = pulse_envelopes(t, drive)
-        d1, d2 = chirped_detunings(t, drive)
-        co = _coherent(g1, g2, d1, d2, p0, p1, p2, p3, c10, c20, c21, c30, c31, c32)
-        di = _dissipator(r, p0, p1, p2, p3, c10, c20, c21, c30, c31, c32)
-        dp0 = co[0] + di[0]
-        dp1 = co[1] + di[1]
-        dp2 = co[2] + di[2]
-        dp3 = co[3] + di[3]
-        dc10 = co[4] + di[4]
-        dc20 = co[5] + di[5]
-        dc21 = co[6] + di[6]
-        dc30 = co[7] + di[7]
-        dc31 = co[8] + di[8]
-        dc32 = co[9] + di[9]
-        return np.array(
-            [
-                dp0, dp1, dp2, dp3,
-                dc10.real, dc10.imag,
-                dc20.real, dc20.imag,
-                dc21.real, dc21.imag,
-                dc30.real, dc30.imag,
-                dc31.real, dc31.imag,
-                dc32.real, dc32.imag,
-            ]
-        )
+        return _drive_generator(t, drive) @ y + decay @ y
 
     return rhs

@@ -20,6 +20,7 @@ from .errors import ContractViolationError, InvalidParameterError
 __all__ = [
     "DIM",
     "HERMITICITY_TOL",
+    "MAX_SAMPLE_ROWS",
     "DensityMatrix",
     "SystemParams",
     "ChirpProfile",
@@ -40,6 +41,10 @@ DIM = 4
 # Constructor-level Hermiticity contract; physical-state tolerances
 # (trace_tol, pos_tol) are per-scenario knobs.
 HERMITICITY_TOL = 1e-12
+
+# Cap on the recording grid, floor(span/sample_interval) + 1 rows, checked
+# before anything is allocated; the presets use at most 1,921 rows.
+MAX_SAMPLE_ROWS = 100_000
 
 
 def cross_damping(gamma01: float, gamma02: float, theta: float) -> float:
@@ -346,6 +351,13 @@ class Scenario:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise InvalidParameterError(f"{name} must be positive, got {value!r}")
+        # rows = floor(quotient + 1e-9) + 1, as in integrator.sample_times.
+        quotient = (self.t_end - self.t_start) / self.sample_interval
+        if not quotient + 1e-9 < MAX_SAMPLE_ROWS:
+            raise InvalidParameterError(
+                f"sample grid of {quotient:.3g} intervals exceeds the cap of {MAX_SAMPLE_ROWS} rows; "
+                "raise sample_interval or shorten the window"
+            )
         for name in ("trace_tol", "pos_tol"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:

@@ -100,6 +100,18 @@ class TestPreset:
         assert out.read_text().startswith(TRAJECTORY_CSV_HEADER)
 
 
+class TestBoundedGrids:
+    def test_oversized_sample_grid_is_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "run.cfg", "[integration]\nsample_interval = 1e-9\n")
+        assert main(["run", "--config", cfg]) == 1
+        assert "sample grid" in capsys.readouterr().err
+
+    def test_oversized_sweep_axis_is_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "sweep.cfg", "[sweep]\nparameter = theta\nstart = 0\nstop = 1\npoints = 1000000000000\n")
+        assert main(["sweep", "--config", cfg]) == 1
+        assert "points" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_sweep_csv(self, tmp_path, capsys):
         cfg = write(tmp_path, "sweep.cfg", QUIET_SWEEP_CFG)

@@ -12,7 +12,7 @@ from victrap import (
     preset,
     sweep,
 )
-from victrap.experiments import apply_parameter
+from victrap.experiments import MAX_AXIS_POINTS, MAX_GRID_POINTS, apply_parameter
 
 
 class TestPresets:
@@ -77,6 +77,23 @@ class TestSweepSpec:
     def test_linspace_endpoints(self):
         axis = SweepAxis.linspace("theta", 0.0, 1.0, 5)
         assert axis.values == (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def test_oversized_axis_rejected_before_allocation(self):
+        with pytest.raises(InvalidParameterError, match="points"):
+            SweepAxis.linspace("theta", 0.0, 1.0, 10**12)
+        with pytest.raises(InvalidParameterError, match="points"):
+            SweepAxis.linspace("theta", 0.0, 1.0, MAX_AXIS_POINTS + 1)
+        with pytest.raises(InvalidParameterError, match="points"):
+            SweepAxis(parameter="theta", values=(0.0,) * (MAX_AXIS_POINTS + 1))
+        assert len(SweepAxis.linspace("theta", 0.0, 1.0, MAX_AXIS_POINTS).values) == MAX_AXIS_POINTS
+
+    def test_oversized_grid_rejected(self):
+        side = math.isqrt(MAX_GRID_POINTS) + 1
+        axes = (SweepAxis.linspace("theta", 0.0, 1.0, side), SweepAxis.linspace("g02", 0.1, 0.3, side))
+        with pytest.raises(InvalidParameterError, match="grid"):
+            SweepSpec(base=Scenario(), axes=axes)
+        fits = (axes[0], SweepAxis.linspace("g02", 0.1, 0.3, MAX_GRID_POINTS // side))
+        assert len(SweepSpec(base=Scenario(), axes=fits).grid()) <= MAX_GRID_POINTS
 
     def test_too_many_axes_rejected(self):
         axis = SweepAxis(parameter="theta", values=(0.0,))

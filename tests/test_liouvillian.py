@@ -105,6 +105,46 @@ class TestAgainstBruteForceOracles:
             assert np.max(np.abs(got - want)) < 1e-13
 
 
+class TestRateEquationEntries:
+    """Packed-generator entries probed with basis vectors e_k and compared
+    with the rate equations written out by hand, independently of the
+    operator form the generator is built from."""
+
+    P1, RE10, IM10, RE20, RE21, RE31, RE32 = 1, 4, 5, 6, 8, 12, 14
+
+    @staticmethod
+    def entry(rhs, t, row, col):
+        """d(ydot[row]) / d(y[col]) of the linear map y -> rhs(t, y)."""
+        return rhs(t, np.eye(16)[col])[row]
+
+    @pytest.mark.parametrize("theta", [0.0, 0.4])
+    @pytest.mark.parametrize("gamma_coll", [0.0, 0.25])
+    def test_decay_entries(self, theta, gamma_coll):
+        params = SystemParams(theta=theta, gamma_coll=gamma_coll)
+        rhs = make_packed_rhs(params, DriveConfig(g01=0.0, g02=0.0))
+        g12 = math.sqrt(params.gamma01 * params.gamma02) * math.cos(theta)
+        expected = {
+            (self.P1, self.P1): -params.gamma01,
+            (self.P1, self.RE21): -g12,
+            (self.RE21, self.P1): -g12 / 2,
+            (self.RE10, self.RE10): -(params.gamma01 / 2 + gamma_coll),
+            (self.RE10, self.RE20): -g12 / 2,
+            (self.RE31, self.RE32): -g12 / 2,
+        }
+        for (row, col), want in expected.items():
+            assert self.entry(rhs, 0.0, row, col) == pytest.approx(want, rel=1e-15, abs=0.0), (row, col)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.4])
+    @pytest.mark.parametrize("gamma_coll", [0.0, 0.25])
+    def test_drive_entry(self, theta, gamma_coll):
+        params = SystemParams(theta=theta, gamma_coll=gamma_coll)
+        drive = DriveConfig()
+        t = 1.3
+        g1 = drive.g01 * math.exp(-((t - drive.center1) / drive.tau) ** 2)
+        got = self.entry(make_packed_rhs(params, drive), t, self.P1, self.IM10)
+        assert got == pytest.approx(2.0 * g1, rel=1e-15, abs=0.0)
+
+
 class TestStructuralProperties:
     def test_split_sums_exactly(self):
         rng = np.random.default_rng(14)

@@ -18,6 +18,7 @@ from victrap import (
     maximally_mixed,
     validate_physicality,
 )
+from victrap.model import MAX_SAMPLE_ROWS
 
 rates = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
@@ -214,6 +215,16 @@ class TestScenario:
             Scenario(rtol=0.0)
         with pytest.raises(InvalidParameterError):
             Scenario(sample_interval=-1.0)
+
+    def test_oversized_sample_grid_rejected(self):
+        # Rejected in validation; the grid itself is never built.
+        with pytest.raises(InvalidParameterError, match="sample grid"):
+            Scenario(sample_interval=1e-9)
+        with pytest.raises(InvalidParameterError, match="sample grid"):
+            Scenario(t_start=-1e308, t_end=1e308)
+        with pytest.raises(InvalidParameterError, match="sample grid"):
+            Scenario(t_start=0.0, t_end=float(MAX_SAMPLE_ROWS), sample_interval=1.0)
+        Scenario(t_start=0.0, t_end=float(MAX_SAMPLE_ROWS - 1), sample_interval=1.0)
 
     def test_unphysical_initial_state_rejected(self):
         m = np.eye(4, dtype=complex) / 4.0
