@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p_sweep.add_argument("--config", required=True, metavar="PATH")
-    p_sweep.add_argument("--threads", type=int, default=1, metavar="N")
+    p_sweep.add_argument("--threads", type=int, default=1, metavar="N",
+                         help="accepted for compatibility and ignored: sweep points run serially")
     p_sweep.add_argument("--out", default=None, metavar="PATH")
 
     sub.add_parser("validate", help="run the built-in physicality/property checks")
@@ -127,8 +128,8 @@ def _cmd_run(args) -> int:
     return _emit_run(args, traj, fmt, out_path)
 
 
-def _run_sweep(args, spec: SweepSpec, fmt: str, out_path: str | None, threads: int) -> int:
-    table = sweep(spec, max_workers=max(1, threads))
+def _run_sweep(args, spec: SweepSpec, fmt: str, out_path: str | None) -> int:
+    table = sweep(spec)
     n_flagged = sum(1 for row in table.rows if not row.converged)
     n_failed = sum(1 for row in table.rows if row.error is not None)
     _say(args, f"sweep finished: {len(table.rows)} points, "
@@ -150,14 +151,14 @@ def _cmd_sweep(args) -> int:
         return EXIT_USAGE
     fmt = args.format or outopts.format
     out_path = args.out or outopts.path
-    return _run_sweep(args, job, fmt, out_path, args.threads)
+    return _run_sweep(args, job, fmt, out_path)
 
 
 def _cmd_preset(args) -> int:
     job = preset(args.name)
     fmt = args.format or "csv"
     if isinstance(job, SweepSpec):
-        return _run_sweep(args, job, fmt, args.out, threads=1)
+        return _run_sweep(args, job, fmt, args.out)
     traj = run_with_steady(job)
     return _emit_run(args, traj, fmt, args.out)
 

@@ -1,17 +1,20 @@
 """Time-dependent Rabi envelopes and chirped detunings.
 
-Pure functions of (t, config); the integrator evaluates these inside its
-stepping loop, so everything here is plain scalar math.
+The drive is stated once, vectorised over time: ``drive_coefficients``
+gives (g1, g2, delta1, delta2) at an array of times, the coefficients of
+the affine generator.  The integrator evaluates all stage times of a step
+in one call; the scalar functions below are single-time views of it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import ChirpProfile, DriveConfig
 
-__all__ = ["DriveSample", "pulse_envelopes", "chirped_detunings", "drive_sample"]
+__all__ = ["DriveSample", "drive_coefficients", "pulse_envelopes", "chirped_detunings", "drive_sample"]
 
 
 @dataclass(frozen=True)
@@ -24,36 +27,38 @@ class DriveSample:
     delta2: float
 
 
-def pulse_envelopes(t: float, drive: DriveConfig) -> tuple[float, float]:
-    """Gaussian envelopes of the two pulses at time t.
+def drive_coefficients(ts, drive: DriveConfig) -> np.ndarray:
+    """Drive values at the times ``ts`` as an (n, 4) array of (g1, g2, delta1, delta2).
 
-    g1 = g01 * exp(-(t - c1)^2 / tau^2) peaks at the pulse-1 center,
-    g2 = g02 * exp(-(t - c2)^2 / tau^2) peaks at the pulse-2 center.
+    Gaussian envelopes g_k = g0k * exp(-(t - c_k)^2 / tau^2) peak at the
+    pulse centers c_k.  With chirping enabled each detuning sweeps by its
+    chi amplitude around the static offset, centered on the corresponding
+    pulse; disabled, the detunings are the static offsets.
     """
-    u1 = (t - drive.center1) / drive.tau
-    u2 = (t - drive.center2) / drive.tau
-    return drive.g01 * math.exp(-u1 * u1), drive.g02 * math.exp(-u2 * u2)
+    t = np.asarray(ts, dtype=float).reshape(-1, 1)
+    offsets = t - (drive.center1, drive.center2)
+    u = offsets / drive.tau
+    out = np.empty((t.shape[0], 4))
+    out[:, :2] = np.exp(-u * u) * (drive.g01, drive.g02)
+    out[:, 2:] = (drive.static_delta1, drive.static_delta2)
+    if drive.chirp_enabled:
+        f = np.tanh(offsets / drive.chirp_ramp) if drive.chirp_profile is ChirpProfile.TANH else 1.0
+        out[:, 2:] += f * np.array((drive.chi1, drive.chi2))
+    return out
+
+
+def pulse_envelopes(t: float, drive: DriveConfig) -> tuple[float, float]:
+    """Gaussian envelopes (g1, g2) of the two pulses at time t."""
+    g1, g2, _, _ = drive_coefficients(t, drive)[0].tolist()
+    return g1, g2
 
 
 def chirped_detunings(t: float, drive: DriveConfig) -> tuple[float, float]:
-    """Detunings of the two drives at time t.
-
-    With chirping enabled each detuning sweeps by its chi amplitude around
-    the static offset, centered on the corresponding pulse; disabled, the
-    detunings are the static offsets.
-    """
-    if not drive.chirp_enabled:
-        return drive.static_delta1, drive.static_delta2
-    if drive.chirp_profile is ChirpProfile.TANH:
-        f1 = math.tanh((t - drive.center1) / drive.chirp_ramp)
-        f2 = math.tanh((t - drive.center2) / drive.chirp_ramp)
-    else:
-        f1 = f2 = 1.0
-    return drive.static_delta1 + drive.chi1 * f1, drive.static_delta2 + drive.chi2 * f2
+    """Detunings (delta1, delta2) of the two drives at time t."""
+    _, _, d1, d2 = drive_coefficients(t, drive)[0].tolist()
+    return d1, d2
 
 
 def drive_sample(t: float, drive: DriveConfig) -> DriveSample:
     """Bundle envelopes and detunings for one time point."""
-    g1, g2 = pulse_envelopes(t, drive)
-    d1, d2 = chirped_detunings(t, drive)
-    return DriveSample(g1=g1, g2=g2, delta1=d1, delta2=d2)
+    return DriveSample(*drive_coefficients(t, drive)[0].tolist())

@@ -16,7 +16,6 @@ scenarios behind each scripted experiment:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .errors import InvalidParameterError, SimulationError
@@ -203,13 +202,10 @@ def sweep(
 ) -> SweepTable:
     """Run every grid point and collect steady-state values, in grid order.
 
-    Points are independent; with max_workers > 1 they run concurrently and
-    the table is assembled in grid order regardless of completion order.
+    Points run serially: they are pure-Python-bound, so threads only add
+    contention for the interpreter lock.  ``max_workers`` is accepted for
+    compatibility and ignored.
     """
-    points = spec.grid()
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(lambda v: _run_point(spec, v, window, tol), points))
-    else:
-        rows = [_run_point(spec, v, window, tol) for v in points]
+    del max_workers
+    rows = [_run_point(spec, v, window, tol) for v in spec.grid()]
     return SweepTable(parameters=spec.parameters, rows=tuple(rows))

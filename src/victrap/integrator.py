@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import IntegrationError, InsufficientDataError, InvalidParameterError, PhysicalityError
-from .liouvillian import make_packed_rhs, pack_state, unpack_state
+from .liouvillian import PACKED_SIZE, decay_generator, drive_generators, make_packed_rhs, pack_state, unpack_state
 from .model import DensityMatrix, ObservableRecord, Scenario
 from .observables import observable_record
 
@@ -35,24 +35,27 @@ __all__ = [
     "sample_times",
     "DEFAULT_STEADY_WINDOW",
     "DEFAULT_STEADY_TOL",
+    "MAX_STEPS",
 ]
 
 DEFAULT_STEADY_WINDOW = 5.0
 DEFAULT_STEADY_TOL = 1e-4
 
-# Dormand-Prince 5(4) tableau.  Fifth-order weights propagate; the last row
-# of stage coefficients equals them (first-same-as-last), and E holds the
-# difference to the embedded fourth-order weights.
-_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
-_A = (
+# Dormand-Prince 5(4) tableau.  Row k of _A builds stage k+1 from stages
+# 0..k; its last row equals the fifth-order weights _B (first-same-as-last),
+# and _E holds the difference to the embedded fourth-order weights.  The
+# last two stages share the node c = 1, so a step has five new stage times.
+_C = np.array((0.2, 0.3, 0.8, 8.0 / 9.0, 1.0))
+_B = np.array((35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0))
+_A = np.array([(*row, *[0.0] * (7 - len(row))) for row in (
     (0.2,),
     (3.0 / 40.0, 9.0 / 40.0),
     (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
     (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-)
-_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
-_E = (
+    _B,
+)])
+_E = np.array((
     71.0 / 57600.0,
     0.0,
     -71.0 / 16695.0,
@@ -60,11 +63,18 @@ _E = (
     -17253.0 / 339200.0,
     22.0 / 525.0,
     -1.0 / 40.0,
-)
+))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+
+# Budget of attempted steps per run; gamma01=100, gamma02=40 over the
+# default window attempts about 4,600.
+MAX_STEPS = 200_000
+# Real-axis reach of the Dormand-Prince stability region: a stable step
+# needs h * (spectral radius of L0) <= 3.3.
+_STABILITY_LIMIT = 3.3
 
 
 @dataclass(frozen=True)
@@ -153,86 +163,73 @@ class _SampleRecorder:
 
 
 def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray, rtol: float, atol: float) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    ratio = err / scale
-    return float(math.sqrt(float(np.mean(ratio * ratio))))
+    ratio = err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)))
+    return math.sqrt(float(ratio @ ratio) / ratio.size)
 
 
 def integrate(scenario: Scenario) -> Trajectory:
     """Propagate the scenario and record observables on the sample grid.
 
+    Each attempted step builds the generators at its five new stage times
+    in one stacked call and forms the stages as rows of a (7, 16) array.
+
     Raises PhysicalityError if a recorded sample violates the scenario's
     trace or positivity tolerances, and IntegrationError on step-size
-    underflow or a non-finite state.
+    underflow, or when the decay rates are too stiff for MAX_STEPS
+    attempted steps (checked up front from the spectral radius of L0, and
+    again in the loop).
     """
-    rhs = make_packed_rhs(scenario.params, scenario.drive)
+    drive = scenario.drive
+    decay = decay_generator(scenario.params)
     grid = sample_times(scenario)
+    radius = float(np.max(np.abs(np.linalg.eigvals(decay)))) if np.isfinite(decay).all() else math.inf
+    needed = (grid[-1] - grid[0]) * radius / _STABILITY_LIMIT
+    if needed > MAX_STEPS:
+        raise IntegrationError(
+            f"decay rates too stiff: a stable run needs at least {needed:.3g} steps; the budget is {MAX_STEPS}"
+        )
     recorder = _SampleRecorder(scenario)
 
     y = pack_state(scenario.initial_state)
     t = grid[0]
     recorder.record(t, y)
 
-    max_step = scenario.drive.tau / 10.0
+    max_step = drive.tau / 10.0
     h_floor = 1e-13 * max(1.0, abs(grid[0]), abs(grid[-1]))
     rtol, atol = scenario.rtol, scenario.atol
 
-    k1 = rhs(t, y)
-    nfev = 1
+    # Stage derivatives; row 0 holds L(t) y, carried over from the last
+    # stage of the previous accepted step.
+    stages = np.empty((7, PACKED_SIZE))
+    stages[0] = (drive_generators(t, drive)[0] + decay) @ y
     accepted = 0
     rejected = 0
     h = min(max_step, scenario.sample_interval)
     just_rejected = False
 
-    ks = [k1] + [None] * 6
     for target in grid[1:]:
         # Boundary landings can leave t a few ulp short of the target;
         # anything closer than the floor counts as arrived.
         while target - t > h_floor:
+            if accepted + rejected >= MAX_STEPS:
+                raise IntegrationError(f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}")
             h_try = min(h, max_step, target - t)
             if h_try < h_floor:
                 raise IntegrationError(f"step size underflow at t={t:g} (h={h_try:.3e})")
 
-            k1 = ks[0]
-            k2 = rhs(t + _C[0] * h_try, y + h_try * (_A[0][0] * k1))
-            k3 = rhs(t + _C[1] * h_try, y + h_try * (_A[1][0] * k1 + _A[1][1] * k2))
-            k4 = rhs(t + _C[2] * h_try, y + h_try * (_A[2][0] * k1 + _A[2][1] * k2 + _A[2][2] * k3))
-            k5 = rhs(
-                t + _C[3] * h_try,
-                y + h_try * (_A[3][0] * k1 + _A[3][1] * k2 + _A[3][2] * k3 + _A[3][3] * k4),
-            )
-            k6 = rhs(
-                t + _C[4] * h_try,
-                y
-                + h_try
-                * (_A[4][0] * k1 + _A[4][1] * k2 + _A[4][2] * k3 + _A[4][3] * k4 + _A[4][4] * k5),
-            )
-            y_new = y + h_try * (
-                _B[0] * k1 + _B[2] * k3 + _B[3] * k4 + _B[4] * k5 + _B[5] * k6
-            )
-            k7 = rhs(t + h_try, y_new)
-            nfev += 6
+            gens = drive_generators(t + _C * h_try, drive) + decay
+            h_a = h_try * _A
+            for k, gen in enumerate((*gens, gens[-1]), start=1):
+                y_new = y + h_a[k - 1, :k] @ stages[:k]
+                np.matmul(gen, y_new, out=stages[k])
+            err = h_try * (_E @ stages)
 
-            err = h_try * (
-                _E[0] * k1
-                + _E[2] * k3
-                + _E[3] * k4
-                + _E[4] * k5
-                + _E[5] * k6
-                + _E[6] * k7
-            )
-
-            if not np.all(np.isfinite(y_new)):
-                rejected += 1
-                just_rejected = True
-                h = h_try * _MIN_FACTOR
-                continue
-
-            norm = _error_norm(err, y, y_new, rtol, atol)
+            # A non-finite state is rejected with the smallest shrink factor.
+            norm = _error_norm(err, y, y_new, rtol, atol) if np.isfinite(y_new).all() else math.inf
             if norm <= 1.0:
                 t = t + h_try
                 y = y_new
-                ks[0] = k7
+                stages[0] = stages[6]
                 accepted += 1
                 if norm == 0.0:
                     factor = _MAX_FACTOR
@@ -251,7 +248,7 @@ def integrate(scenario: Scenario) -> Trajectory:
     stats = IntegrationStats(
         steps_accepted=accepted,
         steps_rejected=rejected,
-        rhs_evaluations=nfev,
+        rhs_evaluations=1 + 6 * (accepted + rejected),
         max_trace_error=recorder.max_trace_error,
         min_eigenvalue=recorder.min_eigenvalue,
     )

@@ -26,11 +26,12 @@ import functools
 
 import numpy as np
 
-from .drive import chirped_detunings, pulse_envelopes
+from .drive import drive_coefficients
 from .errors import ContractViolationError
 from .model import DIM, HERMITICITY_TOL, DensityMatrix, DriveConfig, SystemParams
 
-__all__ = ["master_rhs", "dissipator_only", "coherent_only", "pack_state", "unpack_state", "make_packed_rhs"]
+__all__ = ["master_rhs", "dissipator_only", "coherent_only", "pack_state", "unpack_state", "make_packed_rhs",
+           "drive_generators", "decay_generator"]
 
 # Packed real state layout used by the steppers: the four populations
 # followed by (re, im) of the six lower-triangle coherences.  Evolving this
@@ -97,14 +98,12 @@ def _units() -> tuple[np.ndarray, np.ndarray]:
     return np.array([packed(op) for op in commutators]), np.array([packed(op) for op in decays])
 
 
-def _drive_generator(t: float, drive: DriveConfig) -> np.ndarray:
-    """Coherent part g1 G1 + g2 G2 + delta1 D1 + delta2 D2 at time t."""
-    g1, g2 = pulse_envelopes(t, drive)
-    d1, d2 = chirped_detunings(t, drive)
-    return (np.array((g1, g2, d1, d2)) @ _units()[0]).reshape(PACKED_SIZE, PACKED_SIZE)
+def drive_generators(ts, drive: DriveConfig) -> np.ndarray:
+    """Coherent parts g1 G1 + g2 G2 + delta1 D1 + delta2 D2 at the times ts, shape (n, 16, 16)."""
+    return (drive_coefficients(ts, drive) @ _units()[0]).reshape(-1, PACKED_SIZE, PACKED_SIZE)
 
 
-def _decay_generator(params: SystemParams) -> np.ndarray:
+def decay_generator(params: SystemParams) -> np.ndarray:
     """Drive-independent part L0 of the generator."""
     rates = np.array((params.gamma01, params.gamma02, params.gamma03, params.gamma12, params.gamma_coll))
     return (rates @ _units()[1]).reshape(PACKED_SIZE, PACKED_SIZE)
@@ -118,12 +117,12 @@ def master_rhs(t: float, rho: DensityMatrix | np.ndarray, params: SystemParams,
     (entrywise, bit for bit).
     """
     y = pack_state(rho)
-    return unpack_state(_drive_generator(t, drive) @ y + _decay_generator(params) @ y)
+    return unpack_state(drive_generators(t, drive)[0] @ y + decay_generator(params) @ y)
 
 
 def dissipator_only(rho: DensityMatrix | np.ndarray, params: SystemParams) -> np.ndarray:
     """Decay/dephasing part of the generator alone (drive-independent)."""
-    return unpack_state(_decay_generator(params) @ pack_state(rho))
+    return unpack_state(decay_generator(params) @ pack_state(rho))
 
 
 def coherent_only(t: float, rho: DensityMatrix | np.ndarray, params: SystemParams,
@@ -133,7 +132,7 @@ def coherent_only(t: float, rho: DensityMatrix | np.ndarray, params: SystemParam
     ``params`` is unused but kept so the two parts share a call shape.
     """
     del params
-    return unpack_state(_drive_generator(t, drive) @ pack_state(rho))
+    return unpack_state(drive_generators(t, drive)[0] @ pack_state(rho))
 
 
 def make_packed_rhs(params: SystemParams, drive: DriveConfig):
@@ -142,9 +141,9 @@ def make_packed_rhs(params: SystemParams, drive: DriveConfig):
     L0 is contracted once here; each call adds the drive part as a separate
     matrix-vector product, in the same arithmetic as ``master_rhs``.
     """
-    decay = _decay_generator(params)
+    decay = decay_generator(params)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _drive_generator(t, drive) @ y + decay @ y
+        return drive_generators(t, drive)[0] @ y + decay @ y
 
     return rhs

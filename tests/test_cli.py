@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -110,6 +111,14 @@ class TestBoundedGrids:
         cfg = write(tmp_path, "sweep.cfg", "[sweep]\nparameter = theta\nstart = 0\nstop = 1\npoints = 1000000000000\n")
         assert main(["sweep", "--config", cfg]) == 1
         assert "points" in capsys.readouterr().err
+
+    def test_too_stiff_decay_is_physics_error(self, tmp_path, capsys):
+        # Rejected before stepping: about 2.9e6 stable steps would be needed.
+        cfg = write(tmp_path, "stiff.cfg", "[decay]\ngamma01 = 100000\n")
+        start = time.perf_counter()
+        assert main(["--format", "json", "run", "--config", cfg]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert "budget" in capsys.readouterr().err
 
 
 class TestSweep:

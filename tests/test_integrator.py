@@ -6,6 +6,7 @@ import pytest
 
 from victrap import (
     DriveConfig,
+    IntegrationError,
     InsufficientDataError,
     InvalidParameterError,
     PhysicalityError,
@@ -18,9 +19,20 @@ from victrap import (
     integrate_fixed_step,
     preset,
 )
+from victrap import integrator
 from victrap.integrator import sample_times
 
 QUIET_DRIVE = DriveConfig(g01=0.0, g02=0.0)
+
+# Stiff decay rates (gamma01 * tau = 400) with the chirp on, over a window
+# covering both pulses; stepping here is limited by stability, not accuracy.
+STIFF = Scenario(
+    params=SystemParams(gamma01=100.0, gamma02=40.0),
+    drive=DriveConfig(chirp_enabled=True),
+    t_start=-12.0,
+    t_end=22.0,
+    sample_interval=0.1,
+)
 
 
 def quiet_scenario(**kwargs) -> Scenario:
@@ -132,6 +144,35 @@ class TestControllerBehaviour:
         for sa, sb in zip(a.samples, b.samples):
             assert sb.time == pytest.approx(sa.time + shift, abs=1e-9)
             assert np.max(np.abs(sa.state.matrix - sb.state.matrix)) < 1e-7
+
+    @pytest.mark.parametrize("name", ["fig2", "stiff"])
+    def test_rhs_evaluations_count_six_per_attempted_step(self, name, fig2_run):
+        # One initial evaluation, then six new stages per attempted step
+        # (first-same-as-last), accepted or rejected.
+        stats = fig2_run.traj.stats if name == "fig2" else integrate(STIFF).stats
+        assert stats.rhs_evaluations == 1 + 6 * (stats.steps_accepted + stats.steps_rejected)
+
+    def test_stiff_rates_match_fixed_step(self):
+        adaptive = integrate(STIFF)
+        assert adaptive.stats.steps_rejected > 0
+        fixed = integrate_fixed_step(STIFF, 1.0 / STIFF.params.gamma01)
+        assert len(fixed.samples) == len(adaptive.samples)
+        for fa, ad in zip(fixed.samples, adaptive.samples):
+            assert np.max(np.abs(fa.state.matrix - ad.state.matrix)) <= 1e-6, fa.time
+
+    def test_step_budget_exhausted_in_loop(self, monkeypatch):
+        # The up-front stiffness estimate (20 * 8 / 3.3, about 49 steps)
+        # passes; the 0.05 sample grid needs 400 steps.
+        monkeypatch.setattr(integrator, "MAX_STEPS", 100)
+        with pytest.raises(IntegrationError, match="step budget of 100"):
+            integrate(quiet_scenario())
+
+    @pytest.mark.parametrize("rate", [1e5, 1e308])
+    def test_too_stiff_rejected_before_stepping(self, rate):
+        # 1e308 overflows L0 to non-finite entries.
+        sc = quiet_scenario(params=SystemParams(gamma01=rate, gamma02=rate))
+        with pytest.raises(IntegrationError, match="too stiff"):
+            integrate(sc)
 
     def test_physicality_abort(self):
         sc = replace(preset("fig2"), t_end=10.0, trace_tol=1e-17)
