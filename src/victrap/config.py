@@ -40,14 +40,22 @@ _BOOLEAN_STATES = {
     "0": False, "no": False, "false": False, "off": False,
 }
 
+# Scenario keys per section: the object a section sets ("params", "drive"
+# or "scenario") and the field behind each key.  Parsing and serialization
+# both read this table, in this order.
+_FIELDS: dict[str, tuple[str, dict[str, str]]] = {
+    "decay": ("params", {key: key for key in
+                         ("gamma01", "gamma02", "gamma03", "gamma_coll", "theta", "allow_wide_theta")}),
+    "drive": ("drive", {"g01": "g01", "g02": "g02", "tau": "tau", "t0": "t0", "delta1": "static_delta1",
+                        "delta2": "static_delta2", "t_origin": "t_origin"}),
+    "chirp": ("drive", {"enabled": "chirp_enabled", "chi1": "chi1", "chi2": "chi2", "ramp": "chirp_ramp",
+                        "profile": "chirp_profile"}),
+    "integration": ("scenario", {key: key for key in ("t_start", "t_end", "sample_interval", "rtol", "atol",
+                                                      "trace_tol", "pos_tol", "initial_state")}),
+}
+
 _SCHEMA: dict[str, tuple[str, ...]] = {
-    "decay": ("gamma01", "gamma02", "gamma03", "gamma_coll", "theta", "allow_wide_theta"),
-    "drive": ("g01", "g02", "tau", "t0", "delta1", "delta2", "t_origin"),
-    "chirp": ("enabled", "chi1", "chi2", "ramp", "profile"),
-    "integration": (
-        "t_start", "t_end", "sample_interval", "rtol", "atol",
-        "trace_tol", "pos_tol", "initial_state",
-    ),
+    **{section: tuple(keys) for section, (_, keys) in _FIELDS.items()},
     "sweep": (
         "parameter", "start", "stop", "points", "values",
         "parameter2", "start2", "stop2", "points2", "values2",
@@ -124,58 +132,31 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _build_scenario(sections: dict[str, dict[str, str]]) -> Scenario:
-    decay = sections.get("decay", {})
-    drive = sections.get("drive", {})
-    chirp = sections.get("chirp", {})
-    integration = sections.get("integration", {})
-
-    params_kwargs = {}
-    for key in ("gamma01", "gamma02", "gamma03", "gamma_coll", "theta"):
-        if key in decay:
-            params_kwargs[key] = _as_float("decay", key, decay[key])
-    if "allow_wide_theta" in decay:
-        params_kwargs["allow_wide_theta"] = _as_bool("decay", "allow_wide_theta", decay["allow_wide_theta"])
-
-    drive_kwargs = {}
-    for key in ("g01", "g02", "tau", "t0", "t_origin"):
-        if key in drive:
-            drive_kwargs[key] = _as_float("drive", key, drive[key])
-    if "delta1" in drive:
-        drive_kwargs["static_delta1"] = _as_float("drive", "delta1", drive["delta1"])
-    if "delta2" in drive:
-        drive_kwargs["static_delta2"] = _as_float("drive", "delta2", drive["delta2"])
-    if "enabled" in chirp:
-        drive_kwargs["chirp_enabled"] = _as_bool("chirp", "enabled", chirp["enabled"])
-    for key in ("chi1", "chi2"):
-        if key in chirp:
-            drive_kwargs[key] = _as_float("chirp", key, chirp[key])
-    if "ramp" in chirp:
-        drive_kwargs["chirp_ramp"] = _as_float("chirp", "ramp", chirp["ramp"])
-    if "profile" in chirp:
-        raw = chirp["profile"].strip().lower()
+def _parse_value(section: str, key: str, field: str, raw: str):
+    """Convert one raw value to the type of the field it sets."""
+    if field in ("allow_wide_theta", "chirp_enabled"):
+        return _as_bool(section, key, raw)
+    name = raw.strip().lower()
+    if field == "chirp_profile":
         try:
-            drive_kwargs["chirp_profile"] = ChirpProfile(raw)
+            return ChirpProfile(name)
         except ValueError:
-            _fail("chirp", "profile", f"expected one of {[p.value for p in ChirpProfile]}, got {raw!r}")
+            _fail(section, key, f"expected one of {[p.value for p in ChirpProfile]}, got {name!r}")
+    if field == "initial_state":
+        if name not in _INITIAL_STATES:
+            _fail(section, key, f"expected one of {sorted(_INITIAL_STATES)}, got {name!r}")
+        return _INITIAL_STATES[name]()
+    return _as_float(section, key, raw)
 
-    scenario_kwargs = {}
-    for key in ("t_start", "t_end", "sample_interval", "rtol", "atol", "trace_tol", "pos_tol"):
-        if key in integration:
-            scenario_kwargs[key] = _as_float("integration", key, integration[key])
-    initial = initial_metastable()
-    if "initial_state" in integration:
-        name = integration["initial_state"].strip().lower()
-        factory = _INITIAL_STATES.get(name)
-        if factory is None:
-            _fail("integration", "initial_state",
-                  f"expected one of {sorted(_INITIAL_STATES)}, got {name!r}")
-        initial = factory()
 
+def _build_scenario(sections: dict[str, dict[str, str]]) -> Scenario:
+    kwargs: dict[str, dict] = {"params": {}, "drive": {}, "scenario": {}}
+    for section, (owner, fields) in _FIELDS.items():
+        for key, raw in sections.get(section, {}).items():
+            kwargs[owner][fields[key]] = _parse_value(section, key, fields[key], raw)
     try:
-        params = SystemParams(**params_kwargs)
-        drive_config = DriveConfig(**drive_kwargs)
-        return Scenario(params=params, drive=drive_config, initial_state=initial, **scenario_kwargs)
+        return Scenario(params=SystemParams(**kwargs["params"]), drive=DriveConfig(**kwargs["drive"]),
+                        **kwargs["scenario"])
     except InvalidParameterError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -247,51 +228,31 @@ def parse_config_full(text: str) -> tuple[Scenario | SweepSpec, OutputOptions]:
     return scenario, output
 
 
-def _initial_state_name(state: DensityMatrix) -> str:
-    for name, factory in _INITIAL_STATES.items():
-        if state == factory():
-            return name
-    raise ConfigError(
-        "initial state is not one of the named states "
-        f"({', '.join(_INITIAL_STATES)}) and cannot be serialized"
-    )
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, ChirpProfile):
+        return value.value
+    if isinstance(value, DensityMatrix):
+        for name, factory in _INITIAL_STATES.items():
+            if value == factory():
+                return name
+        raise ConfigError(
+            "initial state is not one of the named states "
+            f"({', '.join(_INITIAL_STATES)}) and cannot be serialized"
+        )
+    return repr(value)
 
 
 def serialize_config(job: Scenario | SweepSpec) -> str:
     """Render a Scenario or SweepSpec as config text; inverse of parse_config."""
     scenario = job.base if isinstance(job, SweepSpec) else job
-    p, d = scenario.params, scenario.drive
+    owners = {"params": scenario.params, "drive": scenario.drive, "scenario": scenario}
     out = io.StringIO()
-    out.write("[decay]\n")
-    out.write(f"gamma01 = {p.gamma01!r}\n")
-    out.write(f"gamma02 = {p.gamma02!r}\n")
-    out.write(f"gamma03 = {p.gamma03!r}\n")
-    out.write(f"gamma_coll = {p.gamma_coll!r}\n")
-    out.write(f"theta = {p.theta!r}\n")
-    out.write(f"allow_wide_theta = {'true' if p.allow_wide_theta else 'false'}\n")
-    out.write("\n[drive]\n")
-    out.write(f"g01 = {d.g01!r}\n")
-    out.write(f"g02 = {d.g02!r}\n")
-    out.write(f"tau = {d.tau!r}\n")
-    out.write(f"t0 = {d.t0!r}\n")
-    out.write(f"delta1 = {d.static_delta1!r}\n")
-    out.write(f"delta2 = {d.static_delta2!r}\n")
-    out.write(f"t_origin = {d.t_origin!r}\n")
-    out.write("\n[chirp]\n")
-    out.write(f"enabled = {'true' if d.chirp_enabled else 'false'}\n")
-    out.write(f"chi1 = {d.chi1!r}\n")
-    out.write(f"chi2 = {d.chi2!r}\n")
-    out.write(f"ramp = {d.chirp_ramp!r}\n")
-    out.write(f"profile = {d.chirp_profile.value}\n")
-    out.write("\n[integration]\n")
-    out.write(f"t_start = {scenario.t_start!r}\n")
-    out.write(f"t_end = {scenario.t_end!r}\n")
-    out.write(f"sample_interval = {scenario.sample_interval!r}\n")
-    out.write(f"rtol = {scenario.rtol!r}\n")
-    out.write(f"atol = {scenario.atol!r}\n")
-    out.write(f"trace_tol = {scenario.trace_tol!r}\n")
-    out.write(f"pos_tol = {scenario.pos_tol!r}\n")
-    out.write(f"initial_state = {_initial_state_name(scenario.initial_state)}\n")
+    for section, (owner, fields) in _FIELDS.items():
+        out.write(f"\n[{section}]\n" if out.tell() else f"[{section}]\n")
+        for key, field in fields.items():
+            out.write(f"{key} = {_format_value(getattr(owners[owner], field))}\n")
     if isinstance(job, SweepSpec):
         out.write("\n[sweep]\n")
         for axis, suffix in zip(job.axes, ("", "2")):

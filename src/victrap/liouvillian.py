@@ -136,10 +136,11 @@ def coherent_only(t: float, rho: DensityMatrix | np.ndarray, params: SystemParam
 
 
 def make_packed_rhs(params: SystemParams, drive: DriveConfig):
-    """Build the 16-real derivative function f(t, y) = L(t) y used by the steppers.
+    """Build the 16-real derivative function f(t, y) = L(t) y at one time.
 
     L0 is contracted once here; each call adds the drive part as a separate
-    matrix-vector product, in the same arithmetic as ``master_rhs``.
+    matrix-vector product, in the same arithmetic as ``master_rhs``.  The
+    steppers build their generators for many times at once instead.
     """
     decay = decay_generator(params)
 

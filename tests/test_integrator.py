@@ -146,10 +146,10 @@ class TestControllerBehaviour:
             assert np.max(np.abs(sa.state.matrix - sb.state.matrix)) < 1e-7
 
     @pytest.mark.parametrize("name", ["fig2", "stiff"])
-    def test_rhs_evaluations_count_six_per_attempted_step(self, name, fig2_run):
+    def test_rhs_evaluations_count_six_per_attempted_step(self, name, request):
         # One initial evaluation, then six new stages per attempted step
         # (first-same-as-last), accepted or rejected.
-        stats = fig2_run.traj.stats if name == "fig2" else integrate(STIFF).stats
+        stats = request.getfixturevalue("fig2_run").traj.stats if name == "fig2" else integrate(STIFF).stats
         assert stats.rhs_evaluations == 1 + 6 * (stats.steps_accepted + stats.steps_rejected)
 
     def test_stiff_rates_match_fixed_step(self):
@@ -169,10 +169,31 @@ class TestControllerBehaviour:
 
     @pytest.mark.parametrize("rate", [1e5, 1e308])
     def test_too_stiff_rejected_before_stepping(self, rate):
-        # 1e308 overflows L0 to non-finite entries.
-        sc = quiet_scenario(params=SystemParams(gamma01=rate, gamma02=rate))
+        # The drive carries |3> into the doublet; 1e308 overflows L0 to
+        # non-finite entries.
+        sc = Scenario(params=SystemParams(gamma01=rate, gamma02=rate))
         with pytest.raises(IntegrationError, match="too stiff"):
             integrate(sc)
+
+    def test_unexcited_fast_decay_does_not_count(self):
+        # The undriven ground state never reaches the doublet, so its
+        # gamma01 = 1e5 limits no step; the state stays exactly constant.
+        traj = integrate(quiet_scenario(params=SystemParams(gamma01=1e5)))
+        assert traj.stats.steps_rejected == 0
+        assert all(s.record.p0 == 1.0 for s in traj.samples)
+
+    def test_undriven_metastable_decay_does_not_count(self):
+        # With g02 = 0 nothing couples into |3> or its coherences, so the
+        # stiff gamma03 never acts; the g1-driven run stays in budget.
+        sc = quiet_scenario(
+            params=SystemParams(gamma03=1e5),
+            drive=DriveConfig(g02=0.0),
+            t_start=-12.0,
+            t_end=22.0,
+        )
+        traj = integrate(sc)
+        assert max(s.record.p1 for s in traj.samples) > 0.1
+        assert all(s.record.p3 == 0.0 for s in traj.samples)
 
     def test_physicality_abort(self):
         sc = replace(preset("fig2"), t_end=10.0, trace_tol=1e-17)
