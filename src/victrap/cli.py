@@ -208,9 +208,7 @@ def _self_checks():
             t_end=20.0,
         )
         traj = integrate(scenario)
-        worst = max(
-            abs(s.record.p3 - math.exp(-params.gamma03 * s.time)) for s in traj.samples
-        )
+        worst = np.max(np.abs(traj.column("rho33") - np.exp(-params.gamma03 * traj.times)))
         return worst < 1e-6
 
     def check_driven_physicality():

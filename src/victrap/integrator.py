@@ -10,11 +10,16 @@ rather than being repaired.
 
 A classical fixed-step fourth-order method with an identical sampling
 contract is provided as an independent cross-check.
+
+Both write each sample as one row of a preallocated array and derive the
+diagnostic columns for blocks of rows at once; the sample objects of the
+public API are built from the rows only when read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,9 +27,10 @@ import numpy as np
 from .errors import IntegrationError, InsufficientDataError, InvalidParameterError, PhysicalityError
 from .liouvillian import PACKED_SIZE, decay_generator, drive_generators, pack_state, unpack_state
 from .model import DensityMatrix, ObservableRecord, Scenario
-from .observables import observable_record
+from .observables import packed_diagnostics
 
 __all__ = [
+    "TRAJECTORY_COLUMNS",
     "TrajectorySample",
     "IntegrationStats",
     "SteadySummary",
@@ -78,6 +84,20 @@ _STABILITY_LIMIT = 3.3
 # Substeps of the fixed-step reference whose drive parts are built at once.
 _RK4_BATCH = 256
 
+# Columns of Trajectory.columns, in trajectory-CSV order: the time, the 16
+# packed reals (populations, then re/im of rho10, rho20, rho21, rho30,
+# rho31, rho32), then the per-sample diagnostics.
+TRAJECTORY_COLUMNS = (
+    "t", "rho00", "rho11", "rho22", "rho33",
+    "re_rho10", "im_rho10", "re_rho20", "im_rho20", "re_rho21", "im_rho21",
+    "re_rho30", "im_rho30", "re_rho31", "im_rho31", "re_rho32", "im_rho32",
+    "doublet_purity", "trace_error", "min_eig",
+)
+_STATE = slice(1, 1 + PACKED_SIZE)
+_DIAGNOSTICS = slice(1 + PACKED_SIZE, len(TRAJECTORY_COLUMNS))
+# Rows whose diagnostics are derived and checked together.
+_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class TrajectorySample:
@@ -109,20 +129,62 @@ class SteadySummary:
     max_delta: float
 
 
-@dataclass(frozen=True)
+def _sample(row: np.ndarray) -> TrajectorySample:
+    values = row.tolist()
+    t, re_im = values[0], values[5:17]
+    coherences = [complex(re, im) for re, im in zip(re_im[::2], re_im[1::2])]
+    record = ObservableRecord(t, *values[1:5], *coherences, *values[17:])
+    return TrajectorySample(time=t, state=DensityMatrix(unpack_state(row[_STATE])), record=record)
+
+
+class _Samples(Sequence):
+    """Read-only sequence of TrajectorySample objects, each built from its row on access."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Samples(self._rows[index])
+        return _sample(self._rows[index])
+
+    def __iter__(self):
+        return map(_sample, self._rows)
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """Recorded samples as one read-only (n, 20) array, one column per TRAJECTORY_COLUMNS name.
+
+    ``samples``, ``final`` and ``times`` are views of the rows; equality is
+    identity, so compare ``columns`` to compare runs.
+    """
+
     scenario: Scenario
-    samples: tuple[TrajectorySample, ...]
+    columns: np.ndarray
     stats: IntegrationStats
     steady: SteadySummary | None = None
 
     @property
+    def samples(self) -> Sequence[TrajectorySample]:
+        return _Samples(self.columns)
+
+    @property
     def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.samples])
+        return self.columns[:, 0]
 
     @property
     def final(self) -> TrajectorySample:
-        return self.samples[-1]
+        return _sample(self.columns[-1])
+
+    def column(self, name: str) -> np.ndarray:
+        """The column called ``name`` in TRAJECTORY_COLUMNS."""
+        return self.columns[:, TRAJECTORY_COLUMNS.index(name)]
 
     def with_steady(self, steady: SteadySummary) -> "Trajectory":
         return replace(self, steady=steady)
@@ -140,28 +202,58 @@ def sample_times(scenario: Scenario) -> list[float]:
 
 
 class _SampleRecorder:
-    """Checks physicality at each recorded sample and accumulates extremes."""
+    """Writes one row per sample and checks physicality for every _BLOCK rows at once.
 
-    def __init__(self, scenario: Scenario):
+    A violation raises at its first row, with that sample's time, as a
+    per-sample check would.  Stepper failures go through ``failure``, which
+    checks the partial block first, so a bad sample recorded before the
+    failure is still the error reported.
+    """
+
+    def __init__(self, scenario: Scenario, n_rows: int):
         self.scenario = scenario
-        self.samples: list[TrajectorySample] = []
+        self.rows = np.empty((n_rows, len(TRAJECTORY_COLUMNS)))
+        self.written = 0
+        self.checked = 0
         self.max_trace_error = 0.0
         self.min_eigenvalue = math.inf
 
     def record(self, t: float, y: np.ndarray) -> None:
-        state = DensityMatrix(unpack_state(y))
-        rec = observable_record(t, state, self.scenario.trace_tol, self.scenario.pos_tol)
-        self.max_trace_error = max(self.max_trace_error, rec.trace_error)
-        self.min_eigenvalue = min(self.min_eigenvalue, rec.min_eigenvalue)
-        if rec.trace_error > self.scenario.trace_tol:
-            raise PhysicalityError(
-                f"trace error {rec.trace_error:.3e} exceeds {self.scenario.trace_tol:.1e} at t={t:g}"
-            )
-        if rec.min_eigenvalue < -self.scenario.pos_tol:
-            raise PhysicalityError(
-                f"minimum eigenvalue {rec.min_eigenvalue:.3e} below -{self.scenario.pos_tol:.1e} at t={t:g}"
-            )
-        self.samples.append(TrajectorySample(time=t, state=state, record=rec))
+        row = self.rows[self.written]
+        row[0] = t
+        row[_STATE] = y
+        self.written += 1
+        if self.written - self.checked == _BLOCK:
+            self.check()
+
+    def check(self) -> None:
+        if self.checked == self.written:
+            return
+        block = self.rows[self.checked:self.written]
+        self.checked = self.written
+        block[:, _DIAGNOSTICS] = packed_diagnostics(block[:, _STATE])
+        trace_errors, min_eigs = block[:, -2], block[:, -1]
+        sc = self.scenario
+        bad = (trace_errors > sc.trace_tol) | (min_eigs < -sc.pos_tol)
+        if bad.any():
+            first = block[int(np.argmax(bad))]
+            t, trace_error, min_eig = float(first[0]), float(first[-2]), float(first[-1])
+            if trace_error > sc.trace_tol:
+                raise PhysicalityError(f"trace error {trace_error:.3e} exceeds {sc.trace_tol:.1e} at t={t:g}")
+            raise PhysicalityError(f"minimum eigenvalue {min_eig:.3e} below -{sc.pos_tol:.1e} at t={t:g}")
+        self.max_trace_error = max(self.max_trace_error, *trace_errors.tolist())
+        self.min_eigenvalue = min(self.min_eigenvalue, *min_eigs.tolist())
+
+    def failure(self, message: str) -> IntegrationError:
+        """The stepper's failure, to raise once the rows recorded before it pass the check."""
+        self.check()
+        return IntegrationError(message)
+
+    def columns(self) -> np.ndarray:
+        """Check the last partial block and return the rows, read-only."""
+        self.check()
+        self.rows.flags.writeable = False
+        return self.rows
 
 
 def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray, rtol: float, atol: float) -> float:
@@ -209,7 +301,7 @@ def integrate(scenario: Scenario) -> Trajectory:
         raise IntegrationError(
             f"decay rates too stiff: a stable run needs at least {needed:.3g} steps; the budget is {MAX_STEPS}"
         )
-    recorder = _SampleRecorder(scenario)
+    recorder = _SampleRecorder(scenario, len(grid))
 
     y = pack_state(scenario.initial_state)
     t = grid[0]
@@ -234,10 +326,10 @@ def integrate(scenario: Scenario) -> Trajectory:
         # anything closer than the floor counts as arrived.
         while target - t > h_floor:
             if accepted + rejected >= MAX_STEPS:
-                raise IntegrationError(f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}")
+                raise recorder.failure(f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}")
             h_try = min(h, max_step, target - t)
             if h_try < h_floor:
-                raise IntegrationError(f"step size underflow at t={t:g} (h={h_try:.3e})")
+                raise recorder.failure(f"step size underflow at t={t:g} (h={h_try:.3e})")
 
             gens = drive_generators(t + _C * h_try, drive) + decay
             h_a = h_try * _A
@@ -268,6 +360,7 @@ def integrate(scenario: Scenario) -> Trajectory:
                 h = h_try * min(1.0, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
         recorder.record(target, y)
 
+    columns = recorder.columns()
     stats = IntegrationStats(
         steps_accepted=accepted,
         steps_rejected=rejected,
@@ -275,7 +368,7 @@ def integrate(scenario: Scenario) -> Trajectory:
         max_trace_error=recorder.max_trace_error,
         min_eigenvalue=recorder.min_eigenvalue,
     )
-    return Trajectory(scenario=scenario, samples=tuple(recorder.samples), stats=stats)
+    return Trajectory(scenario=scenario, columns=columns, stats=stats)
 
 
 def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
@@ -293,7 +386,7 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
     drive = scenario.drive
     decay = decay_generator(scenario.params)
     grid = sample_times(scenario)
-    recorder = _SampleRecorder(scenario)
+    recorder = _SampleRecorder(scenario, len(grid))
 
     y = pack_state(scenario.initial_state)
     recorder.record(grid[0], y)
@@ -317,9 +410,10 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 steps += 1
         if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state at t={target:g}")
+            raise recorder.failure(f"non-finite state at t={target:g}")
         recorder.record(target, y)
 
+    columns = recorder.columns()
     stats = IntegrationStats(
         steps_accepted=steps,
         steps_rejected=0,
@@ -327,7 +421,7 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
         max_trace_error=recorder.max_trace_error,
         min_eigenvalue=recorder.min_eigenvalue,
     )
-    return Trajectory(scenario=scenario, samples=tuple(recorder.samples), stats=stats)
+    return Trajectory(scenario=scenario, columns=columns, stats=stats)
 
 
 def detect_steady_state(
@@ -345,8 +439,8 @@ def detect_steady_state(
     """
     if not (math.isfinite(window) and window > 0):
         raise InvalidParameterError(f"window must be positive, got {window!r}")
-    first = traj.samples[0].time
-    last = traj.samples[-1].time
+    times = traj.times
+    first, last = float(times[0]), float(times[-1])
     if window > last - first:
         raise InsufficientDataError(
             f"window {window:g} exceeds trajectory span {last - first:g}"
@@ -358,17 +452,14 @@ def detect_steady_state(
             f"(pulses off at t={pulses_off:g} plus window {window:g})"
         )
 
-    cutoff = last - window
-    tail = [s for s in traj.samples if s.time >= cutoff - 1e-12]
-    pops = [s.record.doublet_population for s in tail]
-    cohs = [abs(s.record.c21) for s in tail]
-    purs = [s.record.doublet_purity for s in tail]
-    max_delta = max(
-        max(pops) - min(pops),
-        max(cohs) - min(cohs),
-        max(purs) - min(purs),
+    tail = times >= last - window - 1e-12
+    observed = (
+        traj.column("rho11") + traj.column("rho22"),
+        np.hypot(traj.column("re_rho21"), traj.column("im_rho21")),
+        traj.column("doublet_purity"),
     )
-    final = traj.samples[-1]
+    max_delta = max(max(v) - min(v) for v in (c[tail].tolist() for c in observed))
+    final = traj.final
     return SteadySummary(
         converged=max_delta < tol,
         time=final.time,

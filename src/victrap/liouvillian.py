@@ -61,9 +61,9 @@ def pack_state(rho: DensityMatrix | np.ndarray) -> np.ndarray:
 
 
 def unpack_state(y: np.ndarray) -> np.ndarray:
-    """Rebuild the exactly Hermitian 4x4 matrix from 16 reals."""
-    coherences = np.ascontiguousarray(y[DIM:], dtype=float).view(complex)
-    return np.concatenate((y[:DIM], coherences, coherences.conj()))[_GATHER]
+    """Rebuild the exactly Hermitian 4x4 matrix from 16 reals; a (k, 16) stack gives (k, 4, 4)."""
+    coherences = np.ascontiguousarray(y[..., DIM:], dtype=float).view(complex)
+    return np.concatenate((y[..., :DIM], coherences, coherences.conj()), axis=-1)[..., _GATHER]
 
 
 def _lindblad(*pairs):
@@ -104,9 +104,14 @@ def drive_generators(ts, drive: DriveConfig) -> np.ndarray:
 
 
 def decay_generator(params: SystemParams) -> np.ndarray:
-    """Drive-independent part L0 of the generator."""
+    """Drive-independent part L0 of the generator.
+
+    Finite rates near the float limit overflow to non-finite entries
+    without a warning; the integrator rejects such an L0 as too stiff.
+    """
     rates = np.array((params.gamma01, params.gamma02, params.gamma03, params.gamma12, params.gamma_coll))
-    return (rates @ _units()[1]).reshape(PACKED_SIZE, PACKED_SIZE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (rates @ _units()[1]).reshape(PACKED_SIZE, PACKED_SIZE)
 
 
 def master_rhs(t: float, rho: DensityMatrix | np.ndarray, params: SystemParams,

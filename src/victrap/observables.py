@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError
+from .liouvillian import unpack_state
 from .model import DensityMatrix, ObservableRecord, SystemParams, validate_physicality
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "dark_state_overlap",
     "bright_state_overlap",
     "observable_record",
+    "packed_diagnostics",
 ]
 
 
@@ -130,3 +132,21 @@ def observable_record(
         min_eigenvalue=report.min_eigenvalue,
     )
     return record
+
+
+def packed_diagnostics(states: np.ndarray) -> np.ndarray:
+    """Doublet purity, trace error and minimum eigenvalue of k packed states, shape (k, 3).
+
+    Bit for bit the values ``observable_record`` gives for each state: the
+    trace is summed as (p0 + p1) + (p2 + p3), as ``np.trace`` sums four
+    entries; |rho21|^2 is ``hypot(re, im) ** 2`` through Python's float
+    power (libm ``pow``, which can differ from ``x * x`` in the last bit);
+    the eigenvalues come from one stacked ``eigvalsh`` call.
+    """
+    p0, p1, p2, p3 = states[:, :4].T
+    abs21_sq = [v ** 2 for v in np.hypot(states[:, 8], states[:, 9]).tolist()]
+    return np.column_stack((
+        p1 * p1 + p2 * p2 + 2.0 * np.array(abs21_sq),
+        np.abs((p0 + p1) + (p2 + p3) - 1.0),
+        np.linalg.eigvalsh(unpack_state(states))[:, 0],
+    ))

@@ -11,7 +11,7 @@ import math
 from typing import IO
 
 from .experiments import SweepTable
-from .integrator import IntegrationStats, SteadySummary, Trajectory
+from .integrator import TRAJECTORY_COLUMNS, IntegrationStats, SteadySummary, Trajectory
 
 __all__ = [
     "TRAJECTORY_CSV_HEADER",
@@ -21,12 +21,8 @@ __all__ = [
     "emit_summary_json",
 ]
 
-TRAJECTORY_CSV_HEADER = (
-    "t,rho00,rho11,rho22,rho33,"
-    "re_rho10,im_rho10,re_rho20,im_rho20,re_rho21,im_rho21,"
-    "re_rho30,im_rho30,re_rho31,im_rho31,re_rho32,im_rho32,"
-    "doublet_purity,trace_error,min_eig"
-)
+TRAJECTORY_CSV_HEADER = ",".join(TRAJECTORY_COLUMNS)
+_TRAJECTORY_ROW = ",".join(["%r"] * len(TRAJECTORY_COLUMNS)) + "\n"
 
 
 def _f(value: float) -> str:
@@ -34,24 +30,10 @@ def _f(value: float) -> str:
 
 
 def emit_trajectory_csv(traj: Trajectory, sink: IO[str]) -> None:
-    """One row per sample, columns fixed by TRAJECTORY_CSV_HEADER."""
+    """One row per sample, columns fixed by TRAJECTORY_CSV_HEADER, written as they are formatted."""
     sink.write(TRAJECTORY_CSV_HEADER + "\n")
-    for sample in traj.samples:
-        r = sample.record
-        fields = (
-            r.time,
-            r.p0, r.p1, r.p2, r.p3,
-            r.c10.real, r.c10.imag,
-            r.c20.real, r.c20.imag,
-            r.c21.real, r.c21.imag,
-            r.c30.real, r.c30.imag,
-            r.c31.real, r.c31.imag,
-            r.c32.real, r.c32.imag,
-            r.doublet_purity,
-            r.trace_error,
-            r.min_eigenvalue,
-        )
-        sink.write(",".join(_f(v) for v in fields) + "\n")
+    for row in traj.columns.tolist():
+        sink.write(_TRAJECTORY_ROW % tuple(row))
 
 
 def emit_sweep_csv(table: SweepTable, sink: IO[str]) -> None:

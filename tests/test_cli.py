@@ -120,6 +120,13 @@ class TestBoundedGrids:
         assert time.perf_counter() - start < 2.0
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_decay_rates_are_physics_error_without_warnings(self, tmp_path, capsys):
+        # Finite rates whose L0 overflows: rejected as too stiff, silently.
+        cfg = write(tmp_path, "huge.cfg", "[decay]\ngamma01 = 1e308\ngamma02 = 1e308\n")
+        assert main(["--format", "json", "run", "--config", cfg]) == 2
+        assert "too stiff" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_csv(self, tmp_path, capsys):

@@ -1,0 +1,141 @@
+"""The column store of a trajectory against the scalar observable API."""
+
+import io
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from victrap import (
+    TRAJECTORY_CSV_HEADER,
+    DensityMatrix,
+    IntegrationError,
+    PhysicalityError,
+    emit_trajectory_csv,
+    integrate,
+    integrate_fixed_step,
+    preset,
+)
+from victrap import integrator
+from victrap.integrator import TRAJECTORY_COLUMNS
+from victrap.liouvillian import unpack_state
+from victrap.observables import observable_record
+
+BLOCK = 64
+
+
+def scalar_records(traj):
+    """Each row's record as the per-sample scalar path computes it."""
+    sc = traj.scenario
+    return [
+        observable_record(row[0], DensityMatrix(unpack_state(row[1:17])), sc.trace_tol, sc.pos_tol)
+        for row in traj.columns
+    ]
+
+
+def record_fields(r):
+    """A record's values in trajectory-CSV column order."""
+    return [
+        r.time, r.p0, r.p1, r.p2, r.p3,
+        r.c10.real, r.c10.imag, r.c20.real, r.c20.imag, r.c21.real, r.c21.imag,
+        r.c30.real, r.c30.imag, r.c31.real, r.c31.imag, r.c32.real, r.c32.imag,
+        r.doublet_purity, r.trace_error, r.min_eigenvalue,
+    ]
+
+
+@pytest.fixture(params=["adaptive", "fixed_step"])
+def run(request, fig2_run):
+    return fig2_run.traj if request.param == "adaptive" else request.getfixturevalue("fig2_fixed_run")
+
+
+class TestColumnsMatchScalarPath:
+    def test_rows_equal_scalar_records(self, run):
+        records = scalar_records(run)
+        assert run.columns.shape == (len(records), len(TRAJECTORY_COLUMNS))
+        for row, sample, rec in zip(run.columns.tolist(), run.samples, records):
+            assert row == record_fields(rec)
+            assert sample.record == rec
+            assert sample.time == rec.time
+
+    def test_stats_are_the_scalar_extremes(self, run):
+        records = scalar_records(run)
+        assert run.stats.max_trace_error == max(r.trace_error for r in records)
+        assert run.stats.min_eigenvalue == min(r.min_eigenvalue for r in records)
+
+    def test_csv_equals_per_field_formatting(self, run):
+        lines = [TRAJECTORY_CSV_HEADER]
+        lines += [",".join(repr(float(v)) for v in record_fields(r)) for r in scalar_records(run)]
+        sink = io.StringIO()
+        emit_trajectory_csv(run, sink)
+        assert sink.getvalue() == "\n".join(lines) + "\n"
+
+
+class TestSampleView:
+    def test_views_of_the_rows(self, fig2_run):
+        traj = fig2_run.traj
+        assert len(traj.samples) == len(traj.columns)
+        assert [s.time for s in traj.samples[-3:]] == traj.times[-3:].tolist()
+        assert traj.final.record == traj.samples[-1].record
+        assert traj.final.state == traj.samples[len(traj.samples) - 1].state
+        assert np.array_equal(traj.column("rho33"), traj.columns[:, 4])
+
+    def test_columns_are_read_only(self, fig2_run):
+        with pytest.raises(ValueError):
+            fig2_run.traj.columns[0, 0] = 1.0
+
+
+def first_in_block(values, limit, above):
+    """First index past ``limit`` (or below -limit) with a later one in its 64-row block, else None."""
+    bad = np.flatnonzero(values > limit if above else values < -limit)
+    if len(bad) > 1 and bad[0] % BLOCK != BLOCK - 1 and bad[1] // BLOCK == bad[0] // BLOCK:
+        return int(bad[0])
+    return None
+
+
+@pytest.mark.parametrize("tol_name, column, above, message", [
+    ("pos_tol", "min_eig", False, "minimum eigenvalue {value:.3e} below -{tol:.1e} at t={t:g}"),
+    ("trace_tol", "trace_error", True, "trace error {value:.3e} exceeds {tol:.1e} at t={t:g}"),
+], ids=["positivity", "trace"])
+def test_block_check_reports_first_bad_sample(fig2_run, tol_name, column, above, message):
+    # A tiny tolerance whose first violation is not the last row of its
+    # block and is followed by another violation in the same block.
+    traj = fig2_run.traj
+    values = traj.column(column)
+    for tol in (1e-18, 1e-17, 3e-17, 1e-16, 3e-16, 1e-15):
+        index = first_in_block(values, tol, above)
+        if index is not None:
+            break
+    else:
+        pytest.fail(f"no tolerance gives two {column} violations in one block")
+    with pytest.raises(PhysicalityError) as info:
+        integrate(replace(fig2_run.scenario, **{tol_name: tol}))
+    assert str(info.value) == message.format(value=values[index], tol=tol, t=traj.times[index])
+
+
+@pytest.mark.parametrize("propagate", [integrate, lambda sc: integrate_fixed_step(sc, 0.05)],
+                         ids=["adaptive", "fixed_step"])
+def test_bad_sample_reported_before_a_later_stepping_failure(monkeypatch, propagate):
+    # The drive turns NaN two samples after a bad one, in the same block:
+    # the stepper fails there, and the pending bad sample is reported.
+    scenario = replace(preset("fig2"), t_end=-16.0 + 0.05 * 3 * BLOCK)
+    good = propagate(scenario)
+    values = good.column("min_eig")
+    for tol in (1e-18, 1e-17, 3e-17, 1e-16):
+        index = first_in_block(values, tol, above=False)
+        if index is not None and index % BLOCK < BLOCK - 3:
+            break
+    else:
+        pytest.fail("no tolerance leaves room for the failure inside the block")
+    cutoff = good.times[index + 2] + 0.01
+    real = integrator.drive_generators
+
+    def broken(ts, drive):
+        gens = real(ts, drive)
+        gens[np.atleast_1d(ts) > cutoff] = np.nan
+        return gens
+
+    monkeypatch.setattr(integrator, "drive_generators", broken)
+    with pytest.raises(IntegrationError):
+        propagate(scenario)
+    with pytest.raises(PhysicalityError, match=f"at t={good.times[index]:g}$"):
+        propagate(replace(scenario, pos_tol=tol))
