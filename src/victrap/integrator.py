@@ -4,8 +4,10 @@ The propagating method is a Dormand-Prince 5(4) embedded pair with the
 standard accept/reject controller; the error norm mixes absolute and
 relative tolerance over the 16 real state components, which share a common
 [0, 1] scale.  Steps are additionally capped at tau/10 so the pulse
-structure can never be skipped, and each recorded sample is checked against
-the scenario's trace and positivity tolerances - violations abort the run
+structure can never be skipped.  The controller alone chooses the steps:
+samples that fall inside an accepted step are read off the method's
+fourth-order continuous extension, and each is checked against the
+scenario's trace and positivity tolerances - violations abort the run
 rather than being repaired.
 
 A classical fixed-step fourth-order method with an identical sampling
@@ -18,6 +20,7 @@ public API are built from the rows only when read.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -70,13 +73,30 @@ _E = np.array((
     22.0 / 525.0,
     -1.0 / 40.0,
 ))
+# Continuous extension (the d1..d7 of Hairer's dopri5/contd5): the state at
+# t + θh is y + h·W(θ) @ K with
+#   W(θ) = θ·b + θ(1-θ)·(e1 - b) + θ²(1-θ)·(2b - e1 - e7) + θ²(1-θ)²·d,
+# b the fifth-order weights with b7 = 0.  _P holds W's coefficients of
+# θ, θ², θ³, θ⁴, so W(θ) = θ^_POWERS @ _P.
+_D = np.array((
+    -12715105075.0 / 11282082432.0,
+    0.0,
+    87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0,
+    701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0,
+    69997945.0 / 29380423.0,
+))
+_E1, _E7 = np.eye(7)[[0, 6]]
+_P = np.array((_E1, 3.0 * _A[5] - 2.0 * _E1 - _E7 + _D, -2.0 * _A[5] + _E1 + _E7 - 2.0 * _D, _D))
+_POWERS = np.arange(1, 5)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 # Budget of attempted steps per run; gamma01=100, gamma02=40 over the
-# default window attempts about 4,600.
+# default window attempts about 4,700.
 MAX_STEPS = 200_000
 # Real-axis reach of the Dormand-Prince stability region: a stable step
 # needs h * (spectral radius of L0) <= 3.3.
@@ -284,8 +304,12 @@ def _reachable_decay_radius(scenario: Scenario, decay: np.ndarray, grid: list[fl
 def integrate(scenario: Scenario) -> Trajectory:
     """Propagate the scenario and record observables on the sample grid.
 
-    Each attempted step builds the generators at its five new stage times
-    in one stacked call and forms the stages as rows of a (7, 16) array.
+    The error controller chooses the steps, capped at tau/10; the grid
+    times inside each accepted step are read off the continuous extension
+    from the step's own stages, and the last step lands on the last grid
+    time.  Each attempted step builds the generators at its five new stage
+    times in one stacked call and forms the stages as rows of a (7, 16)
+    array.
 
     Raises PhysicalityError if a recorded sample violates the scenario's
     trace or positivity tolerances, and IntegrationError on step-size
@@ -304,8 +328,9 @@ def integrate(scenario: Scenario) -> Trajectory:
     recorder = _SampleRecorder(scenario, len(grid))
 
     y = pack_state(scenario.initial_state)
-    t = grid[0]
+    t, t_end = grid[0], grid[-1]
     recorder.record(t, y)
+    pending = 1  # index of the next grid time to record
 
     max_step = drive.tau / 10.0
     h_floor = 1e-13 * max(1.0, abs(grid[0]), abs(grid[-1]))
@@ -318,47 +343,59 @@ def integrate(scenario: Scenario) -> Trajectory:
     evaluations = 1
     accepted = 0
     rejected = 0
-    h = min(max_step, scenario.sample_interval)
+    h = max_step
     just_rejected = False
 
-    for target in grid[1:]:
-        # Boundary landings can leave t a few ulp short of the target;
-        # anything closer than the floor counts as arrived.
-        while target - t > h_floor:
-            if accepted + rejected >= MAX_STEPS:
-                raise recorder.failure(f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}")
-            h_try = min(h, max_step, target - t)
-            if h_try < h_floor:
-                raise recorder.failure(f"step size underflow at t={t:g} (h={h_try:.3e})")
+    while t < t_end:
+        if accepted + rejected >= MAX_STEPS:
+            raise recorder.failure(f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}")
+        h_try = min(h, max_step, t_end - t)
+        t_new = t + h_try
+        # A step ending within the floor of the last grid time lands on it.
+        if t_end - t_new <= h_floor:
+            t_new, h_try = t_end, t_end - t
+        elif h_try < h_floor:
+            raise recorder.failure(f"step size underflow at t={t:g} (h={h_try:.3e})")
 
-            gens = drive_generators(t + _C * h_try, drive) + decay
-            h_a = h_try * _A
-            for k, gen in enumerate((*gens, gens[-1]), start=1):
-                y_new = y + h_a[k - 1, :k] @ stages[:k]
-                np.matmul(gen, y_new, out=stages[k])
-            evaluations += k
-            err = h_try * (_E @ stages)
+        gens = drive_generators(t + _C * h_try, drive) + decay
+        h_a = h_try * _A
+        for k, gen in enumerate((*gens, gens[-1]), start=1):
+            y_new = y + h_a[k - 1, :k] @ stages[:k]
+            np.matmul(gen, y_new, out=stages[k])
+        evaluations += k
+        err = h_try * (_E @ stages)
 
-            # A non-finite state is rejected with the smallest shrink factor.
-            norm = _error_norm(err, y, y_new, rtol, atol) if np.isfinite(y_new).all() else math.inf
-            if norm <= 1.0:
-                t = t + h_try
-                y = y_new
-                stages[0] = stages[6]
-                accepted += 1
-                if norm == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
-                if just_rejected:
-                    factor = min(1.0, factor)
-                    just_rejected = False
-                h = h_try * factor
+        # A non-finite state is rejected with the smallest shrink factor.
+        norm = _error_norm(err, y, y_new, rtol, atol) if np.isfinite(y_new).all() else math.inf
+        if norm <= 1.0:
+            if grid[pending] <= t_new:
+                # Grid times in (t, t_new]: the continuous extension, except
+                # that a time the step lands on takes the step's own state.
+                end = bisect.bisect_right(grid, t_new, pending)
+                times = grid[pending:end]
+                theta = (np.array(times) - t) / h_try
+                dense = y + (h_try * (theta[:, None] ** _POWERS @ _P)) @ stages
+                if times[-1] == t_new:
+                    dense[-1] = y_new
+                for sample_t, sample_y in zip(times, dense):
+                    recorder.record(sample_t, sample_y)
+                pending = end
+            t = t_new
+            y = y_new
+            stages[0] = stages[6]
+            accepted += 1
+            if norm == 0.0:
+                factor = _MAX_FACTOR
             else:
-                rejected += 1
-                just_rejected = True
-                h = h_try * min(1.0, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
-        recorder.record(target, y)
+                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
+            if just_rejected:
+                factor = min(1.0, factor)
+                just_rejected = False
+            h = h_try * factor
+        else:
+            rejected += 1
+            just_rejected = True
+            h = h_try * min(1.0, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
 
     columns = recorder.columns()
     stats = IntegrationStats(

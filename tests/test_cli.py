@@ -1,10 +1,13 @@
 import json
+import re
 import time
 
 import pytest
 
-from victrap import TRAJECTORY_CSV_HEADER
+from victrap import TRAJECTORY_CSV_HEADER, integrate, parse_config
 from victrap.cli import main
+from victrap.integrator import sample_times
+from victrap.observables import packed_diagnostics
 
 QUIET_SWEEP_CFG = """\
 [drive]
@@ -126,6 +129,45 @@ class TestBoundedGrids:
         cfg = write(tmp_path, "huge.cfg", "[decay]\ngamma01 = 1e308\ngamma02 = 1e308\n")
         assert main(["--format", "json", "run", "--config", cfg]) == 2
         assert "too stiff" in capsys.readouterr().err
+
+
+STIFF_RUN_CFG = """\
+[decay]
+gamma01 = 100.0
+gamma02 = 40.0
+
+[chirp]
+enabled = true
+
+[integration]
+t_start = -12.0
+t_end = 30.0
+sample_interval = 0.05
+"""
+
+
+class TestInterpolatedSamples:
+    def test_interpolated_sample_below_pos_tol_is_physics_error(self, tmp_path, capsys):
+        # Stiff steps are shorter than the 0.05 grid, so almost every sample
+        # is read off the continuous extension, and all go through the same
+        # positivity check.
+        out = tmp_path / "stiff.json"
+        cfg = write(tmp_path, "stiff.cfg", STIFF_RUN_CFG)
+        assert main(["--quiet", "--format", "json", "run", "--config", cfg, "--out", str(out)]) == 0
+        dip = -json.loads(out.read_text())["min_eigenvalue_seen"]
+        assert dip > 0.0
+        tight = write(tmp_path, "tight.cfg", STIFF_RUN_CFG + f"pos_tol = {dip / 2!r}\n")
+        assert main(["--quiet", "--format", "json", "run", "--config", tight]) == 2
+        message = capsys.readouterr().err
+        match = re.search(r"minimum eigenvalue \S+ below -\S+ at t=(\S+)$", message.strip())
+        assert match, message
+        grid = {f"{t:g}" for t in sample_times(parse_config(STIFF_RUN_CFG))}
+        assert match.group(1) in grid
+
+    def test_diagnostic_columns_are_recomputable(self):
+        traj = integrate(parse_config(STIFF_RUN_CFG))
+        recomputed = packed_diagnostics(traj.columns[:, 1:17])
+        assert recomputed.tobytes() == traj.columns[:, 17:].tobytes()
 
 
 class TestSweep:

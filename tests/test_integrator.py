@@ -160,12 +160,27 @@ class TestControllerBehaviour:
         for fa, ad in zip(fixed.samples, adaptive.samples):
             assert np.max(np.abs(fa.state.matrix - ad.state.matrix)) <= 1e-6, fa.time
 
+    def test_controller_not_grid_chooses_steps(self):
+        # Both intervals are exact in binary and both grids end on t_end, so
+        # the runs differ only in which times are read off the steps.
+        coarse, fine = (replace(preset("fig2"), sample_interval=dt) for dt in (0.5, 0.25))
+        a, b = integrate(coarse), integrate(fine)
+        for sc, traj in ((coarse, a), (fine, b)):
+            assert traj.times.tolist() == sample_times(sc)
+            stats = traj.stats
+            assert stats.rhs_evaluations == 1 + 6 * (stats.steps_accepted + stats.steps_rejected)
+        assert (a.stats.steps_accepted, a.stats.steps_rejected, a.stats.rhs_evaluations) == (
+            b.stats.steps_accepted, b.stats.steps_rejected, b.stats.rhs_evaluations
+        )
+        assert a.columns[-1].tobytes() == b.columns[-1].tobytes()
+
     def test_step_budget_exhausted_in_loop(self, monkeypatch):
-        # The up-front stiffness estimate (20 * 8 / 3.3, about 49 steps)
-        # passes; the 0.05 sample grid needs 400 steps.
+        # fig2 up to the first pulse: the up-front stiffness estimate
+        # (16 * 8 / 3.3, about 39 steps) passes, and the controller then
+        # attempts about 200 steps to resolve the pulse.
         monkeypatch.setattr(integrator, "MAX_STEPS", 100)
         with pytest.raises(IntegrationError, match="step budget of 100"):
-            integrate(quiet_scenario())
+            integrate(replace(preset("fig2"), t_end=0.0))
 
     @pytest.mark.parametrize("rate", [1e5, 1e308])
     def test_too_stiff_rejected_before_stepping(self, rate):

@@ -1,6 +1,7 @@
 """The column store of a trajectory against the scalar observable API."""
 
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -112,21 +113,27 @@ def test_block_check_reports_first_bad_sample(fig2_run, tol_name, column, above,
     assert str(info.value) == message.format(value=values[index], tol=tol, t=traj.times[index])
 
 
-@pytest.mark.parametrize("propagate", [integrate, lambda sc: integrate_fixed_step(sc, 0.05)],
-                         ids=["adaptive", "fixed_step"])
-def test_bad_sample_reported_before_a_later_stepping_failure(monkeypatch, propagate):
-    # The drive turns NaN two samples after a bad one, in the same block:
-    # the stepper fails there, and the pending bad sample is reported.
+@pytest.mark.parametrize("propagate, reach", [
+    (integrate, 0.4),
+    (lambda sc: integrate_fixed_step(sc, 0.05), 0.1),
+], ids=["adaptive", "fixed_step"])
+def test_bad_sample_reported_before_a_later_stepping_failure(monkeypatch, propagate, reach):
+    # The drive turns NaN shortly after a bad sample, in the same block: the
+    # stepper fails there, and the pending bad sample is reported.  The
+    # cutoff lies ``reach`` past the bad sample, beyond the step that
+    # computes it: an adaptive step is at most tau/10 = 0.4 long, and the
+    # fixed-step run steps sample by sample (its cutoff stays two samples on).
     scenario = replace(preset("fig2"), t_end=-16.0 + 0.05 * 3 * BLOCK)
     good = propagate(scenario)
     values = good.column("min_eig")
+    room = math.ceil(reach / scenario.sample_interval) + 1
     for tol in (1e-18, 1e-17, 3e-17, 1e-16):
         index = first_in_block(values, tol, above=False)
-        if index is not None and index % BLOCK < BLOCK - 3:
+        if index is not None and index % BLOCK < BLOCK - room:
             break
     else:
         pytest.fail("no tolerance leaves room for the failure inside the block")
-    cutoff = good.times[index + 2] + 0.01
+    cutoff = good.times[index] + reach + 0.01
     real = integrator.drive_generators
 
     def broken(ts, drive):
