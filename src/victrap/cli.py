@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import math
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p_sweep.add_argument("--config", required=True, metavar="PATH")
     p_sweep.add_argument("--threads", type=int, default=1, metavar="N",
-                         help="accepted for compatibility and ignored: sweep points run serially")
+                         help="accepted for compatibility and ignored: sweep points run as lanes of one stepper")
     p_sweep.add_argument("--out", default=None, metavar="PATH")
 
     sub.add_parser("validate", help="run the built-in physicality/property checks")
@@ -128,10 +129,20 @@ def _cmd_run(args) -> int:
     return _emit_run(args, traj, fmt, out_path)
 
 
+def _flagged_and_failed(rows) -> tuple[int, int]:
+    return sum(1 for row in rows if not row.converged), sum(1 for row in rows if row.error is not None)
+
+
 def _run_sweep(args, spec: SweepSpec, fmt: str, out_path: str | None) -> int:
-    table = sweep(spec)
-    n_flagged = sum(1 for row in table.rows if not row.converged)
-    n_failed = sum(1 for row in table.rows if row.error is not None)
+    start = time.perf_counter()
+
+    def progress(rows, total: int) -> None:
+        n_flagged, n_failed = _flagged_and_failed(rows)
+        _say(args, f"sweep: {len(rows)}/{total} points, {n_failed} failed, {n_flagged} not converged, "
+                   f"{time.perf_counter() - start:.2f} s")
+
+    table = sweep(spec, progress=progress)
+    n_flagged, n_failed = _flagged_and_failed(table.rows)
     _say(args, f"sweep finished: {len(table.rows)} points, "
                f"{n_flagged} not converged, {n_failed} failed")
     with _open_sink(out_path) as sink:

@@ -16,15 +16,18 @@ scenarios behind each scripted experiment:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from .errors import InvalidParameterError, SimulationError
 from .integrator import (
     DEFAULT_STEADY_TOL,
     DEFAULT_STEADY_WINDOW,
+    SteadySummary,
     Trajectory,
     detect_steady_state,
     integrate,
+    steady_states,
 )
 from .model import DriveConfig, Scenario, SystemParams
 
@@ -33,6 +36,7 @@ __all__ = [
     "SWEEPABLE_PARAMETERS",
     "MAX_AXIS_POINTS",
     "MAX_GRID_POINTS",
+    "MAX_LANES",
     "SweepAxis",
     "SweepSpec",
     "SweepRow",
@@ -56,6 +60,10 @@ THETA_GRID_POINTS = 64
 # points on one axis.
 MAX_AXIS_POINTS = 1024
 MAX_GRID_POINTS = 4096
+
+# Sweep points stepped together as lanes of one lockstep run; a larger grid
+# runs in chunks of this many points.
+MAX_LANES = 64
 
 
 @dataclass(frozen=True)
@@ -167,21 +175,15 @@ def run_with_steady(
     return traj.with_steady(detect_steady_state(traj, window, tol))
 
 
-def _run_point(spec: SweepSpec, values: tuple[float, ...], window: float, tol: float) -> SweepRow:
-    try:
-        scenario = spec.base
-        for name, value in zip(spec.parameters, values):
-            scenario = apply_parameter(scenario, name, value)
-        traj = run_with_steady(scenario, window, tol)
-        steady = traj.steady
-        return SweepRow(
-            values=values,
-            doublet_population=steady.doublet_population,
-            doublet_purity=steady.doublet_purity,
-            abs_coherence_21=steady.abs_coherence_21,
-            converged=steady.converged,
-        )
-    except SimulationError as exc:
+def _point_scenario(spec: SweepSpec, values: tuple[float, ...]) -> Scenario:
+    scenario = spec.base
+    for name, value in zip(spec.parameters, values):
+        scenario = apply_parameter(scenario, name, value)
+    return scenario
+
+
+def _row(values: tuple[float, ...], outcome: SteadySummary | SimulationError) -> SweepRow:
+    if isinstance(outcome, SimulationError):
         # Per-point failures degrade to flagged rows so a sweep never loses
         # completed work.
         return SweepRow(
@@ -190,8 +192,32 @@ def _run_point(spec: SweepSpec, values: tuple[float, ...], window: float, tol: f
             doublet_purity=math.nan,
             abs_coherence_21=math.nan,
             converged=False,
-            error=str(exc),
+            error=str(outcome),
         )
+    return SweepRow(
+        values=values,
+        doublet_population=outcome.doublet_population,
+        doublet_purity=outcome.doublet_purity,
+        abs_coherence_21=outcome.abs_coherence_21,
+        converged=outcome.converged,
+    )
+
+
+def _run_chunk(spec: SweepSpec, points: list[tuple[float, ...]], window: float, tol: float) -> list[SweepRow]:
+    """The rows of one lockstep run over ``points``.
+
+    A point whose scenario fails to build, or that fails to integrate or
+    to summarise, becomes a flagged row; the other lanes go on.
+    """
+    outcomes: dict[int, SteadySummary | SimulationError] = {}
+    scenarios = {}
+    for i, values in enumerate(points):
+        try:
+            scenarios[i] = _point_scenario(spec, values)
+        except SimulationError as exc:
+            outcomes[i] = exc
+    outcomes.update(zip(scenarios, steady_states(list(scenarios.values()), window, tol)))
+    return [_row(values, outcomes[i]) for i, values in enumerate(points)]
 
 
 def sweep(
@@ -199,13 +225,24 @@ def sweep(
     max_workers: int = 1,
     window: float = DEFAULT_STEADY_WINDOW,
     tol: float = DEFAULT_STEADY_TOL,
+    progress: Callable[[Sequence[SweepRow], int], None] | None = None,
 ) -> SweepTable:
     """Run every grid point and collect steady-state values, in grid order.
 
-    Points run serially: they are pure-Python-bound, so threads only add
-    contention for the interpreter lock.  ``max_workers`` is accepted for
-    compatibility and ignored.
+    The points run as lanes of one lockstep Dormand-Prince stepper, in
+    chunks of at most MAX_LANES: each iteration advances every active lane
+    by one attempted step, and each lane keeps its own time, step size and
+    accept/reject decision, so row i is bit for bit what ``run_with_steady``
+    gives for that point alone, whatever the chunk.  A lane keeps only the
+    rows of its trailing steady window.  ``progress``, if given, is called
+    after each chunk with the rows so far and the grid size.
+    ``max_workers`` is accepted for compatibility and ignored.
     """
     del max_workers
-    rows = [_run_point(spec, v, window, tol) for v in spec.grid()]
+    grid = spec.grid()
+    rows: list[SweepRow] = []
+    for start in range(0, len(grid), MAX_LANES):
+        rows += _run_chunk(spec, grid[start:start + MAX_LANES], window, tol)
+        if progress is not None:
+            progress(rows, len(grid))
     return SweepTable(parameters=spec.parameters, rows=tuple(rows))

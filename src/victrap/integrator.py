@@ -10,6 +10,15 @@ fourth-order continuous extension, and each is checked against the
 scenario's trace and positivity tolerances - violations abort the run
 rather than being repaired.
 
+One stepper serves single runs and sweeps.  Each scenario is a lane with
+its own time, step size and accept/reject decision; one loop iteration
+attempts one step in every active lane, with the generators, stage sums,
+stage products and error norms computed for all lanes at once, and lanes
+that finish or fail leave the active set.  ``integrate`` is the one-lane
+case, and ``steady_states`` runs many lanes, each keeping only the rows of
+its trailing steady window.  A lane's arithmetic does not depend on the
+other lanes, so its results are the same bits in any batch.
+
 A classical fixed-step fourth-order method with an identical sampling
 contract is provided as an independent cross-check.
 
@@ -27,8 +36,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IntegrationError, InsufficientDataError, InvalidParameterError, PhysicalityError
-from .liouvillian import PACKED_SIZE, decay_generator, drive_generators, pack_state, unpack_state
+from .drive import DriveLanes, drive_coefficients
+from .errors import IntegrationError, InsufficientDataError, InvalidParameterError, PhysicalityError, SimulationError
+from .liouvillian import PACKED_SIZE, decay_generator, drive_generators, generator_basis, pack_state, unpack_state
 from .model import DensityMatrix, ObservableRecord, Scenario
 from .observables import packed_diagnostics
 
@@ -40,6 +50,7 @@ __all__ = [
     "Trajectory",
     "integrate",
     "integrate_fixed_step",
+    "steady_states",
     "detect_steady_state",
     "sample_times",
     "DEFAULT_STEADY_WINDOW",
@@ -90,6 +101,8 @@ _D = np.array((
 _E1, _E7 = np.eye(7)[[0, 6]]
 _P = np.array((_E1, 3.0 * _A[5] - 2.0 * _E1 - _E7 + _D, -2.0 * _A[5] + _E1 + _E7 - 2.0 * _D, _D))
 _POWERS = np.arange(1, 5)
+# Stage derivatives evaluated per attempted step (the first is carried over).
+_NEW_STAGES = 6
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -227,19 +240,23 @@ class _SampleRecorder:
     A violation raises at its first row, with that sample's time, as a
     per-sample check would.  Stepper failures go through ``failure``, which
     checks the partial block first, so a bad sample recorded before the
-    failure is still the error reported.
+    failure is still the error reported.  Rows before ``keep_from`` are
+    dropped once checked, so only the rows from ``keep_from`` on (and at
+    most one block) are ever held.
     """
 
-    def __init__(self, scenario: Scenario, n_rows: int):
+    def __init__(self, scenario: Scenario, n_rows: int, keep_from: int = 0):
         self.scenario = scenario
-        self.rows = np.empty((n_rows, len(TRAJECTORY_COLUMNS)))
+        self.rows = np.empty((max(min(_BLOCK, n_rows), n_rows - keep_from), len(TRAJECTORY_COLUMNS)))
+        self.keep_from = keep_from
+        self.base = 0  # index of the sample held in rows[0]
         self.written = 0
         self.checked = 0
         self.max_trace_error = 0.0
         self.min_eigenvalue = math.inf
 
     def record(self, t: float, y: np.ndarray) -> None:
-        row = self.rows[self.written]
+        row = self.rows[self.written - self.base]
         row[0] = t
         row[_STATE] = y
         self.written += 1
@@ -249,7 +266,7 @@ class _SampleRecorder:
     def check(self) -> None:
         if self.checked == self.written:
             return
-        block = self.rows[self.checked:self.written]
+        block = self.rows[self.checked - self.base:self.written - self.base]
         self.checked = self.written
         block[:, _DIAGNOSTICS] = packed_diagnostics(block[:, _STATE])
         trace_errors, min_eigs = block[:, -2], block[:, -1]
@@ -263,22 +280,26 @@ class _SampleRecorder:
             raise PhysicalityError(f"minimum eigenvalue {min_eig:.3e} below -{sc.pos_tol:.1e} at t={t:g}")
         self.max_trace_error = max(self.max_trace_error, *trace_errors.tolist())
         self.min_eigenvalue = min(self.min_eigenvalue, *min_eigs.tolist())
+        if self.base < self.keep_from:
+            drop = min(self.written, self.keep_from) - self.base
+            self.rows[:self.written - self.base - drop] = self.rows[drop:self.written - self.base]
+            self.base += drop
 
     def failure(self, message: str) -> IntegrationError:
         """The stepper's failure, to raise once the rows recorded before it pass the check."""
         self.check()
         return IntegrationError(message)
 
+    def kept(self) -> np.ndarray:
+        """The checked rows from ``keep_from`` on."""
+        self.check()
+        return self.rows[:self.written - self.base]
+
     def columns(self) -> np.ndarray:
         """Check the last partial block and return the rows, read-only."""
-        self.check()
-        self.rows.flags.writeable = False
-        return self.rows
-
-
-def _error_norm(err: np.ndarray, y_old: np.ndarray, y_new: np.ndarray, rtol: float, atol: float) -> float:
-    ratio = err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)))
-    return math.sqrt(float(ratio @ ratio) / ratio.size)
+        rows = self.kept()
+        rows.flags.writeable = False
+        return rows
 
 
 def _reachable_decay_radius(scenario: Scenario, decay: np.ndarray, grid: list[float]) -> float:
@@ -301,15 +322,252 @@ def _reachable_decay_radius(scenario: Scenario, decay: np.ndarray, grid: list[fl
     return float(np.max(np.abs(np.linalg.eigvals(block)))) if np.isfinite(block).all() else math.inf
 
 
+class _Lane:
+    """One scenario in the lockstep stepper: its controller state and its recorder.
+
+    The controller runs on Python floats: each step is proposed here,
+    attempted together with the other lanes' steps, and accepted or
+    rejected here by its own error norm.  A lane that fails keeps the
+    error and leaves; the other lanes go on.
+
+    Raises IntegrationError up front when the decay rates are too stiff
+    for MAX_STEPS attempted steps (the spectral radius of L0 on the
+    reachable components).
+    """
+
+    def __init__(self, scenario: Scenario, grid: list[float], keep_from: int = 0):
+        drive = scenario.drive
+        decay = decay_generator(scenario.params)
+        needed = (grid[-1] - grid[0]) * _reachable_decay_radius(scenario, decay, grid) / _STABILITY_LIMIT
+        if needed > MAX_STEPS:
+            raise IntegrationError(
+                f"decay rates too stiff: a stable run needs at least {needed:.3g} steps; the budget is {MAX_STEPS}"
+            )
+        self.scenario = scenario
+        self.grid = grid
+        self.basis = generator_basis(decay)
+        self.recorder = _SampleRecorder(scenario, len(grid), keep_from)
+        self.y0 = pack_state(scenario.initial_state)
+        self.recorder.record(grid[0], self.y0)
+        # L(t) y at the start; each accepted step carries its last stage over.
+        self.k0 = (drive_generators(grid[0], drive)[0] + decay) @ self.y0
+        self.t, self.t_end = grid[0], grid[-1]
+        self.pending = 1  # index of the next grid time to record
+        self.max_step = drive.tau / 10.0
+        self.h_floor = 1e-13 * max(1.0, abs(grid[0]), abs(grid[-1]))
+        self.h = self.max_step
+        self.h_try = self.t_new = math.nan
+        self.accepted = self.rejected = 0
+        self.evaluations = 1
+        self.just_rejected = False
+        self.error: SimulationError | None = None
+
+    def propose(self) -> tuple[float, float] | None:
+        """The next trial step (t, h) from the current state; None if the lane fails instead."""
+        t, t_end = self.t, self.t_end
+        if self.accepted + self.rejected >= MAX_STEPS:
+            return self._fail(f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}")
+        h_try = min(self.h, self.max_step, t_end - t)
+        t_new = t + h_try
+        # A step ending within the floor of the last grid time lands on it.
+        if t_end - t_new <= self.h_floor:
+            t_new, h_try = t_end, t_end - t
+        elif h_try < self.h_floor:
+            return self._fail(f"step size underflow at t={t:g} (h={h_try:.3e})")
+        self.h_try, self.t_new = h_try, t_new
+        return t, h_try
+
+    def settle(self, square: float, lanes: "_LaneSet", i: int) -> bool:
+        """Accept or reject the trial step by its squared error norm; True if accepted.
+
+        An accepted step records the grid times in (t, t_new]: the
+        continuous extension, except that a time the step lands on takes
+        the step's own state.  A lane that finishes or fails marks the
+        lane set as ``leaving``.
+        """
+        h_try, t_new = self.h_try, self.t_new
+        norm = math.sqrt(square)
+        self.evaluations += _NEW_STAGES
+        if not norm <= 1.0:
+            self.rejected += 1
+            self.just_rejected = True
+            self.h = h_try * min(1.0, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
+            return False
+        grid, pending = self.grid, self.pending
+        if grid[pending] <= t_new:
+            end = bisect.bisect_right(grid, t_new, pending)
+            times = grid[pending:end]
+            theta = (np.array(times) - self.t) / h_try
+            dense = lanes.y[i] + (h_try * (theta[:, None] ** _POWERS @ _P)) @ lanes.stages[i]
+            if times[-1] == t_new:
+                dense[-1] = lanes.trial[i]
+            try:
+                for sample_t, sample_y in zip(times, dense):
+                    self.recorder.record(sample_t, sample_y)
+            except PhysicalityError as exc:
+                self.error = exc
+                lanes.leaving = True
+            self.pending = end
+        self.t = t_new
+        self.accepted += 1
+        if norm == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
+        if self.just_rejected:
+            factor = min(1.0, factor)
+            self.just_rejected = False
+        self.h = h_try * factor
+        if t_new >= self.t_end:
+            lanes.leaving = True
+            if self.error is None:
+                try:
+                    self.recorder.check()
+                except PhysicalityError as exc:
+                    self.error = exc
+        return True
+
+    def _fail(self, message: str) -> None:
+        try:
+            self.error = self.recorder.failure(message)
+        except PhysicalityError as exc:
+            self.error = exc
+
+    def trajectory(self) -> Trajectory:
+        stats = IntegrationStats(
+            steps_accepted=self.accepted,
+            steps_rejected=self.rejected,
+            rhs_evaluations=self.evaluations,
+            max_trace_error=self.recorder.max_trace_error,
+            min_eigenvalue=self.recorder.min_eigenvalue,
+        )
+        return Trajectory(scenario=self.scenario, columns=self.recorder.columns(), stats=stats)
+
+
+class _LaneSet:
+    """The arrays of the active lanes, stepped together.
+
+    Built once per lane set and rebuilt only when a lane leaves: the
+    stacked generator bases and drive parameters, the states, the stage
+    derivatives, the h·_A coefficients, and per-stage views into them.
+    """
+
+    def __init__(self, lanes: list[_Lane], y: np.ndarray, k0: np.ndarray):
+        n = len(lanes)
+        self.lanes = lanes
+        self.leaving = False  # set when a lane finishes or fails
+        self.drives = DriveLanes([lane.scenario.drive for lane in lanes])
+        self.basis = np.stack([lane.basis for lane in lanes])
+        tolerances = np.array([(lane.scenario.rtol, lane.scenario.atol) for lane in lanes])
+        self.rtol, self.atol = tolerances[:, :1], tolerances[:, 1:]
+        self.y = y
+        self.stages = np.empty((n, 7, PACKED_SIZE))
+        self.first_stage, self.last_stage = self.stages[:, 0], self.stages[:, -1]
+        self.first_stage[...] = k0
+        # Generator coefficients at the five stage times; the trailing 1
+        # picks L0 out of the basis.
+        self.coefs = np.ones((n, len(_C), 5))
+        self.drive_coefs = self.coefs[..., :4]
+        self.gens = np.empty((n, len(_C), PACKED_SIZE * PACKED_SIZE))
+        self.h_a = np.empty((n,) + _A.shape)
+        self.sums = np.empty((n, 1, PACKED_SIZE))
+        self.y_new = np.empty((n, 1, PACKED_SIZE))
+        self.trial = self.y_new[:, 0]
+        self.err = np.empty((n, PACKED_SIZE))
+        self.scale = np.empty((n, PACKED_SIZE))
+        gens = self.gens.reshape(n, len(_C), PACKED_SIZE, PACKED_SIZE)
+        y, column = self.y[:, None], self.y_new.reshape(n, PACKED_SIZE, 1)
+        # Stage k is L(t + c_k h) (y + (h·_A)[k-1, :k] @ stages[:k]); the
+        # last two stages share c = 1.
+        self.stage_views = [
+            (self.h_a[:, k - 1:k, :k], self.stages[:, :k], y, gens[:, min(k, len(_C)) - 1], column,
+             self.stages[:, k, :, None])
+            for k in range(1, _NEW_STAGES + 1)
+        ]
+
+    def keep(self, indices: list[int]) -> "_LaneSet":
+        """The lane set of the lanes at ``indices``, with their states and carried-over stages."""
+        return _LaneSet([self.lanes[i] for i in indices], self.y[indices], self.stages[indices, 0])
+
+    def step(self, steps: list[tuple[float, float]]) -> list[float]:
+        """Attempt one step (t, h) per lane; return the squared error norms.
+
+        The squared norm is the mean square of the error scaled by the
+        tolerances; a lane whose trial state is not finite gets inf, the
+        smallest shrink factor.
+        """
+        steps = np.array(steps)
+        t, h = steps[:, :1], steps[:, 1:]
+        drive_coefficients(t + _C * h, self.drives, out=self.drive_coefs)
+        np.matmul(self.coefs, self.basis, out=self.gens)
+        np.multiply(h[:, :, None], _A, out=self.h_a)
+        sums, y_new = self.sums, self.y_new
+        for h_a, stages, y, gen, column, out in self.stage_views:
+            np.matmul(h_a, stages, out=sums)
+            np.add(y, sums, out=y_new)
+            np.matmul(gen, column, out=out)
+        if np.isfinite(self.trial).all():
+            return self._squared_norms(h)
+        with np.errstate(all="ignore"):
+            squares = self._squared_norms(h)
+        finite = np.isfinite(self.trial).all(axis=1).tolist()
+        return [square if ok else math.inf for square, ok in zip(squares, finite)]
+
+    def _squared_norms(self, h: np.ndarray) -> list[float]:
+        err, scale = self.err, self.scale
+        np.matmul(_E, self.stages, out=err)
+        np.multiply(h, err, out=err)
+        np.maximum(np.abs(self.y), np.abs(self.trial), out=scale)
+        np.multiply(self.rtol, scale, out=scale)
+        np.add(self.atol, scale, out=scale)
+        np.divide(err, scale, out=err)
+        return (np.vecdot(err, err) / PACKED_SIZE).tolist()
+
+    def advance(self, accepted: list[int]) -> None:
+        """Carry the accepted lanes' trial states and last stages over to their next step."""
+        if len(accepted) == len(self.lanes):
+            np.copyto(self.y, self.trial)
+            np.copyto(self.first_stage, self.last_stage)
+        elif accepted:
+            self.y[accepted] = self.trial[accepted]
+            self.stages[accepted, 0] = self.stages[accepted, -1]
+
+
+def _run_lanes(lanes: list[_Lane]) -> None:
+    """Step every lane to its last grid time in lockstep.
+
+    Each iteration proposes one step per lane, attempts them all with one
+    stacked generator build, and lets each lane accept or reject its own.
+    Lanes that finish or fail leave the active set.
+    """
+    lanes = [lane for lane in lanes if lane.t < lane.t_end]  # a one-row grid takes no step
+    if not lanes:
+        return
+    active = _LaneSet(lanes, np.array([lane.y0 for lane in lanes]), np.array([lane.k0 for lane in lanes]))
+    while True:
+        lanes = active.lanes
+        steps = [lane.propose() for lane in lanes]
+        if None in steps:
+            active.leaving = True
+        else:
+            squares = active.step(steps)
+            active.advance([i for i, lane in enumerate(lanes) if lane.settle(squares[i], active, i)])
+        if active.leaving:
+            staying = [i for i, lane in enumerate(lanes) if lane.error is None and lane.t < lane.t_end]
+            if not staying:
+                return
+            active = active.keep(staying)
+
+
 def integrate(scenario: Scenario) -> Trajectory:
     """Propagate the scenario and record observables on the sample grid.
 
+    The run is the one-lane case of the lockstep stepper that sweeps use.
     The error controller chooses the steps, capped at tau/10; the grid
     times inside each accepted step are read off the continuous extension
     from the step's own stages, and the last step lands on the last grid
     time.  Each attempted step builds the generators at its five new stage
-    times in one stacked call and forms the stages as rows of a (7, 16)
-    array.
+    times in one stacked product.
 
     Raises PhysicalityError if a recorded sample violates the scenario's
     trace or positivity tolerances, and IntegrationError on step-size
@@ -317,95 +575,56 @@ def integrate(scenario: Scenario) -> Trajectory:
     attempted steps (checked up front from the spectral radius of L0 on
     the reachable components, and again in the loop).
     """
-    drive = scenario.drive
-    decay = decay_generator(scenario.params)
-    grid = sample_times(scenario)
-    needed = (grid[-1] - grid[0]) * _reachable_decay_radius(scenario, decay, grid) / _STABILITY_LIMIT
-    if needed > MAX_STEPS:
-        raise IntegrationError(
-            f"decay rates too stiff: a stable run needs at least {needed:.3g} steps; the budget is {MAX_STEPS}"
-        )
-    recorder = _SampleRecorder(scenario, len(grid))
+    lane = _Lane(scenario, sample_times(scenario))
+    _run_lanes([lane])
+    if lane.error is not None:
+        raise lane.error
+    return lane.trajectory()
 
-    y = pack_state(scenario.initial_state)
-    t, t_end = grid[0], grid[-1]
-    recorder.record(t, y)
-    pending = 1  # index of the next grid time to record
 
-    max_step = drive.tau / 10.0
-    h_floor = 1e-13 * max(1.0, abs(grid[0]), abs(grid[-1]))
-    rtol, atol = scenario.rtol, scenario.atol
+def steady_states(
+    scenarios: Sequence[Scenario],
+    window: float = DEFAULT_STEADY_WINDOW,
+    tol: float = DEFAULT_STEADY_TOL,
+) -> list[SteadySummary | SimulationError]:
+    """Integrate the scenarios as lanes of one lockstep run and summarise each one's steady state.
 
-    # Stage derivatives; row 0 holds L(t) y, carried over from the last
-    # stage of the previous accepted step.
-    stages = np.empty((7, PACKED_SIZE))
-    stages[0] = (drive_generators(t, drive)[0] + decay) @ y
-    evaluations = 1
-    accepted = 0
-    rejected = 0
-    h = max_step
-    just_rejected = False
-
-    while t < t_end:
-        if accepted + rejected >= MAX_STEPS:
-            raise recorder.failure(f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}")
-        h_try = min(h, max_step, t_end - t)
-        t_new = t + h_try
-        # A step ending within the floor of the last grid time lands on it.
-        if t_end - t_new <= h_floor:
-            t_new, h_try = t_end, t_end - t
-        elif h_try < h_floor:
-            raise recorder.failure(f"step size underflow at t={t:g} (h={h_try:.3e})")
-
-        gens = drive_generators(t + _C * h_try, drive) + decay
-        h_a = h_try * _A
-        for k, gen in enumerate((*gens, gens[-1]), start=1):
-            y_new = y + h_a[k - 1, :k] @ stages[:k]
-            np.matmul(gen, y_new, out=stages[k])
-        evaluations += k
-        err = h_try * (_E @ stages)
-
-        # A non-finite state is rejected with the smallest shrink factor.
-        norm = _error_norm(err, y, y_new, rtol, atol) if np.isfinite(y_new).all() else math.inf
-        if norm <= 1.0:
-            if grid[pending] <= t_new:
-                # Grid times in (t, t_new]: the continuous extension, except
-                # that a time the step lands on takes the step's own state.
-                end = bisect.bisect_right(grid, t_new, pending)
-                times = grid[pending:end]
-                theta = (np.array(times) - t) / h_try
-                dense = y + (h_try * (theta[:, None] ** _POWERS @ _P)) @ stages
-                if times[-1] == t_new:
-                    dense[-1] = y_new
-                for sample_t, sample_y in zip(times, dense):
-                    recorder.record(sample_t, sample_y)
-                pending = end
-            t = t_new
-            y = y_new
-            stages[0] = stages[6]
-            accepted += 1
-            if norm == 0.0:
-                factor = _MAX_FACTOR
-            else:
-                factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
-            if just_rejected:
-                factor = min(1.0, factor)
-                just_rejected = False
-            h = h_try * factor
+    Entry i is what ``detect_steady_state(integrate(scenarios[i]), window,
+    tol)`` returns, bit for bit, or the error it raises: a lane that fails
+    to start, to step or to summarise leaves the others untouched.  Each
+    lane checks every sample but keeps only the rows of its trailing
+    window, so memory does not grow with the sample grid.  The scenarios
+    must share the chirp switch and profile.
+    """
+    outcomes: list = [None] * len(scenarios)
+    lanes = {}
+    grids: dict[tuple[float, float, float], list[float]] = {}  # one grid per time window, shared
+    for i, scenario in enumerate(scenarios):
+        key = (scenario.t_start, scenario.t_end, scenario.sample_interval)
+        if key not in grids:
+            grids[key] = sample_times(scenario)
+        grid = grids[key]
+        # A window error is reported only if the run itself succeeds.
+        try:
+            start, window_error = _steady_window(scenario, grid[0], grid[-1], window), None
+        except SimulationError as exc:
+            start, window_error = math.inf, exc
+        try:
+            lanes[i] = (_Lane(scenario, grid, bisect.bisect_left(grid, start)), start, window_error)
+        except SimulationError as exc:
+            outcomes[i] = exc
+    _run_lanes([lane for lane, _, _ in lanes.values()])
+    for i, (lane, start, window_error) in lanes.items():
+        if lane.error is not None:
+            outcomes[i] = lane.error
+        elif window_error is not None:
+            outcomes[i] = window_error
         else:
-            rejected += 1
-            just_rejected = True
-            h = h_try * min(1.0, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
-
-    columns = recorder.columns()
-    stats = IntegrationStats(
-        steps_accepted=accepted,
-        steps_rejected=rejected,
-        rhs_evaluations=evaluations,
-        max_trace_error=recorder.max_trace_error,
-        min_eigenvalue=recorder.min_eigenvalue,
-    )
-    return Trajectory(scenario=scenario, columns=columns, stats=stats)
+            try:
+                outcomes[i] = _steady_summary(lane.recorder.kept(), start, tol)
+            except PhysicalityError as exc:  # a lane that took no step checks its row only here
+                outcomes[i] = exc
+    return outcomes
 
 
 def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
@@ -461,6 +680,46 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
     return Trajectory(scenario=scenario, columns=columns, stats=stats)
 
 
+def _steady_window(scenario: Scenario, first: float, last: float, window: float) -> float:
+    """Check that a run over [first, last] has a usable trailing window; return the window's start."""
+    if not (math.isfinite(window) and window > 0):
+        raise InvalidParameterError(f"window must be positive, got {window!r}")
+    if window > last - first:
+        raise InsufficientDataError(
+            f"window {window:g} exceeds trajectory span {last - first:g}"
+        )
+    pulses_off = scenario.drive.pulses_off_after(1e-6)
+    if last - window < pulses_off:
+        raise InsufficientDataError(
+            f"trajectory ends at t={last:g}, but needs to reach t={pulses_off + window:g} "
+            f"(pulses off at t={pulses_off:g} plus window {window:g})"
+        )
+    return last - window - 1e-12
+
+
+def _steady_summary(rows: np.ndarray, start: float, tol: float) -> SteadySummary:
+    """The verdict on the rows from time ``start`` on, and the values of the last row."""
+    tail = rows[rows[:, 0] >= start]
+    columns = dict(zip(TRAJECTORY_COLUMNS, tail.T))
+    observed = (
+        columns["rho11"] + columns["rho22"],
+        np.hypot(columns["re_rho21"], columns["im_rho21"]),
+        columns["doublet_purity"],
+    )
+    max_delta = max(max(v) - min(v) for v in (c.tolist() for c in observed))
+    final = _sample(rows[-1])
+    return SteadySummary(
+        converged=max_delta < tol,
+        time=final.time,
+        state=final.state,
+        record=final.record,
+        doublet_population=final.record.doublet_population,
+        doublet_purity=final.record.doublet_purity,
+        abs_coherence_21=abs(final.record.c21),
+        max_delta=max_delta,
+    )
+
+
 def detect_steady_state(
     traj: Trajectory,
     window: float = DEFAULT_STEADY_WINDOW,
@@ -474,36 +733,6 @@ def detect_steady_state(
     extend at least `window` past the point where both pulse envelopes have
     fallen below 1e-6 of their peaks.
     """
-    if not (math.isfinite(window) and window > 0):
-        raise InvalidParameterError(f"window must be positive, got {window!r}")
     times = traj.times
-    first, last = float(times[0]), float(times[-1])
-    if window > last - first:
-        raise InsufficientDataError(
-            f"window {window:g} exceeds trajectory span {last - first:g}"
-        )
-    pulses_off = traj.scenario.drive.pulses_off_after(1e-6)
-    if last - window < pulses_off:
-        raise InsufficientDataError(
-            f"trajectory ends at t={last:g}, but needs to reach t={pulses_off + window:g} "
-            f"(pulses off at t={pulses_off:g} plus window {window:g})"
-        )
-
-    tail = times >= last - window - 1e-12
-    observed = (
-        traj.column("rho11") + traj.column("rho22"),
-        np.hypot(traj.column("re_rho21"), traj.column("im_rho21")),
-        traj.column("doublet_purity"),
-    )
-    max_delta = max(max(v) - min(v) for v in (c[tail].tolist() for c in observed))
-    final = traj.final
-    return SteadySummary(
-        converged=max_delta < tol,
-        time=final.time,
-        state=final.state,
-        record=final.record,
-        doublet_population=final.record.doublet_population,
-        doublet_purity=final.record.doublet_purity,
-        abs_coherence_21=abs(final.record.c21),
-        max_delta=max_delta,
-    )
+    start = _steady_window(traj.scenario, float(times[0]), float(times[-1]), window)
+    return _steady_summary(traj.columns, start, tol)

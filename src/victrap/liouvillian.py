@@ -31,7 +31,7 @@ from .errors import ContractViolationError
 from .model import DIM, HERMITICITY_TOL, DensityMatrix, DriveConfig, SystemParams
 
 __all__ = ["master_rhs", "dissipator_only", "coherent_only", "pack_state", "unpack_state", "make_packed_rhs",
-           "drive_generators", "decay_generator"]
+           "drive_generators", "decay_generator", "generator_basis"]
 
 # Packed real state layout used by the steppers: the four populations
 # followed by (re, im) of the six lower-triangle coherences.  Evolving this
@@ -112,6 +112,15 @@ def decay_generator(params: SystemParams) -> np.ndarray:
     rates = np.array((params.gamma01, params.gamma02, params.gamma03, params.gamma12, params.gamma_coll))
     with np.errstate(over="ignore", invalid="ignore"):
         return (rates @ _units()[1]).reshape(PACKED_SIZE, PACKED_SIZE)
+
+
+def generator_basis(decay: np.ndarray) -> np.ndarray:
+    """The rows G1, G2, D1, D2 and L0 = ``decay``, flattened to shape (5, 256).
+
+    L(t) = (g1, g2, delta1, delta2, 1) @ basis, so L0 rides in the same
+    product as the drive.
+    """
+    return np.vstack((_units()[0], decay.reshape(1, -1)))
 
 
 def master_rhs(t: float, rho: DensityMatrix | np.ndarray, params: SystemParams,

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from victrap import TRAJECTORY_CSV_HEADER, integrate, parse_config
+from victrap import TRAJECTORY_CSV_HEADER, experiments, integrate, parse_config
 from victrap.cli import main
 from victrap.integrator import sample_times
 from victrap.observables import packed_diagnostics
@@ -215,3 +215,34 @@ class TestValidate:
         code = main(["--quiet", "validate"])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+
+TWO_AXIS_SWEEP_CFG = """\
+[chirp]
+enabled = true
+
+[integration]
+sample_interval = 0.5
+
+[sweep]
+parameter = theta
+values = 0.0, 0.1, 0.8, 1.5
+parameter2 = chi1
+values2 = 0.15, 0.45
+"""
+
+
+class TestSweepProgress:
+    def test_progress_per_chunk_on_stderr_only(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "MAX_LANES", 3)
+        cfg = write(tmp_path, "sweep.cfg", TWO_AXIS_SWEEP_CFG)
+        assert main(["sweep", "--config", cfg]) == 0
+        loud = capsys.readouterr()
+        assert main(["--quiet", "sweep", "--config", cfg]) == 0
+        quiet = capsys.readouterr()
+        assert loud.out == quiet.out
+        assert quiet.err == ""
+        progress = [line for line in loud.err.splitlines() if line.startswith("sweep: ")]
+        assert len(progress) == 3
+        assert re.fullmatch(r"sweep: 8/8 points, 0 failed, 2 not converged, \d+\.\d\d s", progress[-1])
+        assert progress[0].startswith("sweep: 3/8 points, ")

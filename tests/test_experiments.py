@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -6,13 +7,18 @@ import pytest
 from victrap import (
     InvalidParameterError,
     Scenario,
+    SimulationError,
     SweepAxis,
     SweepSpec,
+    detect_steady_state,
+    experiments,
     integrate,
+    integrator,
     preset,
     sweep,
 )
 from victrap.experiments import MAX_AXIS_POINTS, MAX_GRID_POINTS, apply_parameter
+from victrap.integrator import DEFAULT_STEADY_WINDOW
 
 
 class TestPresets:
@@ -173,3 +179,126 @@ class TestSweepExecution:
             assert not row.converged
             assert row.error is not None
             assert math.isnan(row.doublet_population)
+
+
+def point_scenario(spec, values):
+    scenario = spec.base
+    for name, value in zip(spec.parameters, values):
+        scenario = apply_parameter(scenario, name, value)
+    return scenario
+
+
+def row_bits(row):
+    return repr((row.values, row.doublet_population, row.doublet_purity, row.abs_coherence_21,
+                 row.converged, row.error))
+
+
+def solo_bits(spec, values):
+    """The row bits of one point integrated and summarised on its own."""
+    try:
+        steady = detect_steady_state(integrate(point_scenario(spec, values)))
+    except SimulationError as exc:
+        return repr((values, math.nan, math.nan, math.nan, False, str(exc)))
+    return repr((values, steady.doublet_population, steady.doublet_purity, steady.abs_coherence_21,
+                 steady.converged, None))
+
+
+# Two axes, chirped: theta = 0.1 is in the slow-mode band and does not converge.
+THETA_CHI1 = SweepSpec(
+    base=preset("fig4"),
+    axes=(SweepAxis("theta", (0.0, 0.1, 0.8, 1.5)), SweepAxis("chi1", (0.15, 0.45))),
+)
+
+
+class TestLaneBatchedSweep:
+    @pytest.fixture(scope="class")
+    def solo_rows(self):
+        return [solo_bits(THETA_CHI1, values) for values in THETA_CHI1.grid()]
+
+    @pytest.mark.parametrize("lanes", [None, 3], ids=["default_chunk", "three_lanes"])
+    def test_rows_match_per_point_runs_bit_for_bit(self, monkeypatch, solo_rows, lanes):
+        if lanes is not None:
+            monkeypatch.setattr(experiments, "MAX_LANES", lanes)
+        table = sweep(THETA_CHI1)
+        assert [row_bits(row) for row in table.rows] == solo_rows
+        converged = [row.converged for row in table.rows]
+        assert not all(converged) and any(converged)
+
+    def test_lane_failing_mid_run_is_flagged_and_others_untouched(self, monkeypatch):
+        # gamma01 = 100 passes the up-front estimate (about 2,973 steps) and
+        # needs about 3,594 attempts; 1e5 is rejected before stepping.
+        monkeypatch.setattr(integrator, "MAX_STEPS", 3_200)
+        spec = SweepSpec(base=preset("fig4"), axes=(SweepAxis("gamma01", (5.8, 100.0, 1e5)),))
+        ok, exhausted, stiff = sweep(spec).rows
+        assert "step budget" in exhausted.error
+        assert "too stiff" in stiff.error
+        for flagged in (exhausted, stiff):
+            assert not flagged.converged
+            assert math.isnan(flagged.doublet_population)
+        assert ok.error is None
+        assert row_bits(ok) == solo_bits(spec, (5.8,))
+
+    def test_lane_memory_bounded_by_steady_window(self, monkeypatch):
+        # 9,601 rows per lane; a lane keeps the rows of its 5-unit steady
+        # window (about 500), so the sweep's peak stays below what even one
+        # full trajectory would take.
+        base = replace(preset("fig4"), sample_interval=0.01)
+        spec = SweepSpec(base=base, axes=(SweepAxis("theta", (0.0, 0.3, 0.8, 1.5)),))
+        rows = len(integrator.sample_times(base))
+        assert rows == 9601
+        sweep(SweepSpec(base=preset("fig4"), axes=(SweepAxis("theta", (0.0,)),)))  # warm caches
+        held = []
+
+        class Recorder(integrator._SampleRecorder):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                held.append(len(self.rows))
+
+        monkeypatch.setattr(integrator, "_SampleRecorder", Recorder)
+        tracemalloc.start()
+        try:
+            table = sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(row.error is None for row in table.rows)
+        assert len(held) == 4
+        assert max(held) <= DEFAULT_STEADY_WINDOW / base.sample_interval + 2
+        assert peak < rows * len(integrator.TRAJECTORY_COLUMNS) * 8
+
+
+def summary_bits(outcome):
+    if isinstance(outcome, SimulationError):
+        return repr((type(outcome), str(outcome)))
+    return repr((outcome.time, outcome.doublet_population, outcome.doublet_purity,
+                 outcome.abs_coherence_21, outcome.converged, outcome.max_delta))
+
+
+def test_lanes_leaving_at_different_times_leave_the_others_untouched():
+    # Stiff lanes reject about one step in ten, each in its own pattern,
+    # and finish one by one; every compaction of the active set must carry
+    # the remaining lanes' states and stages over unchanged.
+    chirped = preset("fig4")
+    scenarios = [
+        replace(chirped, params=replace(chirped.params, gamma01=100.0, gamma02=30.0 + 2.0 * k), t_end=40.0 + 4.0 * k)
+        for k in range(8)
+    ]
+    outcomes = integrator.steady_states(scenarios)
+    for scenario, outcome in zip(scenarios, outcomes):
+        try:
+            solo = detect_steady_state(integrate(scenario))
+        except SimulationError as exc:
+            solo = exc
+        assert summary_bits(outcome) == summary_bits(solo)
+
+
+def test_one_row_grid_takes_no_step():
+    # sample_interval longer than the window: the grid is t_start alone.
+    short = replace(preset("fig2"), t_start=0.0, t_end=0.01, sample_interval=0.05)
+    traj = integrate(short)
+    assert traj.columns.shape == (1, len(integrator.TRAJECTORY_COLUMNS))
+    assert traj.stats.steps_accepted + traj.stats.steps_rejected == 0
+    spec = SweepSpec(base=short, axes=(SweepAxis("theta", (0.0, 0.1)),))
+    rows = sweep(spec).rows
+    assert [row_bits(row) for row in rows] == [solo_bits(spec, values) for values in spec.grid()]
+    assert "exceeds trajectory span" in rows[0].error

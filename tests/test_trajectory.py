@@ -113,16 +113,18 @@ def test_block_check_reports_first_bad_sample(fig2_run, tol_name, column, above,
     assert str(info.value) == message.format(value=values[index], tol=tol, t=traj.times[index])
 
 
-@pytest.mark.parametrize("propagate, reach", [
-    (integrate, 0.4),
-    (lambda sc: integrate_fixed_step(sc, 0.05), 0.1),
+@pytest.mark.parametrize("propagate, reach, drive_values", [
+    (integrate, 0.4, "drive_coefficients"),
+    (lambda sc: integrate_fixed_step(sc, 0.05), 0.1, "drive_generators"),
 ], ids=["adaptive", "fixed_step"])
-def test_bad_sample_reported_before_a_later_stepping_failure(monkeypatch, propagate, reach):
+def test_bad_sample_reported_before_a_later_stepping_failure(monkeypatch, propagate, reach, drive_values):
     # The drive turns NaN shortly after a bad sample, in the same block: the
     # stepper fails there, and the pending bad sample is reported.  The
     # cutoff lies ``reach`` past the bad sample, beyond the step that
     # computes it: an adaptive step is at most tau/10 = 0.4 long, and the
     # fixed-step run steps sample by sample (its cutoff stays two samples on).
+    # ``drive_values`` is the integrator's source of drive values at the
+    # stage times: coefficients for the lane stepper, generators for RK4.
     scenario = replace(preset("fig2"), t_end=-16.0 + 0.05 * 3 * BLOCK)
     good = propagate(scenario)
     values = good.column("min_eig")
@@ -134,14 +136,14 @@ def test_bad_sample_reported_before_a_later_stepping_failure(monkeypatch, propag
     else:
         pytest.fail("no tolerance leaves room for the failure inside the block")
     cutoff = good.times[index] + reach + 0.01
-    real = integrator.drive_generators
+    real = getattr(integrator, drive_values)
 
-    def broken(ts, drive):
-        gens = real(ts, drive)
-        gens[np.atleast_1d(ts) > cutoff] = np.nan
-        return gens
+    def broken(ts, *args, **kwargs):
+        values = real(ts, *args, **kwargs)
+        values[np.atleast_1d(ts) > cutoff] = np.nan
+        return values
 
-    monkeypatch.setattr(integrator, "drive_generators", broken)
+    monkeypatch.setattr(integrator, drive_values, broken)
     with pytest.raises(IntegrationError):
         propagate(scenario)
     with pytest.raises(PhysicalityError, match=f"at t={good.times[index]:g}$"):
