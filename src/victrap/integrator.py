@@ -1,10 +1,10 @@
 """Adaptive time integration, observable sampling, and steady-state detection.
 
 The propagating method is a Dormand-Prince 5(4) embedded pair with the
-standard accept/reject controller; the error norm mixes absolute and
-relative tolerance over the 16 real state components, which share a common
-[0, 1] scale.  Steps are additionally capped at tau/10 so the pulse
-structure can never be skipped.  The controller alone chooses the steps:
+stabilised (PI) step-size controller of Hairer's dopri5; the error norm
+mixes absolute and relative tolerance over the 16 real state components,
+which share a common [0, 1] scale.  Steps are additionally capped at
+tau/10 so the pulse structure can never be skipped.  The controller alone chooses the steps:
 samples that fall inside an accepted step are read off the method's
 fourth-order continuous extension, and each is checked against the
 scenario's trace and positivity tolerances - violations abort the run
@@ -107,9 +107,15 @@ _NEW_STAGES = 6
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# Stabilised (PI) control, Hairer & Wanner, Solving ODEs II, IV.2: the prev
+# term damps the grow-reject-shrink cycle at the stability edge of stiff
+# runs.  dopri5's beta = 0.04 costs smooth runs 4-6% more steps than 0.02.
+_BETA = 0.02
+_ALPHA = 0.2 - 0.75 * _BETA
+_PREV_FLOOR = 1e-4
 
 # Budget of attempted steps per run; gamma01=100, gamma02=40 over the
-# default window attempts about 4,700.
+# default window attempts about 4,200.
 MAX_STEPS = 200_000
 # Real-axis reach of the Dormand-Prince stability region: a stable step
 # needs h * (spectral radius of L0) <= 3.3.
@@ -237,12 +243,14 @@ def sample_times(scenario: Scenario) -> list[float]:
 class _SampleRecorder:
     """Writes one row per sample and checks physicality for every _BLOCK rows at once.
 
-    A violation raises at its first row, with that sample's time, as a
-    per-sample check would.  Stepper failures go through ``failure``, which
-    checks the partial block first, so a bad sample recorded before the
-    failure is still the error reported.  Rows before ``keep_from`` are
-    dropped once checked, so only the rows from ``keep_from`` on (and at
-    most one block) are ever held.
+    A step's rows are written as slices split where a block fills up, so
+    each block is checked before a later row is written.  A violation
+    raises at its first row, with that sample's time, as a per-sample
+    check would.  Stepper failures go through ``failure``, which checks
+    the partial block first, so a bad sample recorded before the failure
+    is still the error reported.  Rows before ``keep_from`` are dropped
+    once checked, so only the rows from ``keep_from`` on (and at most one
+    block) are ever held.
     """
 
     def __init__(self, scenario: Scenario, n_rows: int, keep_from: int = 0):
@@ -255,13 +263,18 @@ class _SampleRecorder:
         self.max_trace_error = 0.0
         self.min_eigenvalue = math.inf
 
-    def record(self, t: float, y: np.ndarray) -> None:
-        row = self.rows[self.written - self.base]
-        row[0] = t
-        row[_STATE] = y
-        self.written += 1
-        if self.written - self.checked == _BLOCK:
-            self.check()
+    def record(self, times: Sequence[float], states: np.ndarray) -> None:
+        """Write one row per time and its packed state from (m, 16) ``states``, checking each full block."""
+        done, m = 0, len(times)
+        while done < m:
+            take = min(m - done, _BLOCK - (self.written - self.checked))
+            at = self.written - self.base
+            self.rows[at:at + take, 0] = times[done:done + take]
+            self.rows[at:at + take, _STATE] = states[done:done + take]
+            self.written += take
+            done += take
+            if self.written - self.checked == _BLOCK:
+                self.check()
 
     def check(self) -> None:
         if self.checked == self.written:
@@ -348,7 +361,7 @@ class _Lane:
         self.basis = generator_basis(decay)
         self.recorder = _SampleRecorder(scenario, len(grid), keep_from)
         self.y0 = pack_state(scenario.initial_state)
-        self.recorder.record(grid[0], self.y0)
+        self.recorder.record(grid[:1], self.y0[None])
         # L(t) y at the start; each accepted step carries its last stage over.
         self.k0 = (drive_generators(grid[0], drive)[0] + decay) @ self.y0
         self.t, self.t_end = grid[0], grid[-1]
@@ -360,6 +373,7 @@ class _Lane:
         self.accepted = self.rejected = 0
         self.evaluations = 1
         self.just_rejected = False
+        self.prev = _PREV_FLOOR  # last accepted error norm, floored
         self.error: SimulationError | None = None
 
     def propose(self) -> tuple[float, float] | None:
@@ -378,7 +392,7 @@ class _Lane:
         return t, h_try
 
     def settle(self, square: float, lanes: "_LaneSet", i: int) -> bool:
-        """Accept or reject the trial step by its squared error norm; True if accepted.
+        """Accept or reject the trial step by its sum of squared scaled errors; True if accepted.
 
         An accepted step records the grid times in (t, t_new]: the
         continuous extension, except that a time the step lands on takes
@@ -386,12 +400,12 @@ class _Lane:
         lane set as ``leaving``.
         """
         h_try, t_new = self.h_try, self.t_new
-        norm = math.sqrt(square)
+        norm = math.sqrt(square / PACKED_SIZE)
         self.evaluations += _NEW_STAGES
         if not norm <= 1.0:
             self.rejected += 1
             self.just_rejected = True
-            self.h = h_try * min(1.0, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
+            self.h = h_try * min(1.0, max(_MIN_FACTOR, _SAFETY * norm ** -_ALPHA))
             return False
         grid, pending = self.grid, self.pending
         if grid[pending] <= t_new:
@@ -402,8 +416,7 @@ class _Lane:
             if times[-1] == t_new:
                 dense[-1] = lanes.trial[i]
             try:
-                for sample_t, sample_y in zip(times, dense):
-                    self.recorder.record(sample_t, sample_y)
+                self.recorder.record(times, dense)
             except PhysicalityError as exc:
                 self.error = exc
                 lanes.leaving = True
@@ -413,7 +426,8 @@ class _Lane:
         if norm == 0.0:
             factor = _MAX_FACTOR
         else:
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -_ALPHA * self.prev ** _BETA))
+        self.prev = max(norm, _PREV_FLOOR)
         if self.just_rejected:
             factor = min(1.0, factor)
             self.just_rejected = False
@@ -449,14 +463,15 @@ class _LaneSet:
 
     Built once per lane set and rebuilt only when a lane leaves: the
     stacked generator bases and drive parameters, the states, the stage
-    derivatives, the h·_A coefficients, and per-stage views into them.
+    times and derivatives, the h·_A coefficients, the error-norm buffers,
+    and per-stage views into them.
     """
 
     def __init__(self, lanes: list[_Lane], y: np.ndarray, k0: np.ndarray):
         n = len(lanes)
         self.lanes = lanes
         self.leaving = False  # set when a lane finishes or fails
-        self.drives = DriveLanes([lane.scenario.drive for lane in lanes])
+        self.drives = DriveLanes([lane.scenario.drive for lane in lanes], len(_C))
         self.basis = np.stack([lane.basis for lane in lanes])
         tolerances = np.array([(lane.scenario.rtol, lane.scenario.atol) for lane in lanes])
         self.rtol, self.atol = tolerances[:, :1], tolerances[:, 1:]
@@ -464,6 +479,7 @@ class _LaneSet:
         self.stages = np.empty((n, 7, PACKED_SIZE))
         self.first_stage, self.last_stage = self.stages[:, 0], self.stages[:, -1]
         self.first_stage[...] = k0
+        self.times = np.empty((n, len(_C)))
         # Generator coefficients at the five stage times; the trailing 1
         # picks L0 out of the basis.
         self.coefs = np.ones((n, len(_C), 5))
@@ -475,6 +491,7 @@ class _LaneSet:
         self.trial = self.y_new[:, 0]
         self.err = np.empty((n, PACKED_SIZE))
         self.scale = np.empty((n, PACKED_SIZE))
+        self.abs_trial = np.empty((n, PACKED_SIZE))
         gens = self.gens.reshape(n, len(_C), PACKED_SIZE, PACKED_SIZE)
         y, column = self.y[:, None], self.y_new.reshape(n, PACKED_SIZE, 1)
         # Stage k is L(t + c_k h) (y + (h·_A)[k-1, :k] @ stages[:k]); the
@@ -490,15 +507,16 @@ class _LaneSet:
         return _LaneSet([self.lanes[i] for i in indices], self.y[indices], self.stages[indices, 0])
 
     def step(self, steps: list[tuple[float, float]]) -> list[float]:
-        """Attempt one step (t, h) per lane; return the squared error norms.
+        """Attempt one step (t, h) per lane; return the sums of the squared scaled errors.
 
-        The squared norm is the mean square of the error scaled by the
-        tolerances; a lane whose trial state is not finite gets inf, the
-        smallest shrink factor.
+        The squared error norm is that sum over PACKED_SIZE: the mean
+        square of the error scaled by the tolerances.  A lane whose trial
+        state is not finite gets inf, the smallest shrink factor.
         """
         steps = np.array(steps)
         t, h = steps[:, :1], steps[:, 1:]
-        drive_coefficients(t + _C * h, self.drives, out=self.drive_coefs)
+        np.add(t, np.multiply(h, _C, out=self.times), out=self.times)
+        drive_coefficients(self.times, self.drives, out=self.drive_coefs)
         np.matmul(self.coefs, self.basis, out=self.gens)
         np.multiply(h[:, :, None], _A, out=self.h_a)
         sums, y_new = self.sums, self.y_new
@@ -507,21 +525,21 @@ class _LaneSet:
             np.add(y, sums, out=y_new)
             np.matmul(gen, column, out=out)
         if np.isfinite(self.trial).all():
-            return self._squared_norms(h)
+            return self._squares(h)
         with np.errstate(all="ignore"):
-            squares = self._squared_norms(h)
+            squares = self._squares(h)
         finite = np.isfinite(self.trial).all(axis=1).tolist()
         return [square if ok else math.inf for square, ok in zip(squares, finite)]
 
-    def _squared_norms(self, h: np.ndarray) -> list[float]:
+    def _squares(self, h: np.ndarray) -> list[float]:
         err, scale = self.err, self.scale
         np.matmul(_E, self.stages, out=err)
         np.multiply(h, err, out=err)
-        np.maximum(np.abs(self.y), np.abs(self.trial), out=scale)
+        np.maximum(np.abs(self.y, out=scale), np.abs(self.trial, out=self.abs_trial), out=scale)
         np.multiply(self.rtol, scale, out=scale)
         np.add(self.atol, scale, out=scale)
         np.divide(err, scale, out=err)
-        return (np.vecdot(err, err) / PACKED_SIZE).tolist()
+        return np.vecdot(err, err).tolist()
 
     def advance(self, accepted: list[int]) -> None:
         """Carry the accepted lanes' trial states and last stages over to their next step."""
@@ -645,7 +663,7 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
     recorder = _SampleRecorder(scenario, len(grid))
 
     y = pack_state(scenario.initial_state)
-    recorder.record(grid[0], y)
+    recorder.record(grid[:1], y[None])
 
     def rhs(coherent: np.ndarray, y: np.ndarray) -> np.ndarray:
         return coherent @ y + decay @ y
@@ -667,7 +685,7 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
                 steps += 1
         if not np.all(np.isfinite(y)):
             raise recorder.failure(f"non-finite state at t={target:g}")
-        recorder.record(target, y)
+        recorder.record((target,), y[None])
 
     columns = recorder.columns()
     stats = IntegrationStats(

@@ -42,6 +42,9 @@ _ROWS, _COLS = np.array([(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]).T
 _GATHER = np.zeros((DIM, DIM), dtype=int)
 _GATHER[np.diag_indices(DIM)] = range(DIM)
 _GATHER[_ROWS, _COLS], _GATHER[_COLS, _ROWS] = range(DIM, 10), range(10, PACKED_SIZE)
+# Position of each packed real in the flattened (re, im) view of a 4x4 matrix.
+_FLAT = np.arange(2 * DIM * DIM).reshape(DIM, DIM, 2)
+_PACK = np.concatenate((_FLAT[np.diag_indices(DIM)][:, 0], _FLAT[_ROWS, _COLS].ravel()))
 
 
 def pack_state(rho: DensityMatrix | np.ndarray) -> np.ndarray:
@@ -77,7 +80,8 @@ def _units() -> tuple[np.ndarray, np.ndarray]:
 
     Drive rows are -i[H_k, .] for the coefficients of (g1, g2, delta1,
     delta2) in the rotating-frame Hamiltonian; decay rows belong to the
-    rates (gamma01, gamma02, gamma03, gamma12, gamma_coll).
+    rates (gamma01, gamma02, gamma03, gamma12, gamma_coll).  Column j is
+    the packed image of basis state j; each operator maps all 16 at once.
     """
     ket = np.eye(DIM, dtype=complex)
     kb = [[np.outer(ket[i], ket[j]) for j in range(DIM)] for i in range(DIM)]  # kb[i][j] = |i><j|
@@ -88,12 +92,12 @@ def _units() -> tuple[np.ndarray, np.ndarray]:
     # coherence at gamma_coll and leaves the populations alone.
     a1, a2, a3 = kb[0][1:]
     decays = (_lindblad((a1, a1)), _lindblad((a2, a2)), _lindblad((a3, a3)),
-              _lindblad((a1, a2), (a2, a1)), lambda rho: np.diag(np.diag(rho)) - rho)
+              _lindblad((a1, a2), (a2, a1)), lambda rho: np.where(np.eye(DIM, dtype=bool), rho, 0) - rho)
     commutators = [lambda rho, h=h: -1j * (h @ rho - rho @ h) for h in hamiltonians]
+    basis = unpack_state(np.eye(PACKED_SIZE))
 
     def packed(op):
-        columns = [pack_state(op(unpack_state(e))) for e in np.eye(PACKED_SIZE)]
-        return np.column_stack(columns).ravel()
+        return np.ascontiguousarray(op(basis)).view(float).reshape(PACKED_SIZE, -1)[:, _PACK].T.ravel()
 
     return np.array([packed(op) for op in commutators]), np.array([packed(op) for op in decays])
 

@@ -2,9 +2,11 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from victrap import (
+    IntegrationError,
     InvalidParameterError,
     Scenario,
     SimulationError,
@@ -226,7 +228,7 @@ class TestLaneBatchedSweep:
 
     def test_lane_failing_mid_run_is_flagged_and_others_untouched(self, monkeypatch):
         # gamma01 = 100 passes the up-front estimate (about 2,973 steps) and
-        # needs about 3,594 attempts; 1e5 is rejected before stepping.
+        # needs about 3,261 attempts; 1e5 is rejected before stepping.
         monkeypatch.setattr(integrator, "MAX_STEPS", 3_200)
         spec = SweepSpec(base=preset("fig4"), axes=(SweepAxis("gamma01", (5.8, 100.0, 1e5)),))
         ok, exhausted, stiff = sweep(spec).rows
@@ -290,6 +292,40 @@ def test_lanes_leaving_at_different_times_leave_the_others_untouched():
         except SimulationError as exc:
             solo = exc
         assert summary_bits(outcome) == summary_bits(solo)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_lane_fails_alone_without_warnings(monkeypatch):
+    # The lane without a first pulse (g1 = 0 at every time) gets NaN drive
+    # values from t = 5 on: its trial states turn NaN, each such attempt
+    # scores inf (the smallest shrink factor) until the step underflows,
+    # and no RuntimeWarning escapes.  The lanes around it keep their bits.
+    chirped = preset("fig4")
+    scenarios = [replace(chirped, params=replace(chirped.params, theta=theta)) for theta in (0.0, 0.3, 0.8)]
+    scenarios.insert(1, replace(chirped, drive=replace(chirped.drive, g01=0.0)))
+    healthy = (0, 2, 3)
+    solo = [summary_bits(detect_steady_state(integrate(scenarios[i]))) for i in healthy]
+    real = integrator.drive_coefficients
+
+    def nan_in_one_lane(ts, lanes, out):
+        values = real(ts, lanes, out=out)
+        values[(values[..., 0] == 0.0) & (ts > 5.0)] = np.nan
+        return values
+
+    scores = []
+    step = integrator._LaneSet.step
+
+    def scored_step(self, steps):
+        squares = step(self, steps)
+        scores.extend(squares)
+        return squares
+
+    monkeypatch.setattr(integrator, "drive_coefficients", nan_in_one_lane)
+    monkeypatch.setattr(integrator._LaneSet, "step", scored_step)
+    outcomes = integrator.steady_states(scenarios)
+    assert isinstance(outcomes[1], IntegrationError)
+    assert math.inf in scores and all(math.isfinite(s) or s == math.inf for s in scores)
+    assert [summary_bits(outcomes[i]) for i in healthy] == solo
 
 
 def test_one_row_grid_takes_no_step():

@@ -21,6 +21,7 @@ from victrap import (
 )
 from victrap import integrator
 from victrap.integrator import sample_times
+from victrap.liouvillian import decay_generator
 
 QUIET_DRIVE = DriveConfig(g01=0.0, g02=0.0)
 
@@ -159,6 +160,24 @@ class TestControllerBehaviour:
         assert len(fixed.samples) == len(adaptive.samples)
         for fa, ad in zip(fixed.samples, adaptive.samples):
             assert np.max(np.abs(fa.state.matrix - ad.state.matrix)) <= 1e-6, fa.time
+
+    def test_stiff_run_rejects_almost_no_steps(self):
+        # Over the default window the stepping is stability-limited: the
+        # stabilised controller settles just below the stability edge
+        # instead of cycling grow-reject-shrink (10% rejected without the
+        # prev^beta term), and attempts little more than the up-front
+        # estimate span * rho(L0) / 3.3, about 4,073 steps.
+        sc = Scenario(params=SystemParams(gamma01=100.0, gamma02=40.0), drive=DriveConfig(chirp_enabled=True))
+        stats = integrate(sc).stats
+        attempted = stats.steps_accepted + stats.steps_rejected
+        radius = np.max(np.abs(np.linalg.eigvals(decay_generator(sc.params))))
+        assert stats.steps_rejected <= 0.01 * attempted
+        assert attempted <= 1.05 * (sc.t_end - sc.t_start) * radius / 3.3
+
+    def test_smooth_run_step_count(self, fig2_run):
+        # The damping term costs smooth runs a few steps (517 accepted
+        # with the plain controller, 525 with beta = 0.02).
+        assert fig2_run.traj.stats.steps_accepted <= 528
 
     def test_controller_not_grid_chooses_steps(self):
         # Both intervals are exact in binary and both grids end on t_end, so

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from victrap import (
     master_rhs,
     maximally_mixed,
 )
+from victrap import liouvillian
 from victrap.liouvillian import make_packed_rhs, pack_state, unpack_state
 from victrap.drive import chirped_detunings, pulse_envelopes
 from victrap.observables import dark_state_vector
@@ -273,3 +275,20 @@ class TestPackedRepresentation:
             rho = DensityMatrix(random_density_matrix(rng)).matrix
             packed_deriv = rhs(t, pack_state(rho))
             assert np.array_equal(unpack_state(packed_deriv), master_rhs(t, rho, PARAMS, DRIVE))
+
+    def test_unit_generators_match_per_basis_construction(self):
+        # The unit matrices map all 16 basis states at once; built one basis
+        # state at a time, column by column, from the oracles above with one
+        # unit coefficient or rate each, they come out the same.
+        def unit_matrix(op):
+            return np.column_stack([pack_state(op(unpack_state(e))) for e in np.eye(16)]).ravel()
+
+        drive = []
+        for g1, g2, d1, d2 in np.eye(4):  # (g1, g2, delta1, delta2)
+            h = -np.array([[0, g1, g1, g2], [g1, d1, 0, 0], [g1, 0, d1, 0], [g2, 0, 0, d2]], dtype=complex)
+            drive.append(unit_matrix(lambda rho, h=h: -1j * (h @ rho - rho @ h)))
+        rates = ("gamma01", "gamma02", "gamma03", "gamma12", "gamma_coll")
+        units = [SimpleNamespace(**{rate: float(rate == name) for rate in rates}) for name in rates]
+        decay = [unit_matrix(lambda rho, unit=unit: lindblad_oracle(rho, unit)) for unit in units]
+        assert np.array_equal(liouvillian._units()[0], np.array(drive))
+        assert np.array_equal(liouvillian._units()[1], np.array(decay))

@@ -85,6 +85,30 @@ class TestSampleView:
             fig2_run.traj.columns[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("bad", [(62, 66), (66,)], ids=["before_boundary", "after_boundary"])
+def test_step_rows_straddling_a_block_boundary(fig2_run, bad):
+    # One step's rows 60..69 straddle the 64-row boundary.  They are written
+    # up to the boundary and checked before any later row is written, so
+    # the first bad row raises with its own time and at the same point as
+    # row-by-row recording.
+    traj = fig2_run.traj
+    times, states = traj.times[:70].tolist(), traj.columns[:70, 1:17].copy()
+    states[list(bad), 0] += 1e-3  # rho00 off by 1e-3 breaks the trace
+
+    def record(chunks):
+        recorder = integrator._SampleRecorder(fig2_run.scenario, len(times))
+        with pytest.raises(PhysicalityError) as info:
+            for start, stop in chunks:
+                recorder.record(times[start:stop], states[start:stop])
+            recorder.check()
+        return str(info.value), recorder.written
+
+    blockwise = record([(0, 60), (60, 70)])
+    assert blockwise == record([(i, i + 1) for i in range(70)])
+    assert blockwise[0].endswith(f"at t={times[bad[0]]:g}")
+    assert blockwise[1] == (BLOCK if bad[0] < BLOCK else 70)
+
+
 def first_in_block(values, limit, above):
     """First index past ``limit`` (or below -limit) with a later one in its 64-row block, else None."""
     bad = np.flatnonzero(values > limit if above else values < -limit)
