@@ -11,7 +11,7 @@ import math
 from typing import IO
 
 from .experiments import SweepTable
-from .integrator import TRAJECTORY_COLUMNS, IntegrationStats, SteadySummary, Trajectory
+from .integrator import _BLOCK, TRAJECTORY_COLUMNS, IntegrationStats, SteadySummary, Trajectory
 
 __all__ = [
     "TRAJECTORY_CSV_HEADER",
@@ -30,10 +30,13 @@ def _f(value: float) -> str:
 
 
 def emit_trajectory_csv(traj: Trajectory, sink: IO[str]) -> None:
-    """One row per sample, columns fixed by TRAJECTORY_CSV_HEADER, written as they are formatted."""
+    """One row per sample, columns fixed by TRAJECTORY_CSV_HEADER, formatted and written
+    _BLOCK rows at a time, so emission holds a block of Python floats, not the whole run."""
     sink.write(TRAJECTORY_CSV_HEADER + "\n")
-    for row in traj.columns.tolist():
-        sink.write(_TRAJECTORY_ROW % tuple(row))
+    columns = traj.columns
+    for start in range(0, len(columns), _BLOCK):
+        block = columns[start:start + _BLOCK]
+        sink.write((_TRAJECTORY_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 
 def emit_sweep_csv(table: SweepTable, sink: IO[str]) -> None:

@@ -155,8 +155,22 @@ class TestControllerBehaviour:
 
     def test_stiff_rates_match_fixed_step(self):
         adaptive = integrate(STIFF)
-        assert adaptive.stats.steps_rejected > 0
         fixed = integrate_fixed_step(STIFF, 1.0 / STIFF.params.gamma01)
+        assert len(fixed.samples) == len(adaptive.samples)
+        for fa, ad in zip(fixed.samples, adaptive.samples):
+            assert np.max(np.abs(fa.state.matrix - ad.state.matrix)) <= 1e-6, fa.time
+
+    def test_forced_rejection_matches_fixed_step(self):
+        # Pulse 1 at its peak drives the ground state into the fast-decaying
+        # optical coherences from the first stage on, and the first trial
+        # step, tau/10, is far past the stability edge h * rho(L0) <= 3.3:
+        # the run must reject it whatever the controller's tuning.
+        sc = replace(STIFF, initial_state=ground_state(), t_start=STIFF.drive.center1, t_end=4.0)
+        radius = np.max(np.abs(np.linalg.eigvals(decay_generator(sc.params))))
+        assert sc.drive.tau / 10.0 * radius > 10 * 3.3
+        adaptive = integrate(sc)
+        assert adaptive.stats.steps_rejected > 0
+        fixed = integrate_fixed_step(sc, 1.0 / sc.params.gamma01)
         assert len(fixed.samples) == len(adaptive.samples)
         for fa, ad in zip(fixed.samples, adaptive.samples):
             assert np.max(np.abs(fa.state.matrix - ad.state.matrix)) <= 1e-6, fa.time

@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +18,7 @@ from victrap import (
     emit_trajectory_csv,
     ground_state,
     integrate,
+    preset,
 )
 from victrap.experiments import SweepRow, SweepTable
 
@@ -79,6 +82,55 @@ class TestTrajectoryCsv:
         emit_trajectory_csv(quiet_run(), a)
         emit_trajectory_csv(quiet_run(), b)
         assert a.getvalue() == b.getvalue()
+
+
+def row_by_row_csv(traj) -> str:
+    """Reference text: every sample formatted on its own with %r."""
+    row_format = ",".join(["%r"] * 20) + "\n"
+    return EXPECTED_HEADER + "\n" + "".join(row_format % tuple(row) for row in traj.columns.tolist())
+
+
+def fig2_rows(n: int):
+    # 0.25 and every window below are exact in binary, so the grid has
+    # exactly n rows; one row needs a window shorter than one interval.
+    sc = replace(preset("fig2"), sample_interval=0.25)
+    traj = integrate(replace(sc, t_end=sc.t_start + (0.25 * (n - 1) if n > 1 else 0.125)))
+    assert len(traj.columns) == n
+    return traj
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+class TestTrajectoryCsvBlocks:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_block_boundaries_byte_identical(self, n):
+        traj = fig2_rows(n)
+        sink = io.StringIO()
+        emit_trajectory_csv(traj, sink)
+        assert sink.getvalue() == row_by_row_csv(traj)
+
+    def test_fig2_byte_identical(self, fig2_run):
+        assert len(fig2_run.traj.columns) == 1921
+        sink = io.StringIO()
+        emit_trajectory_csv(fig2_run.traj, sink)
+        assert sink.getvalue() == row_by_row_csv(fig2_run.traj)
+
+    def test_emission_memory_does_not_grow_with_rows(self):
+        # 19,201 rows: as Python floats the whole array would take about
+        # 13 MB; one block of rows takes well under 100 KB.
+        traj = integrate(replace(preset("fig2"), sample_interval=0.005))
+        assert len(traj.columns) == 19_201
+        emit_trajectory_csv(traj, _Discard())
+        tracemalloc.start()
+        try:
+            emit_trajectory_csv(traj, _Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 SAMPLE_TABLE = SweepTable(
