@@ -28,9 +28,9 @@ from .errors import (
     PhysicalityError,
     SimulationError,
 )
-from .experiments import PRESET_NAMES, SweepSpec, preset, run_with_steady, sweep
+from .experiments import PRESET_NAMES, SweepSpec, preset, sweep
 from .integrator import detect_steady_state, integrate
-from .model import DriveConfig, Scenario, SystemParams, initial_metastable
+from .model import DriveConfig, Scenario, SystemParams, coherence_decay_rate, initial_metastable
 from .output import emit_summary_json, emit_sweep_csv, emit_sweep_json, emit_trajectory_csv
 
 EXIT_OK = 0
@@ -94,7 +94,13 @@ def _read_config(path: str) -> str:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
-def _emit_run(args, traj, fmt: str, out_path: str | None) -> int:
+def _run_single(args, scenario: Scenario, fmt: str, out_path: str | None) -> int:
+    """Integrate, attach the steady state when the run is long enough for one, and emit."""
+    traj = integrate(scenario)
+    try:
+        traj = traj.with_steady(detect_steady_state(traj))
+    except InsufficientDataError as exc:
+        _say(args, f"steady-state detection skipped: {exc}")
     steady = traj.steady
     if steady is not None:
         _say(args, f"steady state at t={steady.time:g}: p1+p2={steady.doublet_population:.6f}, "
@@ -112,21 +118,6 @@ def _emit_run(args, traj, fmt: str, out_path: str | None) -> int:
     if steady is None or not steady.converged:
         return EXIT_PHYSICS
     return EXIT_OK
-
-
-def _cmd_run(args) -> int:
-    job, outopts = parse_config_full(_read_config(args.config))
-    if isinstance(job, SweepSpec):
-        _say(args, "error: config defines a sweep; use the sweep subcommand")
-        return EXIT_USAGE
-    fmt = args.format or outopts.format
-    out_path = args.out or outopts.path
-    traj = integrate(job)
-    try:
-        traj = traj.with_steady(detect_steady_state(traj))
-    except InsufficientDataError as exc:
-        _say(args, f"steady-state detection skipped: {exc}")
-    return _emit_run(args, traj, fmt, out_path)
 
 
 def _flagged_and_failed(rows) -> tuple[int, int]:
@@ -155,23 +146,27 @@ def _run_sweep(args, spec: SweepSpec, fmt: str, out_path: str | None) -> int:
     return EXIT_PHYSICS if n_failed else EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _run_job(args, job: Scenario | SweepSpec, fmt: str, out_path: str | None) -> int:
+    return (_run_sweep if isinstance(job, SweepSpec) else _run_single)(args, job, fmt, out_path)
+
+
+_WRONG_KIND = {
+    "run": "error: config defines a sweep; use the sweep subcommand",
+    "sweep": "error: config defines a single run (no [sweep] section); use the run subcommand",
+}
+
+
+def _cmd_config(args) -> int:
+    """``run`` and ``sweep``: a config of the subcommand's kind, with its [output] defaults."""
     job, outopts = parse_config_full(_read_config(args.config))
-    if not isinstance(job, SweepSpec):
-        _say(args, "error: config defines a single run (no [sweep] section); use the run subcommand")
+    if isinstance(job, SweepSpec) != (args.command == "sweep"):
+        _say(args, _WRONG_KIND[args.command])
         return EXIT_USAGE
-    fmt = args.format or outopts.format
-    out_path = args.out or outopts.path
-    return _run_sweep(args, job, fmt, out_path)
+    return _run_job(args, job, args.format or outopts.format, args.out or outopts.path)
 
 
 def _cmd_preset(args) -> int:
-    job = preset(args.name)
-    fmt = args.format or "csv"
-    if isinstance(job, SweepSpec):
-        return _run_sweep(args, job, fmt, args.out)
-    traj = run_with_steady(job)
-    return _emit_run(args, traj, fmt, args.out)
+    return _run_job(args, preset(args.name), args.format or "csv", args.out)
 
 
 def _self_checks():
@@ -181,8 +176,8 @@ def _self_checks():
 
     def check_rates():
         a = abs(params.gamma12 - math.sqrt(5.8 * 2.2)) < 1e-12
-        b = abs(params.coherence_rate(2, 1) - 4.0) < 1e-12
-        c = abs(params.coherence_rate(1, 0) - 2.9) < 1e-12
+        b = abs(coherence_decay_rate(2, 1, params) - 4.0) < 1e-12
+        c = abs(coherence_decay_rate(1, 0, params) - 2.9) < 1e-12
         return a and b and c
 
     def check_generator():
@@ -257,12 +252,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
+        if args.command in ("run", "sweep"):
+            return _cmd_config(args)
         if args.command == "preset":
             return _cmd_preset(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
         return _cmd_validate(args)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"victrap: error: {exc}", file=sys.stderr)

@@ -4,8 +4,8 @@ The drive is stated once, vectorised over time and over lanes:
 ``drive_coefficients`` gives (g1, g2, delta1, delta2), the coefficients of
 the affine generator, at an array of times for one ``DriveConfig`` or at
 one row of times per lane for a ``DriveLanes`` stack.  The integrator
-evaluates all stage times of every lane's step in one call; the scalar
-functions below are single-time views of it.
+evaluates all stage times of every lane's step in one call;
+``drive_sample`` is a single-time view of it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .model import ChirpProfile, DriveConfig
 
-__all__ = ["DriveSample", "DriveLanes", "drive_coefficients", "pulse_envelopes", "chirped_detunings", "drive_sample"]
+__all__ = ["DriveSample", "DriveLanes", "drive_coefficients", "drive_sample"]
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,6 @@ def drive_coefficients(ts, drive: DriveConfig | DriveLanes, out: np.ndarray | No
     # (lanes, times, 4) seen as (lanes, 2, times, 2), the layout of x.
     np.add(x, lanes.offset, out=out.reshape(out.shape[:2] + (2, 2)).transpose(0, 2, 1, 3))
     return out if lanes is drive else out[0]
-
-
-def pulse_envelopes(t: float, drive: DriveConfig) -> tuple[float, float]:
-    """Gaussian envelopes (g1, g2) of the two pulses at time t."""
-    g1, g2, _, _ = drive_coefficients(t, drive)[0].tolist()
-    return g1, g2
-
-
-def chirped_detunings(t: float, drive: DriveConfig) -> tuple[float, float]:
-    """Detunings (delta1, delta2) of the two drives at time t."""
-    _, _, d1, d2 = drive_coefficients(t, drive)[0].tolist()
-    return d1, d2
 
 
 def drive_sample(t: float, drive: DriveConfig) -> DriveSample:

@@ -24,9 +24,6 @@ from .integrator import (
     DEFAULT_STEADY_TOL,
     DEFAULT_STEADY_WINDOW,
     SteadySummary,
-    Trajectory,
-    detect_steady_state,
-    integrate,
     steady_states,
 )
 from .model import DriveConfig, Scenario, SystemParams
@@ -43,7 +40,6 @@ __all__ = [
     "SweepTable",
     "preset",
     "sweep",
-    "run_with_steady",
     "apply_parameter",
 ]
 
@@ -165,16 +161,6 @@ def preset(name: str) -> Scenario | SweepSpec:
     )
 
 
-def run_with_steady(
-    scenario: Scenario,
-    window: float = DEFAULT_STEADY_WINDOW,
-    tol: float = DEFAULT_STEADY_TOL,
-) -> Trajectory:
-    """Integrate and attach the steady-state summary."""
-    traj = integrate(scenario)
-    return traj.with_steady(detect_steady_state(traj, window, tol))
-
-
 def _point_scenario(spec: SweepSpec, values: tuple[float, ...]) -> Scenario:
     scenario = spec.base
     for name, value in zip(spec.parameters, values):
@@ -232,10 +218,11 @@ def sweep(
     The points run as lanes of one lockstep Dormand-Prince stepper, in
     chunks of at most MAX_LANES: each iteration advances every active lane
     by one attempted step, and each lane keeps its own time, step size and
-    accept/reject decision, so row i is bit for bit what ``run_with_steady``
-    gives for that point alone, whatever the chunk.  A lane keeps only the
-    rows of its trailing steady window.  ``progress``, if given, is called
-    after each chunk with the rows so far and the grid size.
+    accept/reject decision, so row i is bit for bit what
+    ``detect_steady_state(integrate(point))`` gives, whatever the chunk.  A
+    lane keeps only the rows of its trailing steady window.  ``progress``,
+    if given, is called after each chunk with the rows so far and the grid
+    size.
     ``max_workers`` is accepted for compatibility and ignored.
     """
     del max_workers

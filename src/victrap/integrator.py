@@ -229,15 +229,15 @@ class Trajectory:
         return replace(self, steady=steady)
 
 
-def sample_times(scenario: Scenario) -> list[float]:
-    """Uniform recording grid t_start + k*sample_interval.
+def sample_times(scenario: Scenario) -> np.ndarray:
+    """Uniform recording grid t_start + k*sample_interval, as a float64 array.
 
     The row count is floor(span/interval) + 1; the small guard keeps an
     integer quotient from being truncated by floating-point division.
     """
     span = scenario.t_end - scenario.t_start
     n = int(math.floor(span / scenario.sample_interval + 1e-9))
-    return [scenario.t_start + k * scenario.sample_interval for k in range(n + 1)]
+    return scenario.t_start + np.arange(n + 1) * scenario.sample_interval
 
 
 class _SampleRecorder:
@@ -315,7 +315,7 @@ class _SampleRecorder:
         return rows
 
 
-def _reachable_decay_radius(scenario: Scenario, decay: np.ndarray, grid: list[float]) -> float:
+def _reachable_decay_radius(scenario: Scenario, decay: np.ndarray, grid: np.ndarray) -> float:
     """Spectral radius of L0 on the state components the run can reach.
 
     Components outside the closure of the initial support under the
@@ -348,10 +348,11 @@ class _Lane:
     reachable components).
     """
 
-    def __init__(self, scenario: Scenario, grid: list[float], keep_from: int = 0):
+    def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0):
         drive = scenario.drive
         decay = decay_generator(scenario.params)
-        needed = (grid[-1] - grid[0]) * _reachable_decay_radius(scenario, decay, grid) / _STABILITY_LIMIT
+        t_start, t_end = grid[0].item(), grid[-1].item()
+        needed = (t_end - t_start) * _reachable_decay_radius(scenario, decay, grid) / _STABILITY_LIMIT
         if needed > MAX_STEPS:
             raise IntegrationError(
                 f"decay rates too stiff: a stable run needs at least {needed:.3g} steps; the budget is {MAX_STEPS}"
@@ -363,11 +364,11 @@ class _Lane:
         self.y0 = pack_state(scenario.initial_state)
         self.recorder.record(grid[:1], self.y0[None])
         # L(t) y at the start; each accepted step carries its last stage over.
-        self.k0 = (drive_generators(grid[0], drive)[0] + decay) @ self.y0
-        self.t, self.t_end = grid[0], grid[-1]
+        self.k0 = (drive_generators(t_start, drive)[0] + decay) @ self.y0
+        self.t, self.t_end = t_start, t_end
         self.pending = 1  # index of the next grid time to record
         self.max_step = drive.tau / 10.0
-        self.h_floor = 1e-13 * max(1.0, abs(grid[0]), abs(grid[-1]))
+        self.h_floor = 1e-13 * max(1.0, abs(t_start), abs(t_end))
         self.h = self.max_step
         self.h_try = self.t_new = math.nan
         self.accepted = self.rejected = 0
@@ -411,7 +412,7 @@ class _Lane:
         if grid[pending] <= t_new:
             end = bisect.bisect_right(grid, t_new, pending)
             times = grid[pending:end]
-            theta = (np.array(times) - self.t) / h_try
+            theta = (times - self.t) / h_try
             dense = lanes.y[i] + (h_try * (theta[:, None] ** _POWERS @ _P)) @ lanes.stages[i]
             if times[-1] == t_new:
                 dense[-1] = lanes.trial[i]
@@ -616,7 +617,7 @@ def steady_states(
     """
     outcomes: list = [None] * len(scenarios)
     lanes = {}
-    grids: dict[tuple[float, float, float], list[float]] = {}  # one grid per time window, shared
+    grids: dict[tuple[float, float, float], np.ndarray] = {}  # one grid per time window, shared
     for i, scenario in enumerate(scenarios):
         key = (scenario.t_start, scenario.t_end, scenario.sample_interval)
         if key not in grids:
@@ -624,7 +625,7 @@ def steady_states(
         grid = grids[key]
         # A window error is reported only if the run itself succeeds.
         try:
-            start, window_error = _steady_window(scenario, grid[0], grid[-1], window), None
+            start, window_error = _steady_window(scenario, grid[0].item(), grid[-1].item(), window), None
         except SimulationError as exc:
             start, window_error = math.inf, exc
         try:

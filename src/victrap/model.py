@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -239,18 +239,6 @@ class SystemParams:
         """Cross-damping rate between the doublet emission channels."""
         return cross_damping(self.gamma01, self.gamma02, self.theta)
 
-    def coherence_rate(self, i: int, j: int) -> float:
-        return coherence_decay_rate(i, j, self)
-
-    def doublet_decay_matrix(self) -> np.ndarray:
-        """2x2 decay matrix [[g01, g12], [g12, g02]] of the excited doublet.
-
-        Singular exactly at theta=0 (one dark eigenvector); its determinant
-        is g01*g02*sin(theta)**2.
-        """
-        g12 = self.gamma12
-        return np.array([[self.gamma01, g12], [g12, self.gamma02]])
-
 
 class ChirpProfile(enum.Enum):
     """Detuning sweep profile applied around each pulse center."""
@@ -370,9 +358,6 @@ class Scenario:
                 f"min_eigenvalue={report.min_eigenvalue:.3e}, "
                 f"hermiticity_defect={report.hermiticity_defect:.3e}"
             )
-
-    def with_theta(self, theta: float) -> "Scenario":
-        return replace(self, params=replace(self.params, theta=theta))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ import math
 from typing import IO
 
 from .experiments import SweepTable
-from .integrator import _BLOCK, TRAJECTORY_COLUMNS, IntegrationStats, SteadySummary, Trajectory
+from .integrator import _BLOCK, _STATE, TRAJECTORY_COLUMNS, IntegrationStats, SteadySummary, Trajectory
+from .liouvillian import pack_state
 
 __all__ = [
     "TRAJECTORY_CSV_HEADER",
@@ -88,16 +89,8 @@ def emit_summary_json(
         "time": float(steady.time),
         "converged": steady.converged,
         "max_delta": float(steady.max_delta),
-        "rho00": r.p0,
-        "rho11": r.p1,
-        "rho22": r.p2,
-        "rho33": r.p3,
-        "re_rho10": r.c10.real, "im_rho10": r.c10.imag,
-        "re_rho20": r.c20.real, "im_rho20": r.c20.imag,
-        "re_rho21": r.c21.real, "im_rho21": r.c21.imag,
-        "re_rho30": r.c30.real, "im_rho30": r.c30.imag,
-        "re_rho31": r.c31.real, "im_rho31": r.c31.imag,
-        "re_rho32": r.c32.real, "im_rho32": r.c32.imag,
+        # The 16 state columns of the trajectory CSV, in its order.
+        **dict(zip(TRAJECTORY_COLUMNS[_STATE], pack_state(steady.state).tolist())),
         "p_doublet": float(steady.doublet_population),
         "doublet_purity": float(steady.doublet_purity),
         "abs_rho21": float(steady.abs_coherence_21),

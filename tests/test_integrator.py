@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,28 @@ class TestSampleGrid:
     def test_strictly_increasing(self):
         grid = sample_times(quiet_scenario(sample_interval=0.7))
         assert all(b > a for a, b in zip(grid, grid[1:]))
+
+    def test_array_holds_the_scalar_formula_bits(self):
+        # t_start + k * interval, one float64 per row, the same IEEE
+        # operations as the scalar expression for each k.
+        sc = preset("fig4")
+        grid = sample_times(sc)
+        assert grid.dtype == np.float64
+        assert grid.tolist() == [sc.t_start + k * sc.sample_interval for k in range(len(grid))]
+
+    def test_integrate_memory_is_the_trajectory_array(self):
+        # 19,201 rows: beside the columns (160 bytes a row), integrate holds
+        # the float64 grid (8 bytes a row) and small per-step buffers.
+        sc = replace(preset("fig4"), sample_interval=0.005)
+        integrate(replace(sc, t_end=-10.0))  # warm caches
+        tracemalloc.start()
+        try:
+            traj = integrate(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.columns) == 19_201
+        assert peak < 1.15 * traj.columns.nbytes
 
 
 class TestStationaryStates:
@@ -199,7 +222,7 @@ class TestControllerBehaviour:
         coarse, fine = (replace(preset("fig2"), sample_interval=dt) for dt in (0.5, 0.25))
         a, b = integrate(coarse), integrate(fine)
         for sc, traj in ((coarse, a), (fine, b)):
-            assert traj.times.tolist() == sample_times(sc)
+            assert traj.times.tobytes() == sample_times(sc).tobytes()
             stats = traj.stats
             assert stats.rhs_evaluations == 1 + 6 * (stats.steps_accepted + stats.steps_rejected)
         assert (a.stats.steps_accepted, a.stats.steps_rejected, a.stats.rhs_evaluations) == (

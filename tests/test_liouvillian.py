@@ -18,7 +18,7 @@ from victrap import (
 )
 from victrap import liouvillian
 from victrap.liouvillian import make_packed_rhs, pack_state, unpack_state
-from victrap.drive import chirped_detunings, pulse_envelopes
+from victrap.drive import drive_coefficients
 from victrap.observables import dark_state_vector
 
 from conftest import random_density_matrix, random_hermitian
@@ -62,8 +62,7 @@ def lindblad_oracle(rho: np.ndarray, params: SystemParams) -> np.ndarray:
 
 
 def hamiltonian_oracle(t: float, drive: DriveConfig) -> np.ndarray:
-    g1, g2 = pulse_envelopes(t, drive)
-    d1, d2 = chirped_detunings(t, drive)
+    g1, g2, d1, d2 = drive_coefficients(t, drive)[0].tolist()
     h = np.zeros((4, 4), dtype=complex)
     h[1, 1] = h[2, 2] = -d1
     h[3, 3] = -d2

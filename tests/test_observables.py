@@ -161,6 +161,28 @@ class TestDarkBrightDecomposition:
         assert overlap == pytest.approx(steady.doublet_population, abs=1e-3)
 
 
+@pytest.mark.parametrize("run", ["fig2_run", "fig4_run"])
+class TestDarkStateInvariant:
+    """At theta = 0, |A> is an eigenvector of the decay generator with rate 0,
+    so once the pulses are off (the detunings shift |1> and |2> alike) its
+    population is conserved and the surviving doublet block is p_A |A><A|.
+    These are exact statements of the algebra, so the tolerances sit at
+    rounding level, far below the integrator's error control."""
+
+    def test_dark_population_constant_after_pulses(self, run, request):
+        result = request.getfixturevalue(run)
+        off = result.scenario.drive.pulses_off_after(1e-6)
+        tail = [s for s in result.traj.samples if s.time >= off]
+        assert len(tail) > 1000
+        darks = [dark_state_overlap(s.state, PARAMS) for s in tail]
+        assert max(darks) - min(darks) <= 1e-12
+
+    def test_steady_block_is_the_dark_projector(self, run, request):
+        steady = request.getfixturevalue(run).steady
+        p_dark = dark_state_overlap(steady.state, PARAMS)
+        assert abs(steady.doublet_purity - p_dark ** 2) <= 1e-12
+
+
 class TestObservableRecord:
     def test_fields_consistent(self):
         rng = np.random.default_rng(35)
