@@ -241,16 +241,16 @@ def sample_times(scenario: Scenario) -> np.ndarray:
 
 
 class _SampleRecorder:
-    """Writes one row per sample and checks physicality for every _BLOCK rows at once.
+    """Writes one row per sample, checks physicality for every _BLOCK rows at once, and holds the run's outcome.
 
     A step's rows are written as slices split where a block fills up, so
-    each block is checked before a later row is written.  A violation
-    raises at its first row, with that sample's time, as a per-sample
-    check would.  Stepper failures go through ``failure``, which checks
-    the partial block first, so a bad sample recorded before the failure
-    is still the error reported.  Rows before ``keep_from`` are dropped
-    once checked, so only the rows from ``keep_from`` on (and at most one
-    block) are ever held.
+    each block is checked before a later row is written.  A violation is
+    stored in ``error`` at its first row, with that sample's time, as a
+    per-sample check would find it, and nothing is written after it.
+    A stepper that gives up calls ``fail``, which checks the partial block
+    first, so a bad sample recorded before that is still the error
+    reported.  Rows before ``keep_from`` are dropped once checked, so only
+    the rows from ``keep_from`` on (and at most one block) are ever held.
     """
 
     def __init__(self, scenario: Scenario, n_rows: int, keep_from: int = 0):
@@ -260,13 +260,12 @@ class _SampleRecorder:
         self.base = 0  # index of the sample held in rows[0]
         self.written = 0
         self.checked = 0
-        self.max_trace_error = 0.0
-        self.min_eigenvalue = math.inf
+        self.error: SimulationError | None = None
 
     def record(self, times: Sequence[float], states: np.ndarray) -> None:
         """Write one row per time and its packed state from (m, 16) ``states``, checking each full block."""
         done, m = 0, len(times)
-        while done < m:
+        while done < m and self.error is None:
             take = min(m - done, _BLOCK - (self.written - self.checked))
             at = self.written - self.base
             self.rows[at:at + take, 0] = times[done:done + take]
@@ -282,37 +281,38 @@ class _SampleRecorder:
         block = self.rows[self.checked - self.base:self.written - self.base]
         self.checked = self.written
         block[:, _DIAGNOSTICS] = packed_diagnostics(block[:, _STATE])
-        trace_errors, min_eigs = block[:, -2], block[:, -1]
         sc = self.scenario
-        bad = (trace_errors > sc.trace_tol) | (min_eigs < -sc.pos_tol)
+        bad = (block[:, -2] > sc.trace_tol) | (block[:, -1] < -sc.pos_tol)
         if bad.any():
-            first = block[int(np.argmax(bad))]
-            t, trace_error, min_eig = float(first[0]), float(first[-2]), float(first[-1])
-            if trace_error > sc.trace_tol:
-                raise PhysicalityError(f"trace error {trace_error:.3e} exceeds {sc.trace_tol:.1e} at t={t:g}")
-            raise PhysicalityError(f"minimum eigenvalue {min_eig:.3e} below -{sc.pos_tol:.1e} at t={t:g}")
-        self.max_trace_error = max(self.max_trace_error, *trace_errors.tolist())
-        self.min_eigenvalue = min(self.min_eigenvalue, *min_eigs.tolist())
-        if self.base < self.keep_from:
+            t, trace_error, min_eig = block[int(np.argmax(bad)), [0, -2, -1]].tolist()
+            self.error = PhysicalityError(
+                f"trace error {trace_error:.3e} exceeds {sc.trace_tol:.1e} at t={t:g}" if trace_error > sc.trace_tol
+                else f"minimum eigenvalue {min_eig:.3e} below -{sc.pos_tol:.1e} at t={t:g}"
+            )
+        elif self.base < self.keep_from:
             drop = min(self.written, self.keep_from) - self.base
             self.rows[:self.written - self.base - drop] = self.rows[drop:self.written - self.base]
             self.base += drop
 
-    def failure(self, message: str) -> IntegrationError:
-        """The stepper's failure, to raise once the rows recorded before it pass the check."""
+    def fail(self, message: str) -> None:
+        """Store IntegrationError(message), unless a row recorded before it fails the check."""
         self.check()
-        return IntegrationError(message)
+        if self.error is None:
+            self.error = IntegrationError(message)
 
     def kept(self) -> np.ndarray:
         """The checked rows from ``keep_from`` on."""
         self.check()
         return self.rows[:self.written - self.base]
 
-    def columns(self) -> np.ndarray:
-        """Check the last partial block and return the rows, read-only."""
+    def trajectory(self, accepted: int, rejected: int, evaluations: int) -> Trajectory:
+        """The recorded run, with the extremes of its diagnostic columns; raises the run's error if it has one."""
         rows = self.kept()
+        if self.error is not None:
+            raise self.error
         rows.flags.writeable = False
-        return rows
+        extremes = float(rows[:, -2].max()), float(rows[:, -1].min())
+        return Trajectory(self.scenario, rows, IntegrationStats(accepted, rejected, evaluations, *extremes))
 
 
 def _reachable_decay_radius(scenario: Scenario, decay: np.ndarray, grid: np.ndarray) -> float:
@@ -340,22 +340,30 @@ class _Lane:
 
     The controller runs on Python floats: each step is proposed here,
     attempted together with the other lanes' steps, and accepted or
-    rejected here by its own error norm.  A lane that fails keeps the
-    error and leaves; the other lanes go on.
+    rejected here by its own error norm.  A lane's recorder holds its
+    error; a lane that fails leaves, and the other lanes go on.
 
-    Raises IntegrationError up front when the decay rates are too stiff
-    for MAX_STEPS attempted steps (the spectral radius of L0 on the
-    reachable components).
+    Raises IntegrationError up front when the run needs more than
+    MAX_STEPS steps: when the decay rates are too stiff (the spectral
+    radius of L0 on the reachable components), or when the window holds
+    more than MAX_STEPS steps of the tau/10 cap.
     """
 
     def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0):
         drive = scenario.drive
         decay = decay_generator(scenario.params)
         t_start, t_end = grid[0].item(), grid[-1].item()
+        self.max_step = drive.tau / 10.0
         needed = (t_end - t_start) * _reachable_decay_radius(scenario, decay, grid) / _STABILITY_LIMIT
         if needed > MAX_STEPS:
             raise IntegrationError(
                 f"decay rates too stiff: a stable run needs at least {needed:.3g} steps; the budget is {MAX_STEPS}"
+            )
+        capped = (t_end - t_start) / self.max_step
+        if capped > MAX_STEPS:
+            raise IntegrationError(
+                f"window too long: in steps of at most tau/10 = {self.max_step:g}, covering {t_end - t_start:g} "
+                f"takes at least {capped:.3g} steps; the budget is {MAX_STEPS}"
             )
         self.scenario = scenario
         self.grid = grid
@@ -367,7 +375,6 @@ class _Lane:
         self.k0 = (drive_generators(t_start, drive)[0] + decay) @ self.y0
         self.t, self.t_end = t_start, t_end
         self.pending = 1  # index of the next grid time to record
-        self.max_step = drive.tau / 10.0
         self.h_floor = 1e-13 * max(1.0, abs(t_start), abs(t_end))
         self.h = self.max_step
         self.h_try = self.t_new = math.nan
@@ -375,20 +382,24 @@ class _Lane:
         self.evaluations = 1
         self.just_rejected = False
         self.prev = _PREV_FLOOR  # last accepted error norm, floored
-        self.error: SimulationError | None = None
+
+    @property
+    def running(self) -> bool:
+        """True while the lane has neither failed nor reached its last grid time."""
+        return self.recorder.error is None and self.t < self.t_end
 
     def propose(self) -> tuple[float, float] | None:
         """The next trial step (t, h) from the current state; None if the lane fails instead."""
         t, t_end = self.t, self.t_end
         if self.accepted + self.rejected >= MAX_STEPS:
-            return self._fail(f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}")
+            return self.recorder.fail(f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}")
         h_try = min(self.h, self.max_step, t_end - t)
         t_new = t + h_try
         # A step ending within the floor of the last grid time lands on it.
         if t_end - t_new <= self.h_floor:
             t_new, h_try = t_end, t_end - t
         elif h_try < self.h_floor:
-            return self._fail(f"step size underflow at t={t:g} (h={h_try:.3e})")
+            return self.recorder.fail(f"step size underflow at t={t:g} (h={h_try:.3e})")
         self.h_try, self.t_new = h_try, t_new
         return t, h_try
 
@@ -397,8 +408,7 @@ class _Lane:
 
         An accepted step records the grid times in (t, t_new]: the
         continuous extension, except that a time the step lands on takes
-        the step's own state.  A lane that finishes or fails marks the
-        lane set as ``leaving``.
+        the step's own state.
         """
         h_try, t_new = self.h_try, self.t_new
         norm = math.sqrt(square / PACKED_SIZE)
@@ -416,11 +426,7 @@ class _Lane:
             dense = lanes.y[i] + (h_try * (theta[:, None] ** _POWERS @ _P)) @ lanes.stages[i]
             if times[-1] == t_new:
                 dense[-1] = lanes.trial[i]
-            try:
-                self.recorder.record(times, dense)
-            except PhysicalityError as exc:
-                self.error = exc
-                lanes.leaving = True
+            self.recorder.record(times, dense)
             self.pending = end
         self.t = t_new
         self.accepted += 1
@@ -433,36 +439,16 @@ class _Lane:
             factor = min(1.0, factor)
             self.just_rejected = False
         self.h = h_try * factor
-        if t_new >= self.t_end:
-            lanes.leaving = True
-            if self.error is None:
-                try:
-                    self.recorder.check()
-                except PhysicalityError as exc:
-                    self.error = exc
         return True
 
-    def _fail(self, message: str) -> None:
-        try:
-            self.error = self.recorder.failure(message)
-        except PhysicalityError as exc:
-            self.error = exc
-
     def trajectory(self) -> Trajectory:
-        stats = IntegrationStats(
-            steps_accepted=self.accepted,
-            steps_rejected=self.rejected,
-            rhs_evaluations=self.evaluations,
-            max_trace_error=self.recorder.max_trace_error,
-            min_eigenvalue=self.recorder.min_eigenvalue,
-        )
-        return Trajectory(scenario=self.scenario, columns=self.recorder.columns(), stats=stats)
+        return self.recorder.trajectory(self.accepted, self.rejected, self.evaluations)
 
 
 class _LaneSet:
     """The arrays of the active lanes, stepped together.
 
-    Built once per lane set and rebuilt only when a lane leaves: the
+    Built once per lane set and rebuilt only when a lane stops running: the
     stacked generator bases and drive parameters, the states, the stage
     times and derivatives, the h·_A coefficients, the error-norm buffers,
     and per-stage views into them.
@@ -471,7 +457,6 @@ class _LaneSet:
     def __init__(self, lanes: list[_Lane], y: np.ndarray, k0: np.ndarray):
         n = len(lanes)
         self.lanes = lanes
-        self.leaving = False  # set when a lane finishes or fails
         self.drives = DriveLanes([lane.scenario.drive for lane in lanes], len(_C))
         self.basis = np.stack([lane.basis for lane in lanes])
         tolerances = np.array([(lane.scenario.rtol, lane.scenario.atol) for lane in lanes])
@@ -559,20 +544,18 @@ def _run_lanes(lanes: list[_Lane]) -> None:
     stacked generator build, and lets each lane accept or reject its own.
     Lanes that finish or fail leave the active set.
     """
-    lanes = [lane for lane in lanes if lane.t < lane.t_end]  # a one-row grid takes no step
+    lanes = [lane for lane in lanes if lane.running]  # a one-row grid takes no step
     if not lanes:
         return
     active = _LaneSet(lanes, np.array([lane.y0 for lane in lanes]), np.array([lane.k0 for lane in lanes]))
     while True:
         lanes = active.lanes
         steps = [lane.propose() for lane in lanes]
-        if None in steps:
-            active.leaving = True
-        else:
+        if None not in steps:
             squares = active.step(steps)
             active.advance([i for i, lane in enumerate(lanes) if lane.settle(squares[i], active, i)])
-        if active.leaving:
-            staying = [i for i, lane in enumerate(lanes) if lane.error is None and lane.t < lane.t_end]
+        staying = [i for i, lane in enumerate(lanes) if lane.running]
+        if len(staying) < len(lanes):
             if not staying:
                 return
             active = active.keep(staying)
@@ -590,14 +573,12 @@ def integrate(scenario: Scenario) -> Trajectory:
 
     Raises PhysicalityError if a recorded sample violates the scenario's
     trace or positivity tolerances, and IntegrationError on step-size
-    underflow, or when the decay rates are too stiff for MAX_STEPS
-    attempted steps (checked up front from the spectral radius of L0 on
-    the reachable components, and again in the loop).
+    underflow, or when the run needs more than MAX_STEPS attempted steps
+    (checked up front from the spectral radius of L0 on the reachable
+    components and from the tau/10 cap, and again in the loop).
     """
     lane = _Lane(scenario, sample_times(scenario))
     _run_lanes([lane])
-    if lane.error is not None:
-        raise lane.error
     return lane.trajectory()
 
 
@@ -634,15 +615,8 @@ def steady_states(
             outcomes[i] = exc
     _run_lanes([lane for lane, _, _ in lanes.values()])
     for i, (lane, start, window_error) in lanes.items():
-        if lane.error is not None:
-            outcomes[i] = lane.error
-        elif window_error is not None:
-            outcomes[i] = window_error
-        else:
-            try:
-                outcomes[i] = _steady_summary(lane.recorder.kept(), start, tol)
-            except PhysicalityError as exc:  # a lane that took no step checks its row only here
-                outcomes[i] = exc
+        rows = lane.recorder.kept()  # checks the last rows, and a lane that took no step its only one
+        outcomes[i] = lane.recorder.error or window_error or _steady_summary(rows, start, tol)
     return outcomes
 
 
@@ -685,18 +659,12 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 steps += 1
         if not np.all(np.isfinite(y)):
-            raise recorder.failure(f"non-finite state at t={target:g}")
+            recorder.fail(f"non-finite state at t={target:g}")
+        if recorder.error:
+            break
         recorder.record((target,), y[None])
 
-    columns = recorder.columns()
-    stats = IntegrationStats(
-        steps_accepted=steps,
-        steps_rejected=0,
-        rhs_evaluations=4 * steps,
-        max_trace_error=recorder.max_trace_error,
-        min_eigenvalue=recorder.min_eigenvalue,
-    )
-    return Trajectory(scenario=scenario, columns=columns, stats=stats)
+    return recorder.trajectory(steps, 0, 4 * steps)
 
 
 def _steady_window(scenario: Scenario, first: float, last: float, window: float) -> float:

@@ -8,6 +8,7 @@ import pytest
 from victrap import (
     IntegrationError,
     InvalidParameterError,
+    PhysicalityError,
     Scenario,
     SimulationError,
     SweepAxis,
@@ -240,6 +241,19 @@ class TestLaneBatchedSweep:
         assert ok.error is None
         assert row_bits(ok) == solo_bits(spec, (5.8,))
 
+    def test_window_too_long_for_the_step_cap_is_flagged(self, monkeypatch):
+        # With a budget of 1,000 steps, tau = 0.2 caps steps at 0.02 and the
+        # 96-unit window needs at least 4,800: that point is flagged before
+        # stepping, while tau = 4 (about 550 attempts) runs as it does alone.
+        monkeypatch.setattr(integrator, "MAX_STEPS", 1_000)
+        spec = SweepSpec(base=preset("fig4"), axes=(SweepAxis("tau", (4.0, 0.2)),))
+        ok, long = sweep(spec).rows
+        assert "window too long" in long.error
+        assert not long.converged
+        assert math.isnan(long.doublet_population)
+        assert ok.error is None
+        assert row_bits(ok) == solo_bits(spec, (4.0,))
+
     def test_lane_memory_bounded_by_steady_window(self, monkeypatch):
         # 9,601 rows per lane; a lane keeps the rows of its 5-unit steady
         # window (about 500), so the sweep's peak stays below what even one
@@ -292,6 +306,19 @@ def test_lanes_leaving_at_different_times_leave_the_others_untouched():
         except SimulationError as exc:
             solo = exc
         assert summary_bits(outcome) == summary_bits(solo)
+
+
+def test_physicality_failure_in_one_lane_leaves_the_others_untouched():
+    # The middle lane's first sample below -1e-17 is its outcome, with the
+    # message that integrating it alone raises; its neighbours keep their bits.
+    chirped = preset("fig4")
+    scenarios = [chirped, replace(chirped, pos_tol=1e-17), apply_parameter(chirped, "theta", 0.8)]
+    with pytest.raises(PhysicalityError) as solo:
+        integrate(scenarios[1])
+    outcomes = integrator.steady_states(scenarios)
+    assert summary_bits(outcomes[1]) == summary_bits(solo.value)
+    for i in (0, 2):
+        assert summary_bits(outcomes[i]) == summary_bits(detect_steady_state(integrate(scenarios[i])))
 
 
 @pytest.mark.filterwarnings("error")

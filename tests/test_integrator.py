@@ -246,6 +246,21 @@ class TestControllerBehaviour:
         with pytest.raises(IntegrationError, match="too stiff"):
             integrate(sc)
 
+    def test_window_too_long_for_the_step_cap_rejected_before_stepping(self, monkeypatch):
+        # Slow decay passes the stiffness estimate, but 100,010 time units in
+        # steps of at most tau/10 = 0.4 take at least 250,025 accepted steps:
+        # without the up-front check the loop exhausts its budget first.
+        sc = Scenario(
+            params=SystemParams(gamma01=0.01, gamma02=0.01, gamma03=0.001), t_end=100_000.0, sample_interval=10.0
+        )
+
+        def step(self, steps):
+            pytest.fail("a lane stepped")
+
+        monkeypatch.setattr(integrator._LaneSet, "step", step)
+        with pytest.raises(IntegrationError, match="window too long: .* at least 2.5e[+]05 steps"):
+            integrate(sc)
+
     def test_unexcited_fast_decay_does_not_count(self):
         # The undriven ground state never reaches the doublet, so its
         # gamma01 = 1e5 limits no step; the state stays exactly constant.
