@@ -5,11 +5,14 @@ The drive is stated once, vectorised over time and over lanes:
 the affine generator, at an array of times for one ``DriveConfig`` or at
 one row of times per lane for a ``DriveLanes`` stack.  The integrator
 evaluates all stage times of every lane's step in one call;
-``drive_sample`` is a single-time view of it.
+``drive_sample`` is a single-time view of it.  ``detuning_phases`` gives
+the detunings' integrals in closed form, which the exact post-pulse
+propagator needs.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -18,7 +21,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .model import ChirpProfile, DriveConfig
 
-__all__ = ["DriveSample", "DriveLanes", "drive_coefficients", "drive_sample"]
+__all__ = ["DriveSample", "DriveLanes", "drive_coefficients", "drive_sample", "detuning_phases"]
 
 
 @dataclass(frozen=True)
@@ -104,3 +107,22 @@ def drive_coefficients(ts, drive: DriveConfig | DriveLanes, out: np.ndarray | No
 def drive_sample(t: float, drive: DriveConfig) -> DriveSample:
     """Bundle envelopes and detunings for one time point."""
     return DriveSample(*drive_coefficients(t, drive)[0].tolist())
+
+
+def detuning_phases(ts, drive: DriveConfig) -> np.ndarray:
+    """Antiderivatives (Phi1, Phi2) of the detunings at the times ``ts``, shape (n, 2).
+
+    Chirp off, Phi = static * t; TANH, Phi = chi * r * log cosh((t - c)/r) +
+    static * t with r the chirp ramp; CONSTANT, Phi = (chi + static) * t.
+    log cosh x is evaluated as |x| + log1p(exp(-2|x|)) - log 2, which does
+    not overflow.  Only differences of the phases are meaningful.
+    """
+    t = np.asarray(ts, dtype=float).reshape(-1, 1)
+    static = np.array((drive.static_delta1, drive.static_delta2))
+    if not drive.chirp_enabled:
+        return static * t
+    chi = np.array((drive.chi1, drive.chi2))
+    if drive.chirp_profile is ChirpProfile.CONSTANT:
+        return (chi + static) * t
+    x = np.abs(t - np.array((drive.center1, drive.center2))) / drive.chirp_ramp
+    return chi * drive.chirp_ramp * (x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)) + static * t

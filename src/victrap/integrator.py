@@ -10,6 +10,17 @@ fourth-order continuous extension, and each is checked against the
 scenario's trace and positivity tolerances - violations abort the run
 rather than being repaired.
 
+The stepper runs only while the pulses are on.  Once the envelopes are
+negligible the generator is L0 + delta1(t) D1 + delta2(t) D2, whose three
+parts commute, so the rest of the run has a closed form: each lane steps
+up to t_off, lands there, and takes its remaining grid rows from
+exp(L0 dt) exp(dPhi1 D1 + dPhi2 D2) applied to that state, with two
+Padé-13 exponentials per lane and the detuning integrals dPhi_k in closed
+form.  t_off is the earliest time after which the envelopes still to
+come, integrated and weighted by the norms of G1 and G2, add up to at
+most atol/1000.  Step counts, RHS evaluations and the MAX_STEPS budget
+cover the stepped span only.
+
 One stepper serves single runs and sweeps.  Each scenario is a lane with
 its own time, step size and accept/reject decision; one loop iteration
 attempts one step in every active lane, with the generators, stage sums,
@@ -36,10 +47,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .drive import DriveLanes, drive_coefficients
+from .drive import DriveLanes, detuning_phases, drive_coefficients
 from .errors import IntegrationError, InsufficientDataError, InvalidParameterError, PhysicalityError, SimulationError
-from .liouvillian import PACKED_SIZE, decay_generator, drive_generators, generator_basis, pack_state, unpack_state
-from .model import DensityMatrix, ObservableRecord, Scenario
+from .liouvillian import (
+    PACKED_SIZE, decay_generator, drive_generators, generator_basis, pack_state, rotate_coherences, unpack_state,
+)
+from .model import DensityMatrix, DriveConfig, ObservableRecord, Scenario
 from .observables import packed_diagnostics
 
 __all__ = [
@@ -114,14 +127,23 @@ _BETA = 0.02
 _ALPHA = 0.2 - 0.75 * _BETA
 _PREV_FLOOR = 1e-4
 
-# Budget of attempted steps per run; gamma01=100, gamma02=40 over the
-# default window attempts about 4,200.
+# Budget of attempted steps per run, on the stepped span up to the end of
+# the pulses; gamma01=100, gamma02=40 over the default window attempts
+# about 2,200.
 MAX_STEPS = 200_000
 # Real-axis reach of the Dormand-Prince stability region: a stable step
 # needs h * (spectral radius of L0) <= 3.3.
 _STABILITY_LIMIT = 3.3
 # Substeps of the fixed-step reference whose drive parts are built at once.
 _RK4_BATCH = 256
+# The stepping ends once the drive still to come, integrated and weighted by
+# the generator norms, is at most this fraction of atol.
+_DRIVE_LEFT = 1e-3
+# Padé-13 coefficients and the largest 1-norm it serves unscaled (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+           129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+           40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 # Columns of Trajectory.columns, in trajectory-CSV order: the time, the 16
 # packed reals (populations, then re/im of rho10, rho20, rho21, rho30,
@@ -315,8 +337,8 @@ class _SampleRecorder:
         return Trajectory(self.scenario, rows, IntegrationStats(accepted, rejected, evaluations, *extremes))
 
 
-def _reachable_decay_radius(scenario: Scenario, decay: np.ndarray, grid: np.ndarray) -> float:
-    """Spectral radius of L0 on the state components the run can reach.
+def _reachable(scenario: Scenario, decay: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Mask of the state components the run can reach.
 
     Components outside the closure of the initial support under the
     couplings of L(t) stay exactly zero, so their decay modes never limit
@@ -331,51 +353,147 @@ def _reachable_decay_radius(scenario: Scenario, decay: np.ndarray, grid: np.ndar
     reach = pack_state(scenario.initial_state) != 0
     for _ in range(PACKED_SIZE):
         reach = reach | couples[:, reach].any(axis=1)
-    block = decay[np.ix_(reach, reach)]
-    return float(np.max(np.abs(np.linalg.eigvals(block)))) if np.isfinite(block).all() else math.inf
+    return reach
+
+
+def _pulses_over(drive: DriveConfig, basis: np.ndarray, eps: float) -> float:
+    """The earliest t_off with sum_k g0k * tau * (sqrt(pi)/2) * erfc((t_off - c_k)/tau) * |G_k| <= eps.
+
+    The sum is the integral over [t_off, inf) of |g1(t) G1 + g2(t) G2|,
+    with |G| the largest absolute row sum, so leaving the envelopes out
+    after t_off moves no packed component by more than about eps.  Found
+    by bisection to the last bit; -inf when neither pulse has amplitude.
+    """
+    norms = np.abs(basis[:2].reshape(2, PACKED_SIZE, PACKED_SIZE)).sum(axis=2).max(axis=1).tolist()
+    pulses = [(g0 * drive.tau * math.sqrt(math.pi) / 2.0 * norm, center)
+              for g0, center, norm in zip((drive.g01, drive.g02), (drive.center1, drive.center2), norms) if g0 > 0]
+    if not pulses:
+        return -math.inf
+
+    def left(t: float) -> float:
+        return sum(weight * math.erfc((t - center) / drive.tau) for weight, center in pulses)
+
+    lo, width = max(center for _, center in pulses), drive.tau
+    while left(lo + width) > eps:  # erfc underflows to 0 past 27, so this ends
+        width *= 2.0
+    hi = lo + width
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if left(mid) > eps else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by Padé-13 scaling and squaring (Higham 2005).
+
+    No eigendecomposition: L0 is defective where decay rates coincide.
+    """
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = np.ldexp(a, -squarings)
+    b = _PADE13
+    ident = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    result = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def _powers(m: np.ndarray, n: int) -> np.ndarray:
+    """m^0, ..., m^(n-1) as an (n, r, r) stack, each a product of at most log2(n) + 1 factors."""
+    powers = np.empty((n,) + m.shape)
+    powers[0] = np.eye(len(m))
+    done, step = 1, m
+    while done < n:
+        take = min(done, n - done)
+        np.matmul(powers[:take], step, out=powers[done:done + take])
+        done += take
+        step = step @ step
+    return powers
+
+
+def _decay_blocks(decay: np.ndarray, y: np.ndarray, offset: float, count: int, interval: float):
+    """Yield (first, rows): exp(decay * (offset + k * interval)) @ y for the _BLOCK k from ``first`` on, k < count.
+
+    Row j of block b is M^j, M = exp(decay * interval), applied to the
+    block's first row, and that row is M^(_BLOCK * b) applied to the tail's
+    first one, a product over the bits of b: the products' rounding grows
+    with log b, not with the row count, and only one block of rows is held.
+    """
+    m = _expm(decay * interval)
+    powers = _powers(m, min(_BLOCK, count))
+    head = _expm(decay * offset) @ y
+    jumps: list[np.ndarray] = []  # jumps[k] = M^(_BLOCK * 2^k)
+    for b, first in enumerate(range(0, count, _BLOCK)):
+        anchor = head
+        for k in range(b.bit_length()):
+            if k == len(jumps):
+                jumps.append(jumps[-1] @ jumps[-1] if jumps else powers[-1] @ m)
+            if b >> k & 1:
+                anchor = jumps[k] @ anchor
+        yield first, powers[:count - first] @ anchor
 
 
 class _Lane:
-    """One scenario in the lockstep stepper: its controller state and its recorder.
+    """One scenario in the lockstep stepper: its controller state, its recorder and its exact tail.
 
     The controller runs on Python floats: each step is proposed here,
     attempted together with the other lanes' steps, and accepted or
     rejected here by its own error norm.  A lane's recorder holds its
     error; a lane that fails leaves, and the other lanes go on.
 
-    Raises IntegrationError up front when the run needs more than
+    A lane steps only while the pulses are on: up to t_stop, the earlier of
+    t_end and t_off (see _pulses_over, with eps = _DRIVE_LEFT * atol), or
+    not at all when there is no pulse.  It lands on t_stop and ``finish``
+    records the grid times after it in closed form.
+
+    Raises IntegrationError up front when the stepped span needs more than
     MAX_STEPS steps: when the decay rates are too stiff (the spectral
-    radius of L0 on the reachable components), or when the window holds
-    more than MAX_STEPS steps of the tau/10 cap.
+    radius of L0 on the reachable components), or when the span holds more
+    than MAX_STEPS steps of the tau/10 cap.
     """
 
     def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0):
         drive = scenario.drive
         decay = decay_generator(scenario.params)
         t_start, t_end = grid[0].item(), grid[-1].item()
-        self.max_step = drive.tau / 10.0
-        needed = (t_end - t_start) * _reachable_decay_radius(scenario, decay, grid) / _STABILITY_LIMIT
+        self.basis = generator_basis(decay)
+        self.reach = _reachable(scenario, decay, grid)
+        self.decay = decay[np.ix_(self.reach, self.reach)]  # L0 on the reachable components
+        self.t_stop = max(t_start, min(t_end, _pulses_over(drive, self.basis, _DRIVE_LEFT * scenario.atol)))
+        span = self.t_stop - t_start
+        # The tail's exponentials need L0 times the window to be finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = bool(np.isfinite(self.decay * (t_end - t_start)).all())
+        radius = float(np.max(np.abs(np.linalg.eigvals(self.decay)))) if finite else math.inf
+        needed = span * radius / _STABILITY_LIMIT if finite else math.inf
         if needed > MAX_STEPS:
             raise IntegrationError(
                 f"decay rates too stiff: a stable run needs at least {needed:.3g} steps; the budget is {MAX_STEPS}"
             )
-        capped = (t_end - t_start) / self.max_step
+        self.max_step = drive.tau / 10.0
+        capped = span / self.max_step
         if capped > MAX_STEPS:
             raise IntegrationError(
-                f"window too long: in steps of at most tau/10 = {self.max_step:g}, covering {t_end - t_start:g} "
-                f"takes at least {capped:.3g} steps; the budget is {MAX_STEPS}"
+                f"window too long: in steps of at most tau/10 = {self.max_step:g}, stepping from t={t_start:g} "
+                f"to t={self.t_stop:g} takes at least {capped:.3g} steps; the budget is {MAX_STEPS}"
             )
         self.scenario = scenario
         self.grid = grid
-        self.basis = generator_basis(decay)
         self.recorder = _SampleRecorder(scenario, len(grid), keep_from)
         self.y0 = pack_state(scenario.initial_state)
         self.recorder.record(grid[:1], self.y0[None])
         # L(t) y at the start; each accepted step carries its last stage over.
         self.k0 = (drive_generators(t_start, drive)[0] + decay) @ self.y0
-        self.t, self.t_end = t_start, t_end
+        self.t = t_start
         self.pending = 1  # index of the next grid time to record
-        self.h_floor = 1e-13 * max(1.0, abs(t_start), abs(t_end))
+        self.h_floor = 1e-13 * max(1.0, abs(t_start), abs(self.t_stop))
         self.h = self.max_step
         self.h_try = self.t_new = math.nan
         self.accepted = self.rejected = 0
@@ -385,19 +503,19 @@ class _Lane:
 
     @property
     def running(self) -> bool:
-        """True while the lane has neither failed nor reached its last grid time."""
-        return self.recorder.error is None and self.t < self.t_end
+        """True while the lane has neither failed nor reached t_stop."""
+        return self.recorder.error is None and self.t < self.t_stop
 
     def propose(self) -> tuple[float, float] | None:
         """The next trial step (t, h) from the current state; None if the lane fails instead."""
-        t, t_end = self.t, self.t_end
+        t, t_stop = self.t, self.t_stop
         if self.accepted + self.rejected >= MAX_STEPS:
             return self.recorder.fail(f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}")
-        h_try = min(self.h, self.max_step, t_end - t)
+        h_try = min(self.h, self.max_step, t_stop - t)
         t_new = t + h_try
-        # A step ending within the floor of the last grid time lands on it.
-        if t_end - t_new <= self.h_floor:
-            t_new, h_try = t_end, t_end - t
+        # A step ending within the floor of t_stop lands on it.
+        if t_stop - t_new <= self.h_floor:
+            t_new, h_try = t_stop, t_stop - t
         elif h_try < self.h_floor:
             return self.recorder.fail(f"step size underflow at t={t:g} (h={h_try:.3e})")
         self.h_try, self.t_new = h_try, t_new
@@ -408,7 +526,8 @@ class _Lane:
 
         An accepted step records the grid times in (t, t_new]: the
         continuous extension, except that a time the step lands on takes
-        the step's own state.
+        the step's own state.  The step that lands on t_stop hands its
+        state to ``finish``.
         """
         h_try, t_new = self.h_try, self.t_new
         norm = math.sqrt(square / PACKED_SIZE)
@@ -430,6 +549,8 @@ class _Lane:
             self.pending = end
         self.t = t_new
         self.accepted += 1
+        if t_new == self.t_stop:
+            self.finish(lanes.trial[i])
         if norm == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -440,6 +561,33 @@ class _Lane:
             self.just_rejected = False
         self.h = h_try * factor
         return True
+
+    def finish(self, y: np.ndarray) -> None:
+        """Record the grid times after t_stop from y, the state at t_stop, by the exact post-pulse propagator.
+
+        With the envelopes left out the generator is L0 + delta1 D1 +
+        delta2 D2, and the three commute, so y(t) = exp(L0 (t - t_stop))
+        exp(dPhi1 D1 + dPhi2 D2) y, with dPhi_k the integral of delta_k
+        since t_stop.  The first factor acts on the reachable components
+        only (the others stay exactly zero), the second turns each
+        coherence.  Every row goes through the recorder.
+        """
+        times = self.grid[self.pending:]
+        if self.recorder.error is not None or not len(times):
+            return
+        drive = self.scenario.drive
+        start = detuning_phases(self.t_stop, drive)
+        states = np.zeros((min(_BLOCK, len(times)), PACKED_SIZE))
+        blocks = _decay_blocks(self.decay, y[self.reach], times[0] - self.t_stop, len(times),
+                               self.scenario.sample_interval)
+        for first, rows in blocks:
+            block, out = times[first:first + len(rows)], states[:len(rows)]
+            out[:, self.reach] = rows
+            rotate_coherences(out, detuning_phases(block, drive) - start)
+            self.recorder.record(block, out)
+            if self.recorder.error is not None:
+                return
+        self.pending = len(self.grid)
 
     def trajectory(self) -> Trajectory:
         return self.recorder.trajectory(self.accepted, self.rejected, self.evaluations)
@@ -538,13 +686,16 @@ class _LaneSet:
 
 
 def _run_lanes(lanes: list[_Lane]) -> None:
-    """Step every lane to its last grid time in lockstep.
+    """Step every lane to its t_stop in lockstep, and let each record its tail from there.
 
     Each iteration proposes one step per lane, attempts them all with one
     stacked generator build, and lets each lane accept or reject its own.
-    Lanes that finish or fail leave the active set.
+    Lanes that land on t_stop or fail leave the active set.
     """
-    lanes = [lane for lane in lanes if lane.running]  # a one-row grid takes no step
+    for lane in lanes:
+        if not lane.running:  # no pulse or a one-row grid: nothing to step
+            lane.finish(lane.y0)
+    lanes = [lane for lane in lanes if lane.running]
     if not lanes:
         return
     active = _LaneSet(lanes, np.array([lane.y0 for lane in lanes]), np.array([lane.k0 for lane in lanes]))
@@ -565,16 +716,18 @@ def integrate(scenario: Scenario) -> Trajectory:
     """Propagate the scenario and record observables on the sample grid.
 
     The run is the one-lane case of the lockstep stepper that sweeps use.
-    The error controller chooses the steps, capped at tau/10; the grid
-    times inside each accepted step are read off the continuous extension
-    from the step's own stages, and the last step lands on the last grid
-    time.  Each attempted step builds the generators at its five new stage
-    times in one stacked product.
+    The error controller chooses the steps, capped at tau/10, up to the end
+    of the pulses or of the window, whichever comes first; the grid times
+    inside each accepted step are read off the continuous extension from
+    the step's own stages, and the last step lands on that end.  The grid
+    times after it come from the exact post-pulse propagator.  Each
+    attempted step builds the generators at its five new stage times in
+    one stacked product.
 
     Raises PhysicalityError if a recorded sample violates the scenario's
     trace or positivity tolerances, and IntegrationError on step-size
-    underflow, or when the run needs more than MAX_STEPS attempted steps
-    (checked up front from the spectral radius of L0 on the reachable
+    underflow, or when the stepped span needs more than MAX_STEPS attempted
+    steps (checked up front from the spectral radius of L0 on the reachable
     components and from the tau/10 cap, and again in the loop).
     """
     lane = _Lane(scenario, sample_times(scenario))

@@ -31,7 +31,7 @@ from .errors import ContractViolationError
 from .model import DIM, HERMITICITY_TOL, DensityMatrix, DriveConfig, SystemParams
 
 __all__ = ["master_rhs", "dissipator_only", "coherent_only", "pack_state", "unpack_state", "make_packed_rhs",
-           "drive_generators", "decay_generator", "generator_basis"]
+           "drive_generators", "decay_generator", "generator_basis", "rotate_coherences"]
 
 # Packed real state layout used by the steppers: the four populations
 # followed by (re, im) of the six lower-triangle coherences.  Evolving this
@@ -125,6 +125,23 @@ def generator_basis(decay: np.ndarray) -> np.ndarray:
     product as the drive.
     """
     return np.vstack((_units()[0], decay.reshape(1, -1)))
+
+
+@functools.cache
+def _detuning_rates() -> np.ndarray:
+    """Rotation rate of each coherence under D1 and D2, shape (2, 6): D_k[im, re] of its pair."""
+    return _units()[0][2:].reshape(2, PACKED_SIZE, PACKED_SIZE)[:, DIM + 1::2, DIM::2].diagonal(axis1=1, axis2=2)
+
+
+def rotate_coherences(states: np.ndarray, phases: np.ndarray) -> None:
+    """Apply exp(Phi1 D1 + Phi2 D2) to each row of a C-contiguous (n, 16) stack of packed states, in place.
+
+    ``phases`` holds one (Phi1, Phi2) row per state.  The detuning
+    Hamiltonian is diagonal, so D1 and D2 leave the populations alone and
+    turn each coherence re + i im by exp(i Phi @ rates).
+    """
+    coherences = states[:, DIM:].view(complex)
+    coherences *= np.exp(1j * (phases @ _detuning_rates()))
 
 
 def master_rhs(t: float, rho: DensityMatrix | np.ndarray, params: SystemParams,

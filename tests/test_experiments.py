@@ -228,9 +228,10 @@ class TestLaneBatchedSweep:
         assert not all(converged) and any(converged)
 
     def test_lane_failing_mid_run_is_flagged_and_others_untouched(self, monkeypatch):
-        # gamma01 = 100 passes the up-front estimate (about 2,973 steps) and
-        # needs about 3,261 attempts; 1e5 is rejected before stepping.
-        monkeypatch.setattr(integrator, "MAX_STEPS", 3_200)
+        # gamma01 = 100 passes the up-front estimate for the span it steps,
+        # up to the end of the pulses (about 1,466 steps), and needs about
+        # 1,757 attempts there; 1e5 is rejected before stepping.
+        monkeypatch.setattr(integrator, "MAX_STEPS", 1_600)
         spec = SweepSpec(base=preset("fig4"), axes=(SweepAxis("gamma01", (5.8, 100.0, 1e5)),))
         ok, exhausted, stiff = sweep(spec).rows
         assert "step budget" in exhausted.error
@@ -243,8 +244,9 @@ class TestLaneBatchedSweep:
 
     def test_window_too_long_for_the_step_cap_is_flagged(self, monkeypatch):
         # With a budget of 1,000 steps, tau = 0.2 caps steps at 0.02 and the
-        # 96-unit window needs at least 4,800: that point is flagged before
-        # stepping, while tau = 4 (about 550 attempts) runs as it does alone.
+        # 27 units up to the end of its pulses need at least 1,350: that point
+        # is flagged before stepping, while tau = 4 (about 425 attempts) runs
+        # as it does alone.
         monkeypatch.setattr(integrator, "MAX_STEPS", 1_000)
         spec = SweepSpec(base=preset("fig4"), axes=(SweepAxis("tau", (4.0, 0.2)),))
         ok, long = sweep(spec).rows

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from victrap import (
+    ChirpProfile,
+    DensityMatrix,
     DriveConfig,
     IntegrationError,
     InsufficientDataError,
@@ -21,8 +23,9 @@ from victrap import (
     preset,
 )
 from victrap import integrator
+from victrap.drive import drive_coefficients
 from victrap.integrator import sample_times
-from victrap.liouvillian import decay_generator
+from victrap.liouvillian import decay_generator, generator_basis
 
 QUIET_DRIVE = DriveConfig(g01=0.0, g02=0.0)
 
@@ -35,6 +38,36 @@ STIFF = Scenario(
     t_end=22.0,
     sample_interval=0.1,
 )
+
+
+def exact_tail(scenario: Scenario, rows: np.ndarray) -> np.ndarray:
+    """Oracle B: the states at the times of ``rows``, propagated exactly from its first row.
+
+    Valid once the envelopes are negligible, where the generator is L0 +
+    delta1 D1 + delta2 D2 and the three commute: the propagator from t_a is
+    exp(L0 (t - t_a) + dPhi1 D1 + dPhi2 D2).  Nothing here is shared with
+    the solver's tail: the phases dPhi_k are 8-point Gauss-Legendre
+    quadratures of the detunings over each sample interval, summed, and
+    the exponential is a 30-term Taylor series with scaling and squaring.
+    """
+    times = rows[:, 0]
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    half, mid = np.diff(times)[:, None] / 2.0, (times[:-1] + times[1:])[:, None] / 2.0
+    detunings = drive_coefficients(mid + half * nodes, scenario.drive)[:, 2:].reshape(len(mid), 8, 2)
+    phases = np.vstack((np.zeros(2), np.cumsum(half * np.einsum("i,kij->kj", weights, detunings), axis=0)))
+    _, _, d1, d2, l0 = generator_basis(decay_generator(scenario.params)).reshape(5, 16, 16)
+    a = ((times - times[0])[:, None, None] * l0 + phases[:, 0, None, None] * d1
+         + phases[:, 1, None, None] * d2)
+    squarings = max(0, math.ceil(math.log2(np.abs(a).sum(axis=1).max() / 0.5)))
+    a = a / 2.0 ** squarings
+    term = np.broadcast_to(np.eye(16), a.shape)
+    total = term.copy()
+    for k in range(1, 31):
+        term = term @ a / k
+        total += term
+    for _ in range(squarings):
+        total = total @ total
+    return total @ rows[0, 1:17]
 
 
 def quiet_scenario(**kwargs) -> Scenario:
@@ -137,12 +170,17 @@ class TestControllerBehaviour:
             assert np.array_equal(sa.state.matrix, sb.state.matrix)
 
     def test_step_cap_resolves_pulses(self):
-        # With sparse sampling the tau/10 cap is what limits the step size.
+        # With sparse sampling and pulses too weak to move the state, the
+        # tau/10 cap is what limits the step size.  The window ends before
+        # the pulses are over, so all of it is stepped.
         sc = quiet_scenario(
-            initial_state=initial_metastable(), t_end=40.0, sample_interval=5.0
+            initial_state=initial_metastable(),
+            drive=DriveConfig(g01=1e-9, g02=1e-9),
+            t_end=20.0,
+            sample_interval=5.0,
         )
         traj = integrate(sc)
-        assert traj.stats.steps_accepted >= 40.0 / (sc.drive.tau / 10.0)
+        assert traj.stats.steps_accepted >= 20.0 / (sc.drive.tau / 10.0)
 
     def test_tolerance_halving_consistency(self):
         sc = replace(preset("fig2"), t_end=40.0)
@@ -199,11 +237,11 @@ class TestControllerBehaviour:
             assert np.max(np.abs(fa.state.matrix - ad.state.matrix)) <= 1e-6, fa.time
 
     def test_stiff_run_rejects_almost_no_steps(self):
-        # Over the default window the stepping is stability-limited: the
+        # Up to the end of the pulses the stepping is stability-limited: the
         # stabilised controller settles just below the stability edge
         # instead of cycling grow-reject-shrink (10% rejected without the
-        # prev^beta term), and attempts little more than the up-front
-        # estimate span * rho(L0) / 3.3, about 4,073 steps.
+        # prev^beta term).  The run attempts about 2,155 steps, well within
+        # the estimate for the whole window, span * rho(L0) / 3.3 = 4,073.
         sc = Scenario(params=SystemParams(gamma01=100.0, gamma02=40.0), drive=DriveConfig(chirp_enabled=True))
         stats = integrate(sc).stats
         attempted = stats.steps_accepted + stats.steps_rejected
@@ -218,8 +256,10 @@ class TestControllerBehaviour:
 
     def test_controller_not_grid_chooses_steps(self):
         # Both intervals are exact in binary and both grids end on t_end, so
-        # the runs differ only in which times are read off the steps.
-        coarse, fine = (replace(preset("fig2"), sample_interval=dt) for dt in (0.5, 0.25))
+        # the runs differ only in which times are read off the steps.  The
+        # window ends before the pulses are over, so the last row is the
+        # last step's own state, not a row of the closed-form tail.
+        coarse, fine = (replace(preset("fig2"), sample_interval=dt, t_end=30.0) for dt in (0.5, 0.25))
         a, b = integrate(coarse), integrate(fine)
         for sc, traj in ((coarse, a), (fine, b)):
             assert traj.times.tobytes() == sample_times(sc).tobytes()
@@ -247,11 +287,12 @@ class TestControllerBehaviour:
             integrate(sc)
 
     def test_window_too_long_for_the_step_cap_rejected_before_stepping(self, monkeypatch):
-        # Slow decay passes the stiffness estimate, but 100,010 time units in
-        # steps of at most tau/10 = 0.4 take at least 250,025 accepted steps:
-        # without the up-front check the loop exhausts its budget first.
+        # Slow decay passes the stiffness estimate, but the 100,031 time
+        # units before the pulses are over, in steps of at most tau/10 = 0.4,
+        # take at least 250,078 accepted steps: without the up-front check
+        # the loop exhausts its budget first.
         sc = Scenario(
-            params=SystemParams(gamma01=0.01, gamma02=0.01, gamma03=0.001), t_end=100_000.0, sample_interval=10.0
+            params=SystemParams(gamma01=0.01, gamma02=0.01, gamma03=0.001), t_start=-100_000.0, sample_interval=10.0
         )
 
         def step(self, steps):
@@ -285,6 +326,76 @@ class TestControllerBehaviour:
         sc = replace(preset("fig2"), t_end=10.0, trace_tol=1e-17)
         with pytest.raises(PhysicalityError):
             integrate(sc)
+
+
+class TestExactTail:
+    """Runs step only while the pulses are on; the rows after that come from a closed form."""
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(preset("fig2"), id="fig2"),
+        pytest.param(replace(preset("fig2"), drive=DriveConfig(static_delta1=0.3, static_delta2=-0.2)),
+                     id="chirp_off_detuned"),
+        pytest.param(preset("fig4"), id="fig4_tanh"),
+        pytest.param(replace(preset("fig4"), params=SystemParams(theta=0.1)), id="fig4_theta_0.1"),
+        pytest.param(replace(preset("fig4"), drive=DriveConfig(chirp_enabled=True, chirp_profile=ChirpProfile.CONSTANT)),
+                     id="fig4_constant"),
+        pytest.param(replace(STIFF, t_start=-16.0, t_end=80.0), id="stiff"),
+    ])
+    def test_matches_oracle_b(self, scenario):
+        # From the first row after the envelopes fall below 1e-10 of their
+        # peaks: that row is still stepped, so the hand-over is covered too.
+        traj = integrate(scenario)
+        rows = traj.columns[traj.times >= scenario.drive.pulses_off_after(1e-10)]
+        assert len(rows) > 500
+        assert np.max(np.abs(rows[:, 1:17] - exact_tail(scenario, rows))) <= 1e-7
+
+    def test_window_ending_before_the_pulses_are_over_steps_as_before(self, monkeypatch):
+        # fig4 to t = 30 ends before t_off (about 31.3): the run is the same,
+        # bit for bit, as one whose stepping never stops early.
+        sc = replace(preset("fig4"), t_end=30.0)
+        lane = integrator._Lane(sc, sample_times(sc))
+        assert lane.t_stop == sc.t_end
+        ours = integrate(sc)
+        monkeypatch.setattr(integrator, "_pulses_over", lambda *args: math.inf)
+        stepped = integrate(sc)
+        assert ours.stats == stepped.stats
+        assert ours.columns.tobytes() == stepped.columns.tobytes()
+        stats = ours.stats
+        assert stats.rhs_evaluations == 1 + 6 * (stats.steps_accepted + stats.steps_rejected)
+
+    @pytest.mark.parametrize("state, gamma, invariant", [
+        (ground_state(), dict(gamma01=1e5), ("p0", 1.0)),
+        (DensityMatrix.pure(1), dict(gamma03=1e5), ("p3", 0.0)),
+    ], ids=["unexcited_fast_decay", "unreached_metastable_decay"])
+    def test_no_pulse_lane_takes_no_step(self, state, gamma, invariant):
+        # Without a pulse the whole run is the closed form from t_start.  The
+        # ground state is stationary, and with no drive nothing reaches |3>,
+        # so the stiff rate acts on neither; the invariants hold exactly.
+        sc = quiet_scenario(params=SystemParams(**gamma), initial_state=state)
+        traj = integrate(sc)
+        assert (traj.stats.steps_accepted, traj.stats.steps_rejected, traj.stats.rhs_evaluations) == (0, 0, 1)
+        name, value = invariant
+        assert all(getattr(s.record, name) == value for s in traj.samples)
+        fixed = integrate_fixed_step(sc, 0.01)
+        assert np.max(np.abs(fixed.columns[:, 1:18] - traj.columns[:, 1:18])) <= 1e-5
+
+    def test_stiff_window_longer_than_the_step_budget_finishes(self):
+        # Stepping gamma01 = 100, gamma02 = 40 to t = 5000 would take about
+        # 212,000 steps, more than MAX_STEPS; up to the end of the pulses it
+        # takes about 2,150.  The rows to t = 80 agree with the fixed-step
+        # reference within the criterion-9 tolerance, and every row after
+        # the pulses with oracle B.
+        sc = replace(STIFF, t_start=-16.0, t_end=5000.0, sample_interval=1.0)
+        radius = np.max(np.abs(np.linalg.eigvals(decay_generator(sc.params))))
+        assert (sc.t_end - sc.t_start) * radius / 3.3 > integrator.MAX_STEPS
+        traj = integrate(sc)
+        assert traj.stats.steps_accepted + traj.stats.steps_rejected < 2_600
+        fixed = integrate_fixed_step(replace(sc, t_end=80.0), 1.0 / sc.params.gamma01)
+        head = traj.columns[:len(fixed.columns)]
+        assert head[:, 0].tobytes() == fixed.times.tobytes()
+        assert np.max(np.abs(head[:, 1:18] - fixed.columns[:, 1:18])) <= 1e-5
+        rows = traj.columns[traj.times >= sc.drive.pulses_off_after(1e-10)]
+        assert np.max(np.abs(rows[:, 1:17] - exact_tail(sc, rows))) <= 1e-7
 
 
 class TestFixedStep:
