@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ContractViolationError
 from .model import ChirpProfile, DriveConfig
 
-__all__ = ["DriveSample", "DriveLanes", "drive_coefficients", "drive_sample", "detuning_phases"]
+__all__ = ["DriveSample", "DriveLanes", "drive_coefficients", "drive_sample"]
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,12 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353
            129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
            40840800.0, 960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
+# Machine epsilon, for the estimate of the tail's rounding.
+_EPS = float(np.finfo(float).eps)
+# Rows that the exact tail computes, turns and records at once, and the
+# powers of exp(L0 * sample_interval) that it keeps to build them.
+_TAIL_ROWS = 256
+_TAIL_POWERS = 16
 
 # Columns of Trajectory.columns, in trajectory-CSV order: the time, the 16
 # packed reals (populations, then re/im of rho10, rho20, rho21, rho30,
@@ -405,39 +411,40 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
+def _decay_rows(decay: np.ndarray, reach: np.ndarray, y: np.ndarray, offset: float, count: int, interval: float):
+    """Yield (first, rows): packed states exp(L0 * (offset + k * interval)) @ y for k from ``first`` on, k < count.
+
+    ``decay`` is L0 on the components that ``reach`` marks; the others
+    stay exactly zero.  Each yield covers up to _TAIL_ROWS rows, in runs of
+    _TAIL_POWERS: row j of a run is M^j, M = exp(L0 * interval), applied to
+    the run's first row, and run b's first row is (M^_TAIL_POWERS)^b
+    applied to the yield's first row.  The rounding of M so adds up about
+    linearly in k, as it would however the products were grouped.
+    """
+    m = np.zeros((PACKED_SIZE, PACKED_SIZE))
+    m[np.ix_(reach, reach)] = _expm(decay * interval)
+    powers = _powers(m, min(_TAIL_POWERS, count))
+    # Row b of heads @ spread is the run of rows that starts at heads[b].
+    spread = powers.reshape(-1, PACKED_SIZE).T
+    jump = powers[-1] @ m
+    jumps = _powers(jump, -(-min(_TAIL_ROWS, count) // len(powers)))
+    leap = jumps[-1] @ jump
+    start = np.zeros(PACKED_SIZE)
+    start[reach] = _expm(decay * offset) @ y[reach]
+    for first in range(0, count, _TAIL_ROWS):
+        runs = min(len(jumps), -(-(count - first) // len(powers)))
+        heads = jumps[:runs] @ start
+        yield first, (heads @ spread).reshape(-1, PACKED_SIZE)[:count - first]
+        start = leap @ start
+
+
 def _powers(m: np.ndarray, n: int) -> np.ndarray:
-    """m^0, ..., m^(n-1) as an (n, r, r) stack, each a product of at most log2(n) + 1 factors."""
+    """m^0, ..., m^(n-1) as an (n, 16, 16) stack, each the previous one times m."""
     powers = np.empty((n,) + m.shape)
     powers[0] = np.eye(len(m))
-    done, step = 1, m
-    while done < n:
-        take = min(done, n - done)
-        np.matmul(powers[:take], step, out=powers[done:done + take])
-        done += take
-        step = step @ step
+    for j in range(1, n):
+        np.matmul(powers[j - 1], m, out=powers[j])
     return powers
-
-
-def _decay_blocks(decay: np.ndarray, y: np.ndarray, offset: float, count: int, interval: float):
-    """Yield (first, rows): exp(decay * (offset + k * interval)) @ y for the _BLOCK k from ``first`` on, k < count.
-
-    Row j of block b is M^j, M = exp(decay * interval), applied to the
-    block's first row, and that row is M^(_BLOCK * b) applied to the tail's
-    first one, a product over the bits of b: the products' rounding grows
-    with log b, not with the row count, and only one block of rows is held.
-    """
-    m = _expm(decay * interval)
-    powers = _powers(m, min(_BLOCK, count))
-    head = _expm(decay * offset) @ y
-    jumps: list[np.ndarray] = []  # jumps[k] = M^(_BLOCK * 2^k)
-    for b, first in enumerate(range(0, count, _BLOCK)):
-        anchor = head
-        for k in range(b.bit_length()):
-            if k == len(jumps):
-                jumps.append(jumps[-1] @ jumps[-1] if jumps else powers[-1] @ m)
-            if b >> k & 1:
-                anchor = jumps[k] @ anchor
-        yield first, powers[:count - first] @ anchor
 
 
 class _Lane:
@@ -456,7 +463,8 @@ class _Lane:
     Raises IntegrationError up front when the stepped span needs more than
     MAX_STEPS steps: when the decay rates are too stiff (the spectral
     radius of L0 on the reachable components), or when the span holds more
-    than MAX_STEPS steps of the tau/10 cap.
+    than MAX_STEPS steps of the tau/10 cap; and when the decay rates are so
+    stiff that the tail's rounding could exceed atol.
     """
 
     def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0):
@@ -476,6 +484,15 @@ class _Lane:
         if needed > MAX_STEPS:
             raise IntegrationError(
                 f"decay rates too stiff: a stable run needs at least {needed:.3g} steps; the budget is {MAX_STEPS}"
+            )
+        # Scaling and squaring turns the rounding of exp(L0 dt) into an error
+        # of about eps * |L0 dt|_1 / _THETA13 in its slow modes, and the tail's
+        # products carry it on to t_end.
+        drift = _EPS * float(np.abs(self.decay).sum(axis=0).max()) * (t_end - self.t_stop) / _THETA13
+        if drift > scenario.atol:
+            raise IntegrationError(
+                f"decay rates too stiff: the exact tail from t={self.t_stop:g} to t={t_end:g} could lose "
+                f"{drift:.3g} to rounding, more than atol = {scenario.atol:g}"
             )
         self.max_step = drive.tau / 10.0
         capped = span / self.max_step
@@ -577,14 +594,12 @@ class _Lane:
             return
         drive = self.scenario.drive
         start = detuning_phases(self.t_stop, drive)
-        states = np.zeros((min(_BLOCK, len(times)), PACKED_SIZE))
-        blocks = _decay_blocks(self.decay, y[self.reach], times[0] - self.t_stop, len(times),
-                               self.scenario.sample_interval)
-        for first, rows in blocks:
-            block, out = times[first:first + len(rows)], states[:len(rows)]
-            out[:, self.reach] = rows
-            rotate_coherences(out, detuning_phases(block, drive) - start)
-            self.recorder.record(block, out)
+        batches = _decay_rows(self.decay, self.reach, y, times[0] - self.t_stop, len(times),
+                              self.scenario.sample_interval)
+        for first, rows in batches:
+            ts = times[first:first + len(rows)]
+            rotate_coherences(rows, detuning_phases(ts, drive) - start)
+            self.recorder.record(ts, rows)
             if self.recorder.error is not None:
                 return
         self.pending = len(self.grid)
@@ -728,7 +743,8 @@ def integrate(scenario: Scenario) -> Trajectory:
     trace or positivity tolerances, and IntegrationError on step-size
     underflow, or when the stepped span needs more than MAX_STEPS attempted
     steps (checked up front from the spectral radius of L0 on the reachable
-    components and from the tau/10 cap, and again in the loop).
+    components and from the tau/10 cap, and again in the loop), or when
+    decay rates that stiff would make the exact tail's rounding exceed atol.
     """
     lane = _Lane(scenario, sample_times(scenario))
     _run_lanes([lane])

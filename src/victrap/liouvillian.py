@@ -31,7 +31,7 @@ from .errors import ContractViolationError
 from .model import DIM, HERMITICITY_TOL, DensityMatrix, DriveConfig, SystemParams
 
 __all__ = ["master_rhs", "dissipator_only", "coherent_only", "pack_state", "unpack_state", "make_packed_rhs",
-           "drive_generators", "decay_generator", "generator_basis", "rotate_coherences"]
+           "drive_generators", "decay_generator", "generator_basis"]
 
 # Packed real state layout used by the steppers: the four populations
 # followed by (re, im) of the six lower-triangle coherences.  Evolving this
