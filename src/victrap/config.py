@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .errors import ConfigError, InvalidParameterError
 from .experiments import SWEEPABLE_PARAMETERS, SweepAxis, SweepSpec
 from .model import (
-    ChirpProfile,
     DensityMatrix,
     DriveConfig,
     Scenario,
@@ -48,8 +47,7 @@ _FIELDS: dict[str, tuple[str, dict[str, str]]] = {
                          ("gamma01", "gamma02", "gamma03", "gamma_coll", "theta", "allow_wide_theta")}),
     "drive": ("drive", {"g01": "g01", "g02": "g02", "tau": "tau", "t0": "t0", "delta1": "static_delta1",
                         "delta2": "static_delta2", "t_origin": "t_origin"}),
-    "chirp": ("drive", {"enabled": "chirp_enabled", "chi1": "chi1", "chi2": "chi2", "ramp": "chirp_ramp",
-                        "profile": "chirp_profile"}),
+    "chirp": ("drive", {"enabled": "chirp_enabled", "chi1": "chi1", "chi2": "chi2", "ramp": "chirp_ramp"}),
     "integration": ("scenario", {key: key for key in ("t_start", "t_end", "sample_interval", "rtol", "atol",
                                                       "trace_tol", "pos_tol", "initial_state")}),
 }
@@ -137,11 +135,6 @@ def _parse_value(section: str, key: str, field: str, raw: str):
     if field in ("allow_wide_theta", "chirp_enabled"):
         return _as_bool(section, key, raw)
     name = raw.strip().lower()
-    if field == "chirp_profile":
-        try:
-            return ChirpProfile(name)
-        except ValueError:
-            _fail(section, key, f"expected one of {[p.value for p in ChirpProfile]}, got {name!r}")
     if field == "initial_state":
         if name not in _INITIAL_STATES:
             _fail(section, key, f"expected one of {sorted(_INITIAL_STATES)}, got {name!r}")
@@ -231,8 +224,6 @@ def parse_config_full(text: str) -> tuple[Scenario | SweepSpec, OutputOptions]:
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, ChirpProfile):
-        return value.value
     if isinstance(value, DensityMatrix):
         for name, factory in _INITIAL_STATES.items():
             if value == factory():

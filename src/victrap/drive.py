@@ -5,9 +5,10 @@ The drive is stated once, vectorised over time and over lanes:
 the affine generator, at an array of times for one ``DriveConfig`` or at
 one row of times per lane for a ``DriveLanes`` stack.  The integrator
 evaluates all stage times of every lane's step in one call;
-``drive_sample`` is a single-time view of it.  ``detuning_phases`` gives
-the detunings' integrals in closed form, which the exact post-pulse
-propagator needs.
+``drive_sample`` is a single-time view of it.  The exact post-pulse
+propagator needs two integrals of the drive in closed form:
+``pulses_over`` bounds what the envelopes still to come add up to, and
+``detuning_phases`` gives the detunings' antiderivatives.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
-from .model import ChirpProfile, DriveConfig
+from .model import DriveConfig
 
 __all__ = ["DriveSample", "DriveLanes", "drive_coefficients", "drive_sample"]
 
@@ -34,35 +34,33 @@ class DriveSample:
     delta2: float
 
 
-# Field columns of (shift, scale, gain, offset), chirp off and on.  Off, the
-# static offsets are the gain of a constant 1.  Adding -0.0 keeps every bit.
-_COLUMNS = (np.array(((0, 1, 0, 1), (2, 2, 3, 3), (4, 5, 8, 9), (10, 10, 10, 10))),
-            np.array(((0, 1, 0, 1), (2, 2, 3, 3), (4, 5, 6, 7), (10, 10, 8, 9))))
+# Field columns of (shift, scale, gain, offset).  The envelopes' offset is
+# -0.0, which keeps every bit.
+_COLUMNS = np.array(((0, 1, 0, 1), (2, 2, 3, 3), (4, 5, 6, 7), (10, 10, 8, 9)))
+
+
+def _chi(drive: DriveConfig) -> tuple[float, float]:
+    """The chirp amplitudes (chi1, chi2), zero when the chirp is off."""
+    return (drive.chi1, drive.chi2) if drive.chirp_enabled else (0.0, 0.0)
 
 
 class DriveLanes:
     """The numeric drive parameters of several lanes, tiled for a fixed number of times per lane.
 
     Each value is gain * f(x) + offset with x = (t - shift) / scale, where
-    f(x) = exp(-x^2) for the envelopes and tanh(x), or 1, for the detunings.
-    The constants and the scratch buffer ``x`` have shape (lanes, 2, times,
-    2), envelopes then detunings.  The chirp switch and profile are shared
-    by all lanes (no sweep axis changes them).
+    f(x) = exp(-x^2) for the envelopes and tanh(x) for the detunings.  The
+    constants and the scratch buffer ``x`` have shape (lanes, 2, times, 2),
+    envelopes then detunings.
     """
 
-    __slots__ = ("shift", "scale", "gain", "offset", "x", "tanh", "blocks")
+    __slots__ = ("shift", "scale", "gain", "offset", "x", "blocks")
 
     def __init__(self, drives: Sequence[DriveConfig], times: int):
-        first = drives[0]
-        if any((d.chirp_enabled, d.chirp_profile) != (first.chirp_enabled, first.chirp_profile) for d in drives):
-            raise ContractViolationError("lanes of one stack must share the chirp switch and profile")
-        chirp = first.chirp_enabled
-        fields = np.array([(d.center1, d.center2, d.tau, d.chirp_ramp, d.g01, d.g02, d.chi1, d.chi2,
+        fields = np.array([(d.center1, d.center2, d.tau, d.chirp_ramp, d.g01, d.g02, *_chi(d),
                             d.static_delta1, d.static_delta2, -0.0) for d in drives])
-        values = fields[:, _COLUMNS[chirp]].transpose(1, 0, 2).reshape(4, len(drives), 2, 1, 2)
+        values = fields[:, _COLUMNS].transpose(1, 0, 2).reshape(4, len(drives), 2, 1, 2)
         self.shift, self.scale, self.gain, self.offset = np.repeat(values, times, axis=3)
         self.x = np.empty_like(self.shift)
-        self.tanh = chirp and first.chirp_profile is ChirpProfile.TANH
         self.blocks = self.x[:, 0], self.x[:, 1]
 
     def __len__(self) -> int:
@@ -76,10 +74,9 @@ def drive_coefficients(ts, drive: DriveConfig | DriveLanes, out: np.ndarray | No
     shape (n, 4); for ``DriveLanes`` ``ts`` is a (lanes, times) array
     matching the stack and the result has shape (lanes, times, 4), written
     into ``out`` when given.  Gaussian envelopes g_k = g0k * exp(-(t -
-    c_k)^2 / tau^2) peak at the pulse centers c_k.  With chirping enabled
-    each detuning sweeps by its chi amplitude around the static offset,
-    centered on the corresponding pulse; disabled, the detunings are the
-    static offsets.
+    c_k)^2 / tau^2) peak at the pulse centers c_k.  The detunings are
+    static_k + chi_k * tanh((t - c_k)/r), with r the chirp ramp and the chi
+    amplitudes zero when the chirp is off.
     """
     if isinstance(drive, DriveLanes):
         lanes, t = drive, ts[:, None, :, None]
@@ -94,10 +91,7 @@ def drive_coefficients(ts, drive: DriveConfig | DriveLanes, out: np.ndarray | No
     np.square(envelope, out=envelope)
     np.negative(envelope, out=envelope)
     np.exp(envelope, out=envelope)
-    if lanes.tanh:
-        np.tanh(detuning, out=detuning)
-    else:
-        detuning.fill(1.0)
+    np.tanh(detuning, out=detuning)
     np.multiply(x, lanes.gain, out=x)
     # (lanes, times, 4) seen as (lanes, 2, times, 2), the layout of x.
     np.add(x, lanes.offset, out=out.reshape(out.shape[:2] + (2, 2)).transpose(0, 2, 1, 3))
@@ -109,20 +103,43 @@ def drive_sample(t: float, drive: DriveConfig) -> DriveSample:
     return DriveSample(*drive_coefficients(t, drive)[0].tolist())
 
 
+def pulses_over(drive: DriveConfig, weights: Sequence[float], eps: float) -> float:
+    """The earliest t_off with sum_k g0k * tau * (sqrt(pi)/2) * erfc((t_off - c_k)/tau) * w_k <= eps.
+
+    The sum is the integral over [t_off, inf) of w1 g1(t) + w2 g2(t).  With
+    the weights the norms of the generators G1 and G2, leaving the
+    envelopes out after t_off moves no state component by more than about
+    eps.  Found by bisection to the last bit; -inf when neither pulse has
+    amplitude.
+    """
+    pulses = [(g0 * drive.tau * math.sqrt(math.pi) / 2.0 * weight, center)
+              for g0, center, weight in zip((drive.g01, drive.g02), (drive.center1, drive.center2), weights) if g0 > 0]
+    if not pulses:
+        return -math.inf
+
+    def left(t: float) -> float:
+        return sum(weight * math.erfc((t - center) / drive.tau) for weight, center in pulses)
+
+    lo, width = max(center for _, center in pulses), drive.tau
+    while left(lo + width) > eps:  # erfc underflows to 0 past 27, so this ends
+        width *= 2.0
+    hi = lo + width
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if left(mid) > eps else (lo, mid)
+        mid = 0.5 * (lo + hi)
+    return hi
+
+
 def detuning_phases(ts, drive: DriveConfig) -> np.ndarray:
     """Antiderivatives (Phi1, Phi2) of the detunings at the times ``ts``, shape (n, 2).
 
-    Chirp off, Phi = static * t; TANH, Phi = chi * r * log cosh((t - c)/r) +
-    static * t with r the chirp ramp; CONSTANT, Phi = (chi + static) * t.
-    log cosh x is evaluated as |x| + log1p(exp(-2|x|)) - log 2, which does
-    not overflow.  Only differences of the phases are meaningful.
+    Phi = chi * r * log cosh((t - c)/r) + static * t, with r the chirp ramp
+    and chi zero when the chirp is off.  log cosh x is evaluated as |x| +
+    log1p(exp(-2|x|)) - log 2, which does not overflow.  Only differences of
+    the phases are meaningful.
     """
     t = np.asarray(ts, dtype=float).reshape(-1, 1)
     static = np.array((drive.static_delta1, drive.static_delta2))
-    if not drive.chirp_enabled:
-        return static * t
-    chi = np.array((drive.chi1, drive.chi2))
-    if drive.chirp_profile is ChirpProfile.CONSTANT:
-        return (chi + static) * t
     x = np.abs(t - np.array((drive.center1, drive.center2))) / drive.chirp_ramp
-    return chi * drive.chirp_ramp * (x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)) + static * t
+    return np.array(_chi(drive)) * drive.chirp_ramp * (x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)) + static * t

@@ -47,12 +47,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .drive import DriveLanes, detuning_phases, drive_coefficients
+from .drive import DriveLanes, detuning_phases, drive_coefficients, pulses_over
 from .errors import IntegrationError, InsufficientDataError, InvalidParameterError, PhysicalityError, SimulationError
 from .liouvillian import (
     PACKED_SIZE, decay_generator, drive_generators, generator_basis, pack_state, rotate_coherences, unpack_state,
 )
-from .model import DensityMatrix, DriveConfig, ObservableRecord, Scenario
+from .model import DensityMatrix, ObservableRecord, Scenario
 from .observables import packed_diagnostics
 
 __all__ = [
@@ -362,34 +362,6 @@ def _reachable(scenario: Scenario, decay: np.ndarray, grid: np.ndarray) -> np.nd
     return reach
 
 
-def _pulses_over(drive: DriveConfig, basis: np.ndarray, eps: float) -> float:
-    """The earliest t_off with sum_k g0k * tau * (sqrt(pi)/2) * erfc((t_off - c_k)/tau) * |G_k| <= eps.
-
-    The sum is the integral over [t_off, inf) of |g1(t) G1 + g2(t) G2|,
-    with |G| the largest absolute row sum, so leaving the envelopes out
-    after t_off moves no packed component by more than about eps.  Found
-    by bisection to the last bit; -inf when neither pulse has amplitude.
-    """
-    norms = np.abs(basis[:2].reshape(2, PACKED_SIZE, PACKED_SIZE)).sum(axis=2).max(axis=1).tolist()
-    pulses = [(g0 * drive.tau * math.sqrt(math.pi) / 2.0 * norm, center)
-              for g0, center, norm in zip((drive.g01, drive.g02), (drive.center1, drive.center2), norms) if g0 > 0]
-    if not pulses:
-        return -math.inf
-
-    def left(t: float) -> float:
-        return sum(weight * math.erfc((t - center) / drive.tau) for weight, center in pulses)
-
-    lo, width = max(center for _, center in pulses), drive.tau
-    while left(lo + width) > eps:  # erfc underflows to 0 past 27, so this ends
-        width *= 2.0
-    hi = lo + width
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        lo, hi = (mid, hi) if left(mid) > eps else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    return hi
-
-
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) by Padé-13 scaling and squaring (Higham 2005).
 
@@ -456,7 +428,7 @@ class _Lane:
     error; a lane that fails leaves, and the other lanes go on.
 
     A lane steps only while the pulses are on: up to t_stop, the earlier of
-    t_end and t_off (see _pulses_over, with eps = _DRIVE_LEFT * atol), or
+    t_end and t_off (see drive.pulses_over, with eps = _DRIVE_LEFT * atol), or
     not at all when there is no pulse.  It lands on t_stop and ``finish``
     records the grid times after it in closed form.
 
@@ -474,7 +446,9 @@ class _Lane:
         self.basis = generator_basis(decay)
         self.reach = _reachable(scenario, decay, grid)
         self.decay = decay[np.ix_(self.reach, self.reach)]  # L0 on the reachable components
-        self.t_stop = max(t_start, min(t_end, _pulses_over(drive, self.basis, _DRIVE_LEFT * scenario.atol)))
+        # Weigh the envelopes by |G1| and |G2|, the largest absolute row sums.
+        norms = np.abs(self.basis[:2].reshape(2, PACKED_SIZE, PACKED_SIZE)).sum(axis=2).max(axis=1).tolist()
+        self.t_stop = max(t_start, min(t_end, pulses_over(drive, norms, _DRIVE_LEFT * scenario.atol)))
         span = self.t_stop - t_start
         # The tail's exponentials need L0 times the window to be finite.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -762,8 +736,7 @@ def steady_states(
     tol)`` returns, bit for bit, or the error it raises: a lane that fails
     to start, to step or to summarise leaves the others untouched.  Each
     lane checks every sample but keeps only the rows of its trailing
-    window, so memory does not grow with the sample grid.  The scenarios
-    must share the chirp switch and profile.
+    window, so memory does not grow with the sample grid.
     """
     outcomes: list = [None] * len(scenarios)
     lanes = {}
@@ -775,7 +748,7 @@ def steady_states(
         grid = grids[key]
         # A window error is reported only if the run itself succeeds.
         try:
-            start, window_error = _steady_window(scenario, grid[0].item(), grid[-1].item(), window), None
+            start, window_error = _steady_window(scenario, grid, window), None
         except SimulationError as exc:
             start, window_error = math.inf, exc
         try:
@@ -836,8 +809,9 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
     return recorder.trajectory(steps, 0, 4 * steps)
 
 
-def _steady_window(scenario: Scenario, first: float, last: float, window: float) -> float:
-    """Check that a run over [first, last] has a usable trailing window; return the window's start."""
+def _steady_window(scenario: Scenario, grid: np.ndarray, window: float) -> float:
+    """Check that a run sampled on ``grid`` has a usable trailing window; return the window's start."""
+    first, last = grid[0].item(), grid[-1].item()
     if not (math.isfinite(window) and window > 0):
         raise InvalidParameterError(f"window must be positive, got {window!r}")
     if window > last - first:
@@ -850,7 +824,11 @@ def _steady_window(scenario: Scenario, first: float, last: float, window: float)
             f"trajectory ends at t={last:g}, but needs to reach t={pulses_off + window:g} "
             f"(pulses off at t={pulses_off:g} plus window {window:g})"
         )
-    return last - window - 1e-12
+    start = last - window - 1e-12
+    if len(grid) - bisect.bisect_left(grid, start) < 2:
+        raise InsufficientDataError(f"window {window:g} holds one sample (t={last:g}); a steady verdict needs two: "
+                                    f"use a sample_interval of at most {window:g}")
+    return start
 
 
 def _steady_summary(rows: np.ndarray, start: float, tol: float) -> SteadySummary:
@@ -887,8 +865,8 @@ def detect_steady_state(
     purity to each vary by less than `tol` over the trailing `window`; the
     returned values are read from the final sample.  The trajectory must
     extend at least `window` past the point where both pulse envelopes have
-    fallen below 1e-6 of their peaks.
+    fallen below 1e-6 of their peaks, and the window must hold at least two
+    samples.
     """
-    times = traj.times
-    start = _steady_window(traj.scenario, float(times[0]), float(times[-1]), window)
+    start = _steady_window(traj.scenario, traj.times, window)
     return _steady_summary(traj.columns, start, tol)

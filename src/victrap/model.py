@@ -9,7 +9,6 @@ dimensionless float.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +22,6 @@ __all__ = [
     "MAX_SAMPLE_ROWS",
     "DensityMatrix",
     "SystemParams",
-    "ChirpProfile",
     "DriveConfig",
     "Scenario",
     "ObservableRecord",
@@ -240,23 +238,16 @@ class SystemParams:
         return cross_damping(self.gamma01, self.gamma02, self.theta)
 
 
-class ChirpProfile(enum.Enum):
-    """Detuning sweep profile applied around each pulse center."""
-
-    TANH = "tanh"
-    CONSTANT = "constant"
-
-
 @dataclass(frozen=True)
 class DriveConfig:
     """Pulse amplitudes/timing and detuning sweep settings.
 
     Pulse 1 (amplitude ``g01``) couples |0> to both doublet levels and peaks
     at ``t_origin``; pulse 2 (amplitude ``g02``) couples |0> to |3> and peaks
-    at ``t_origin + t0``.  ``t0`` is signed.  When ``chirp_enabled`` the
-    detunings sweep as chi_i * tanh((t - center_i)/chirp_ramp) around the
-    corresponding pulse center; otherwise they stay at the static offsets
-    and the chi amplitudes are ignored.
+    at ``t_origin + t0``.  ``t0`` is signed.  The detunings are
+    static_delta_i + chi_i * tanh((t - center_i)/chirp_ramp), each swept
+    around its pulse center; when ``chirp_enabled`` is false the chi
+    amplitudes count as zero and the detunings stay at the static offsets.
 
     chi defaults are the chirped-scenario baseline (0.3, 0.2); the ramp time
     defaults to half the pulse width of that baseline (2.0).
@@ -269,7 +260,6 @@ class DriveConfig:
     chirp_enabled: bool = False
     chi1: float = 0.3
     chi2: float = 0.2
-    chirp_profile: ChirpProfile = ChirpProfile.TANH
     chirp_ramp: float = 2.0
     static_delta1: float = 0.0
     static_delta2: float = 0.0

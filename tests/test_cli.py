@@ -91,6 +91,19 @@ class TestRun:
         assert out.read_text().startswith(TRAJECTORY_CSV_HEADER)  # output still emitted
 
 
+    def test_window_holding_one_sample_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "coarse.cfg", "[integration]\nsample_interval = 30\n")
+        assert main(["--format", "json", "run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "window 5 holds one sample" in captured.err
+
+    def test_profile_key_is_usage_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "profile.cfg", "[chirp]\nenabled = true\nprofile = constant\n")
+        assert main(["run", "--config", cfg]) == 1
+        assert "unknown key 'profile'" in capsys.readouterr().err
+
+
 class TestPreset:
     def test_unknown_name_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -188,6 +201,15 @@ class TestSweep:
         assert code == 0
         payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 2
+
+    def test_points_whose_window_holds_one_sample_are_flagged(self, tmp_path):
+        cfg = write(tmp_path, "coarse.cfg", "[integration]\nsample_interval = 30\n"
+                                            "[sweep]\nparameter = theta\nvalues = 0.0, 0.8\n")
+        out = tmp_path / "table.json"
+        assert main(["--quiet", "--format", "json", "sweep", "--config", cfg, "--out", str(out)]) == 2
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 2
+        assert all("holds one sample" in row["error"] and not row["converged"] for row in rows)
 
     def test_scenario_config_is_usage_error(self, tmp_path):
         cfg = write(tmp_path, "run.cfg", SHORT_RUN_CFG)

@@ -3,7 +3,6 @@ from dataclasses import replace
 import pytest
 
 from victrap import (
-    ChirpProfile,
     ConfigError,
     Scenario,
     SweepAxis,
@@ -46,9 +45,11 @@ class TestParsing:
         assert sc.drive.chi2 == 0.2
         assert sc.drive.chirp_ramp == 1.0
 
-    def test_profile_parsing(self):
-        sc = parse_config("[chirp]\nenabled = on\nprofile = constant\n")
-        assert sc.drive.chirp_profile is ChirpProfile.CONSTANT
+    def test_profile_key_is_rejected(self):
+        # The detuning has one formula; a constant offset is a static delta.
+        for profile in ("tanh", "constant"):
+            with pytest.raises(ConfigError, match="unknown key 'profile' in \\[chirp\\]"):
+                parse_config(f"[chirp]\nenabled = on\nprofile = {profile}\n")
 
     def test_initial_state_names(self):
         sc = parse_config("[integration]\ninitial_state = ground\n")

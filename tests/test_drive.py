@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from victrap import ChirpProfile, DriveConfig, drive_sample
+from victrap import DriveConfig, drive_sample
 from victrap.drive import drive_coefficients
 
 times = st.floats(min_value=-40.0, max_value=80.0, allow_nan=False)
@@ -96,11 +96,6 @@ class TestChirp:
         d1, d2 = detunings(t, CHIRPED)
         assert abs(d1) <= abs(CHIRPED.chi1)
         assert abs(d2) <= abs(CHIRPED.chi2)
-
-    def test_constant_profile(self):
-        drive = DriveConfig(chirp_enabled=True, chirp_profile=ChirpProfile.CONSTANT)
-        for t in (-10.0, 0.0, 30.0):
-            assert detunings(t, drive) == (0.3, 0.2)
 
     def test_ramp_time_scales_argument(self):
         slow = DriveConfig(chirp_enabled=True, chirp_ramp=4.0)

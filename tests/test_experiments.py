@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from victrap import (
+    InsufficientDataError,
     IntegrationError,
     InvalidParameterError,
     PhysicalityError,
@@ -324,6 +325,25 @@ def test_physicality_failure_in_one_lane_leaves_the_others_untouched():
 
 
 @pytest.mark.filterwarnings("error")
+def test_lanes_with_different_chirp_settings_share_one_stack():
+    # Chirp off (fig2), on (fig4) and on at another angle step side by side,
+    # each with the bits it has alone.
+    scenarios = [preset("fig2"), preset("fig4"), apply_parameter(preset("fig2"), "theta", 0.8)]
+    outcomes = integrator.steady_states(scenarios)
+    for scenario, outcome in zip(scenarios, outcomes):
+        assert summary_bits(outcome) == summary_bits(detect_steady_state(integrate(scenario)))
+
+
+def test_window_holding_one_sample_is_the_lane_outcome_after_its_run_error():
+    # On the grid -16, 14, 44, 74 the 5-unit window holds one sample.  A lane
+    # whose run fails reports that failure instead.
+    coarse = replace(preset("fig2"), sample_interval=30.0)
+    outcomes = integrator.steady_states([coarse, replace(coarse, trace_tol=1e-17)])
+    assert isinstance(outcomes[0], InsufficientDataError)
+    assert "window 5 holds one sample" in str(outcomes[0])
+    assert isinstance(outcomes[1], PhysicalityError)
+
+
 def test_non_finite_lane_fails_alone_without_warnings(monkeypatch):
     # The lane without a first pulse (g1 = 0 at every time) gets NaN drive
     # values from t = 5 on: its trial states turn NaN, each such attempt

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from victrap import (
-    ChirpProfile,
     DensityMatrix,
     DriveConfig,
     IntegrationError,
@@ -347,8 +346,6 @@ class TestExactTail:
                      id="chirp_off_detuned"),
         pytest.param(preset("fig4"), id="fig4_tanh"),
         pytest.param(replace(preset("fig4"), params=SystemParams(theta=0.1)), id="fig4_theta_0.1"),
-        pytest.param(replace(preset("fig4"), drive=DriveConfig(chirp_enabled=True, chirp_profile=ChirpProfile.CONSTANT)),
-                     id="fig4_constant"),
         pytest.param(replace(STIFF, t_start=-16.0, t_end=80.0), id="stiff"),
     ])
     def test_matches_oracle_b(self, scenario):
@@ -366,7 +363,7 @@ class TestExactTail:
         lane = integrator._Lane(sc, sample_times(sc))
         assert lane.t_stop == sc.t_end
         ours = integrate(sc)
-        monkeypatch.setattr(integrator, "_pulses_over", lambda *args: math.inf)
+        monkeypatch.setattr(integrator, "pulses_over", lambda *args: math.inf)
         stepped = integrate(sc)
         assert ours.stats == stepped.stats
         assert ours.columns.tobytes() == stepped.columns.tobytes()
@@ -424,6 +421,18 @@ class TestExactTail:
         assert np.max(np.abs(rows[:, 1:17] - exact_tail(sc, rows))) <= 1e-7
 
 
+class TestChirpOff:
+    """With the chirp off the detunings are the static offsets: the chi amplitudes count as zero."""
+
+    @pytest.mark.parametrize("static", [(0.0, 0.0), (0.37, -0.11)], ids=["fig2", "static_detuned"])
+    def test_same_bits_as_a_zero_chirp(self, static):
+        drive = DriveConfig(static_delta1=static[0], static_delta2=static[1])
+        off = integrate(replace(preset("fig2"), drive=drive))
+        zero = integrate(replace(preset("fig2"), drive=replace(drive, chirp_enabled=True, chi1=0.0, chi2=0.0)))
+        assert off.columns.tobytes() == zero.columns.tobytes()
+        assert off.stats == zero.stats
+
+
 class TestFixedStep:
     def test_coarse_step_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -459,6 +468,15 @@ class TestSteadyDetection:
         traj = integrate(quiet_scenario(t_end=3.0))
         with pytest.raises(InsufficientDataError):
             detect_steady_state(traj, window=10.0)
+
+    def test_window_holding_one_sample_rejected(self):
+        # On the grid -16, 14, 44, 74 the 5-unit window holds t = 74 alone,
+        # which would read as converged with max_delta = 0.
+        traj = integrate(replace(preset("fig2"), sample_interval=30.0))
+        with pytest.raises(InsufficientDataError, match="window 5 holds one sample"):
+            detect_steady_state(traj)
+        # Rows 74 and 79 are two samples, enough for a verdict.
+        assert detect_steady_state(integrate(replace(preset("fig2"), sample_interval=5.0))).converged
 
     def test_bad_window_rejected(self):
         traj = integrate(quiet_scenario())
