@@ -20,12 +20,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from .errors import InvalidParameterError, SimulationError
-from .integrator import (
-    DEFAULT_STEADY_TOL,
-    DEFAULT_STEADY_WINDOW,
-    SteadySummary,
-    steady_states,
-)
+from .integrator import SteadySummary, steady_states
 from .model import DriveConfig, Scenario, SystemParams
 
 __all__ = [
@@ -189,7 +184,7 @@ def _row(values: tuple[float, ...], outcome: SteadySummary | SimulationError) ->
     )
 
 
-def _run_chunk(spec: SweepSpec, points: list[tuple[float, ...]], window: float, tol: float) -> list[SweepRow]:
+def _run_chunk(spec: SweepSpec, points: list[tuple[float, ...]]) -> list[SweepRow]:
     """The rows of one lockstep run over ``points``.
 
     A point whose scenario fails to build, or that fails to integrate or
@@ -202,15 +197,13 @@ def _run_chunk(spec: SweepSpec, points: list[tuple[float, ...]], window: float, 
             scenarios[i] = _point_scenario(spec, values)
         except SimulationError as exc:
             outcomes[i] = exc
-    outcomes.update(zip(scenarios, steady_states(list(scenarios.values()), window, tol)))
+    outcomes.update(zip(scenarios, steady_states(list(scenarios.values()))))
     return [_row(values, outcomes[i]) for i, values in enumerate(points)]
 
 
 def sweep(
     spec: SweepSpec,
     max_workers: int = 1,
-    window: float = DEFAULT_STEADY_WINDOW,
-    tol: float = DEFAULT_STEADY_TOL,
     progress: Callable[[Sequence[SweepRow], int], None] | None = None,
 ) -> SweepTable:
     """Run every grid point and collect steady-state values, in grid order.
@@ -229,7 +222,7 @@ def sweep(
     grid = spec.grid()
     rows: list[SweepRow] = []
     for start in range(0, len(grid), MAX_LANES):
-        rows += _run_chunk(spec, grid[start:start + MAX_LANES], window, tol)
+        rows += _run_chunk(spec, grid[start:start + MAX_LANES])
         if progress is not None:
             progress(rows, len(grid))
     return SweepTable(parameters=spec.parameters, rows=tuple(rows))

@@ -66,13 +66,13 @@ __all__ = [
     "steady_states",
     "detect_steady_state",
     "sample_times",
-    "DEFAULT_STEADY_WINDOW",
-    "DEFAULT_STEADY_TOL",
+    "STEADY_WINDOW",
+    "STEADY_TOL",
     "MAX_STEPS",
 ]
 
-DEFAULT_STEADY_WINDOW = 5.0
-DEFAULT_STEADY_TOL = 1e-4
+STEADY_WINDOW = 5.0
+STEADY_TOL = 1e-4
 
 # Dormand-Prince 5(4) tableau.  Row k of _A builds stage k+1 from stages
 # 0..k; its last row equals the fifth-order weights _B (first-same-as-last),
@@ -725,15 +725,11 @@ def integrate(scenario: Scenario) -> Trajectory:
     return lane.trajectory()
 
 
-def steady_states(
-    scenarios: Sequence[Scenario],
-    window: float = DEFAULT_STEADY_WINDOW,
-    tol: float = DEFAULT_STEADY_TOL,
-) -> list[SteadySummary | SimulationError]:
+def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | SimulationError]:
     """Integrate the scenarios as lanes of one lockstep run and summarise each one's steady state.
 
-    Entry i is what ``detect_steady_state(integrate(scenarios[i]), window,
-    tol)`` returns, bit for bit, or the error it raises: a lane that fails
+    Entry i is what ``detect_steady_state(integrate(scenarios[i]))``
+    returns, bit for bit, or the error it raises: a lane that fails
     to start, to step or to summarise leaves the others untouched.  Each
     lane checks every sample but keeps only the rows of its trailing
     window, so memory does not grow with the sample grid.
@@ -748,7 +744,7 @@ def steady_states(
         grid = grids[key]
         # A window error is reported only if the run itself succeeds.
         try:
-            start, window_error = _steady_window(scenario, grid, window), None
+            start, window_error = _steady_window(scenario, grid), None
         except SimulationError as exc:
             start, window_error = math.inf, exc
         try:
@@ -758,7 +754,7 @@ def steady_states(
     _run_lanes([lane for lane, _, _ in lanes.values()])
     for i, (lane, start, window_error) in lanes.items():
         rows = lane.recorder.kept()  # checks the last rows, and a lane that took no step its only one
-        outcomes[i] = lane.recorder.error or window_error or _steady_summary(rows, start, tol)
+        outcomes[i] = lane.recorder.error or window_error or _steady_summary(rows, start)
     return outcomes
 
 
@@ -809,29 +805,29 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
     return recorder.trajectory(steps, 0, 4 * steps)
 
 
-def _steady_window(scenario: Scenario, grid: np.ndarray, window: float) -> float:
+def _steady_window(scenario: Scenario, grid: np.ndarray) -> float:
     """Check that a run sampled on ``grid`` has a usable trailing window; return the window's start."""
     first, last = grid[0].item(), grid[-1].item()
-    if not (math.isfinite(window) and window > 0):
-        raise InvalidParameterError(f"window must be positive, got {window!r}")
-    if window > last - first:
+    if STEADY_WINDOW > last - first:
         raise InsufficientDataError(
-            f"window {window:g} exceeds trajectory span {last - first:g}"
+            f"window {STEADY_WINDOW:g} exceeds trajectory span {last - first:g}"
         )
     pulses_off = scenario.drive.pulses_off_after(1e-6)
-    if last - window < pulses_off:
+    if last - STEADY_WINDOW < pulses_off:
         raise InsufficientDataError(
-            f"trajectory ends at t={last:g}, but needs to reach t={pulses_off + window:g} "
-            f"(pulses off at t={pulses_off:g} plus window {window:g})"
+            f"trajectory ends at t={last:g}, but needs to reach t={pulses_off + STEADY_WINDOW:g} "
+            f"(pulses off at t={pulses_off:g} plus window {STEADY_WINDOW:g})"
         )
-    start = last - window - 1e-12
+    start = last - STEADY_WINDOW - 1e-12
     if len(grid) - bisect.bisect_left(grid, start) < 2:
-        raise InsufficientDataError(f"window {window:g} holds one sample (t={last:g}); a steady verdict needs two: "
-                                    f"use a sample_interval of at most {window:g}")
+        raise InsufficientDataError(
+            f"window {STEADY_WINDOW:g} holds one sample (t={last:g}); a steady verdict needs two: "
+            f"use a sample_interval of at most {STEADY_WINDOW:g}"
+        )
     return start
 
 
-def _steady_summary(rows: np.ndarray, start: float, tol: float) -> SteadySummary:
+def _steady_summary(rows: np.ndarray, start: float) -> SteadySummary:
     """The verdict on the rows from time ``start`` on, and the values of the last row."""
     tail = rows[rows[:, 0] >= start]
     columns = dict(zip(TRAJECTORY_COLUMNS, tail.T))
@@ -843,7 +839,7 @@ def _steady_summary(rows: np.ndarray, start: float, tol: float) -> SteadySummary
     max_delta = max(max(v) - min(v) for v in (c.tolist() for c in observed))
     final = _sample(rows[-1])
     return SteadySummary(
-        converged=max_delta < tol,
+        converged=max_delta < STEADY_TOL,
         time=final.time,
         state=final.state,
         record=final.record,
@@ -854,19 +850,15 @@ def _steady_summary(rows: np.ndarray, start: float, tol: float) -> SteadySummary
     )
 
 
-def detect_steady_state(
-    traj: Trajectory,
-    window: float = DEFAULT_STEADY_WINDOW,
-    tol: float = DEFAULT_STEADY_TOL,
-) -> SteadySummary:
+def detect_steady_state(traj: Trajectory) -> SteadySummary:
     """Decide whether the late-time state has stopped evolving.
 
     Convergence requires the doublet population, |rho21|, and the doublet
-    purity to each vary by less than `tol` over the trailing `window`; the
-    returned values are read from the final sample.  The trajectory must
-    extend at least `window` past the point where both pulse envelopes have
-    fallen below 1e-6 of their peaks, and the window must hold at least two
-    samples.
+    purity to each vary by less than STEADY_TOL over the trailing
+    STEADY_WINDOW; the returned values are read from the final sample.  The
+    trajectory must extend at least STEADY_WINDOW past the point where both
+    pulse envelopes have fallen below 1e-6 of their peaks, and the window
+    must hold at least two samples.
     """
-    start = _steady_window(traj.scenario, traj.times, window)
-    return _steady_summary(traj.columns, start, tol)
+    start = _steady_window(traj.scenario, traj.times)
+    return _steady_summary(traj.columns, start)

@@ -160,13 +160,8 @@ def dissipator_only(rho: DensityMatrix | np.ndarray, params: SystemParams) -> np
     return unpack_state(decay_generator(params) @ pack_state(rho))
 
 
-def coherent_only(t: float, rho: DensityMatrix | np.ndarray, params: SystemParams,
-                  drive: DriveConfig) -> np.ndarray:
-    """Drive commutator -i[H(t), rho] alone; traceless for any input.
-
-    ``params`` is unused but kept so the two parts share a call shape.
-    """
-    del params
+def coherent_only(t: float, rho: DensityMatrix | np.ndarray, drive: DriveConfig) -> np.ndarray:
+    """Drive commutator -i[H(t), rho] alone; traceless for any input."""
     return unpack_state(drive_generators(t, drive)[0] @ pack_state(rho))
 
 

@@ -75,17 +75,10 @@ def emit_sweep_json(table: SweepTable, sink: IO[str]) -> None:
     sink.write("\n")
 
 
-def emit_summary_json(
-    steady: SteadySummary,
-    sink: IO[str],
-    stats: IntegrationStats | None = None,
-) -> None:
-    """Flat JSON object with the steady-state observables and convergence flag.
-
-    Integrator statistics are appended when provided.
-    """
+def emit_summary_json(steady: SteadySummary, sink: IO[str], stats: IntegrationStats) -> None:
+    """Flat JSON object with the steady-state observables, convergence flag and integrator statistics."""
     r = steady.record
-    summary: dict = {
+    summary = {
         "time": float(steady.time),
         "converged": steady.converged,
         "max_delta": float(steady.max_delta),
@@ -96,12 +89,11 @@ def emit_summary_json(
         "abs_rho21": float(steady.abs_coherence_21),
         "trace_error": r.trace_error,
         "min_eig": r.min_eigenvalue,
+        "steps_accepted": stats.steps_accepted,
+        "steps_rejected": stats.steps_rejected,
+        "rhs_evaluations": stats.rhs_evaluations,
+        "max_trace_error": stats.max_trace_error,
+        "min_eigenvalue_seen": stats.min_eigenvalue,
     }
-    if stats is not None:
-        summary["steps_accepted"] = stats.steps_accepted
-        summary["steps_rejected"] = stats.steps_rejected
-        summary["rhs_evaluations"] = stats.rhs_evaluations
-        summary["max_trace_error"] = stats.max_trace_error
-        summary["min_eigenvalue_seen"] = stats.min_eigenvalue
     json.dump(summary, sink, indent=2)
     sink.write("\n")

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from victrap import (
     sweep,
 )
 from victrap.experiments import MAX_AXIS_POINTS, MAX_GRID_POINTS, apply_parameter
-from victrap.integrator import DEFAULT_STEADY_WINDOW
+from victrap.integrator import STEADY_WINDOW
 
 
 class TestPresets:
@@ -243,6 +244,15 @@ class TestLaneBatchedSweep:
         assert ok.error is None
         assert row_bits(ok) == solo_bits(spec, (5.8,))
 
+    def test_point_whose_scenario_cannot_be_built_is_flagged(self):
+        spec = SweepSpec(base=preset("fig4"), axes=(SweepAxis("tau", (4.0, -1.0)),))
+        ok, bad = sweep(spec).rows
+        assert math.isnan(bad.doublet_population) and math.isnan(bad.doublet_purity)
+        assert math.isnan(bad.abs_coherence_21)
+        assert not bad.converged
+        assert "tau must be a positive pulse width" in bad.error
+        assert row_bits(ok) == solo_bits(spec, (4.0,))
+
     def test_window_too_long_for_the_step_cap_is_flagged(self, monkeypatch):
         # With a budget of 1,000 steps, tau = 0.2 caps steps at 0.02 and the
         # 27 units up to the end of its pulses need at least 1,350: that point
@@ -282,7 +292,7 @@ class TestLaneBatchedSweep:
             tracemalloc.stop()
         assert all(row.error is None for row in table.rows)
         assert len(held) == 4
-        assert max(held) <= DEFAULT_STEADY_WINDOW / base.sample_interval + 2
+        assert max(held) <= STEADY_WINDOW / base.sample_interval + 2
         assert peak < rows * len(integrator.TRAJECTORY_COLUMNS) * 8
 
 
@@ -322,6 +332,21 @@ def test_physicality_failure_in_one_lane_leaves_the_others_untouched():
     assert summary_bits(outcomes[1]) == summary_bits(solo.value)
     for i in (0, 2):
         assert summary_bits(outcomes[i]) == summary_bits(detect_steady_state(integrate(scenarios[i])))
+
+
+def test_physicality_failure_first_in_the_exact_tail_is_the_lane_outcome():
+    # fig2's stepped rows keep their trace error far below 1e-14; the first
+    # row above it lies past t_stop, among the rows of the exact tail.
+    failing = replace(preset("fig2"), trace_tol=1e-14)
+    t_stop = integrator._Lane(failing, integrator.sample_times(failing)).t_stop
+    traj = integrate(preset("fig2"))
+    assert traj.column("trace_error")[traj.times <= t_stop].max() < 1e-15
+    with pytest.raises(PhysicalityError) as solo:
+        integrate(failing)
+    assert float(re.search(r"at t=(\S+)$", str(solo.value)).group(1)) > t_stop
+    outcomes = integrator.steady_states([failing, preset("fig4")])
+    assert summary_bits(outcomes[0]) == summary_bits(solo.value)
+    assert summary_bits(outcomes[1]) == summary_bits(detect_steady_state(integrate(preset("fig4"))))
 
 
 @pytest.mark.filterwarnings("error")

@@ -453,7 +453,7 @@ class TestFixedStep:
 class TestSteadyDetection:
     def test_constant_trajectory_converges(self):
         traj = integrate(quiet_scenario())
-        steady = detect_steady_state(traj, window=5.0)
+        steady = detect_steady_state(traj)
         assert steady.converged
         assert steady.doublet_population == 0.0
         assert steady.max_delta == 0.0
@@ -466,8 +466,8 @@ class TestSteadyDetection:
 
     def test_window_longer_than_span_rejected(self):
         traj = integrate(quiet_scenario(t_end=3.0))
-        with pytest.raises(InsufficientDataError):
-            detect_steady_state(traj, window=10.0)
+        with pytest.raises(InsufficientDataError, match="window 5 exceeds trajectory span 3"):
+            detect_steady_state(traj)
 
     def test_window_holding_one_sample_rejected(self):
         # On the grid -16, 14, 44, 74 the 5-unit window holds t = 74 alone,
@@ -477,11 +477,6 @@ class TestSteadyDetection:
             detect_steady_state(traj)
         # Rows 74 and 79 are two samples, enough for a verdict.
         assert detect_steady_state(integrate(replace(preset("fig2"), sample_interval=5.0))).converged
-
-    def test_bad_window_rejected(self):
-        traj = integrate(quiet_scenario())
-        with pytest.raises(InvalidParameterError):
-            detect_steady_state(traj, window=-1.0)
 
     def test_fig2_converges(self, fig2_run):
         assert fig2_run.steady.converged

@@ -93,7 +93,7 @@ class TestAgainstBruteForceOracles:
         for t in (-6.0, 0.0, 3.7, 11.0):
             for _ in range(20):
                 rho = random_density_matrix(rng)
-                got = coherent_only(t, rho, PARAMS, DRIVE)
+                got = coherent_only(t, rho, DRIVE)
                 want = commutator_oracle(t, rho, DRIVE)
                 assert np.max(np.abs(got - want)) < 1e-13
 
@@ -152,7 +152,7 @@ class TestStructuralProperties:
         for _ in range(100):
             rho = random_density_matrix(rng)
             total = master_rhs(0.8, rho, PARAMS, DRIVE)
-            parts = coherent_only(0.8, rho, PARAMS, DRIVE) + dissipator_only(rho, PARAMS)
+            parts = coherent_only(0.8, rho, DRIVE) + dissipator_only(rho, PARAMS)
             assert np.array_equal(total, parts)
 
     def test_trace_free(self):
@@ -166,7 +166,7 @@ class TestStructuralProperties:
         rng = np.random.default_rng(16)
         for _ in range(20):
             rho = random_density_matrix(rng)
-            assert abs(np.trace(coherent_only(2.0, rho, PARAMS, DRIVE))) < 1e-15
+            assert abs(np.trace(coherent_only(2.0, rho, DRIVE))) < 1e-15
 
     def test_exactly_hermitian_output(self):
         rng = np.random.default_rng(17)

@@ -11,7 +11,6 @@ from victrap import (
     Scenario,
     SystemParams,
     TRAJECTORY_CSV_HEADER,
-    detect_steady_state,
     emit_summary_json,
     emit_sweep_csv,
     emit_sweep_json,
@@ -181,12 +180,3 @@ class TestSummaryJson:
         assert payload["steps_rejected"] == fig2_run.traj.stats.steps_rejected
         # flat object: no nested containers
         assert all(not isinstance(v, (dict, list)) for v in payload.values())
-
-    def test_without_stats(self):
-        traj = quiet_run()
-        steady = detect_steady_state(traj, window=1.0)
-        sink = io.StringIO()
-        emit_summary_json(steady, sink)
-        payload = json.loads(sink.getvalue())
-        assert "steps_accepted" not in payload
-        assert payload["p_doublet"] == 0.0
