@@ -102,7 +102,8 @@ def _run_single(args, scenario: Scenario, fmt: str, out_path: str | None) -> int
     except InsufficientDataError as exc:
         if fmt == "json":  # a summary needs a verdict
             raise
-        _say(args, f"steady-state detection skipped: {exc}")
+        # The exit code says only that there is no verdict; say why, under --quiet too.
+        print(f"steady-state detection skipped: {exc}", file=sys.stderr)
     steady = traj.steady
     if steady is not None:
         _say(args, f"steady state at t={steady.time:g}: p1+p2={steady.doublet_population:.6f}, "

@@ -25,7 +25,9 @@ One stepper serves single runs and sweeps.  Each scenario is a lane with
 its own time, step size and accept/reject decision; one loop iteration
 attempts one step in every active lane, with the generators, stage sums,
 stage products and error norms computed for all lanes at once, and lanes
-that finish or fail leave the active set.  ``integrate`` is the one-lane
+that finish or fail leave the active set.  The controller runs per lane
+on Python floats; the dense-output rows of all lanes are formed together,
+a few hundred at a time.  ``integrate`` is the one-lane
 case, and ``steady_states`` runs many lanes, each keeping only the rows of
 its trailing steady window.  A lane's arithmetic does not depend on the
 other lanes, so its results are the same bits in any batch.
@@ -52,8 +54,8 @@ from .errors import IntegrationError, InsufficientDataError, InvalidParameterErr
 from .liouvillian import (
     PACKED_SIZE, decay_generator, drive_generators, generator_basis, pack_state, rotate_coherences, unpack_state,
 )
-from .model import DensityMatrix, ObservableRecord, Scenario
-from .observables import packed_diagnostics
+from .model import DensityMatrix, ObservableRecord, Scenario, SystemParams
+from .observables import packed_diagnostics, packed_verdict
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
@@ -101,7 +103,7 @@ _E = np.array((
 # t + θh is y + h·W(θ) @ K with
 #   W(θ) = θ·b + θ(1-θ)·(e1 - b) + θ²(1-θ)·(2b - e1 - e7) + θ²(1-θ)²·d,
 # b the fifth-order weights with b7 = 0.  _P holds W's coefficients of
-# θ, θ², θ³, θ⁴, so W(θ) = θ^_POWERS @ _P.
+# θ, θ², θ³, θ⁴, so W(θ) = (θ, θ², θ³, θ⁴) @ _P.
 _D = np.array((
     -12715105075.0 / 11282082432.0,
     0.0,
@@ -113,7 +115,6 @@ _D = np.array((
 ))
 _E1, _E7 = np.eye(7)[[0, 6]]
 _P = np.array((_E1, 3.0 * _A[5] - 2.0 * _E1 - _E7 + _D, -2.0 * _A[5] + _E1 + _E7 - 2.0 * _D, _D))
-_POWERS = np.arange(1, 5)
 # Stage derivatives evaluated per attempted step (the first is carried over).
 _NEW_STAGES = 6
 
@@ -150,6 +151,9 @@ _EPS = float(np.finfo(float).eps)
 # powers of exp(L0 * sample_interval) that it keeps to build them.
 _TAIL_ROWS = 256
 _TAIL_POWERS = 16
+# Dense-output rows that the lockstep stepper lets accumulate before it
+# forms them in one batch; see _DenseRows.
+_DENSE_ROWS = 256
 
 # Columns of Trajectory.columns, in trajectory-CSV order: the time, the 16
 # packed reals (populations, then re/im of rho10, rho20, rho21, rho30,
@@ -161,6 +165,7 @@ TRAJECTORY_COLUMNS = (
     "doublet_purity", "trace_error", "min_eig",
 )
 _STATE = slice(1, 1 + PACKED_SIZE)
+_SAMPLE = slice(0, 1 + PACKED_SIZE)  # what the steppers write: the time and the packed state
 _DIAGNOSTICS = slice(1 + PACKED_SIZE, len(TRAJECTORY_COLUMNS))
 # Rows whose diagnostics are derived and checked together.
 _BLOCK = 64
@@ -279,6 +284,8 @@ class _SampleRecorder:
     first, so a bad sample recorded before that is still the error
     reported.  Rows before ``keep_from`` are dropped once checked, so only
     the rows from ``keep_from`` on (and at most one block) are ever held.
+    Being dropped unread, they get only the verdict of
+    ``observables.packed_verdict``, which spares their eigenvalues.
     """
 
     def __init__(self, scenario: Scenario, n_rows: int, keep_from: int = 0):
@@ -290,14 +297,13 @@ class _SampleRecorder:
         self.checked = 0
         self.error: SimulationError | None = None
 
-    def record(self, times: Sequence[float], states: np.ndarray) -> None:
-        """Write one row per time and its packed state from (m, 16) ``states``, checking each full block."""
-        done, m = 0, len(times)
+    def record(self, samples: np.ndarray) -> None:
+        """Write (m, 17) ``samples``, each a time and its packed state, checking each full block."""
+        done, m = 0, len(samples)
         while done < m and self.error is None:
             take = min(m - done, _BLOCK - (self.written - self.checked))
             at = self.written - self.base
-            self.rows[at:at + take, 0] = times[done:done + take]
-            self.rows[at:at + take, _STATE] = states[done:done + take]
+            self.rows[at:at + take, _SAMPLE] = samples[done:done + take]
             self.written += take
             done += take
             if self.written - self.checked == _BLOCK:
@@ -307,9 +313,13 @@ class _SampleRecorder:
         if self.checked == self.written:
             return
         block = self.rows[self.checked - self.base:self.written - self.base]
+        dropped = min(max(self.keep_from - self.checked, 0), len(block))
         self.checked = self.written
-        block[:, _DIAGNOSTICS] = packed_diagnostics(block[:, _STATE])
         sc = self.scenario
+        if dropped:
+            block[:dropped, _DIAGNOSTICS] = packed_verdict(block[:dropped, _STATE], sc.pos_tol)
+        if dropped < len(block):
+            block[dropped:, _DIAGNOSTICS] = packed_diagnostics(block[dropped:, _STATE])
         bad = (block[:, -2] > sc.trace_tol) | (block[:, -1] < -sc.pos_tol)
         if bad.any():
             t, trace_error, min_eig = block[int(np.argmax(bad)), [0, -2, -1]].tolist()
@@ -358,7 +368,10 @@ def _reachable(scenario: Scenario, decay: np.ndarray, grid: np.ndarray) -> np.nd
     couples = (decay != 0) | np.any(drive_generators(times, drive) != 0, axis=0)
     reach = pack_state(scenario.initial_state) != 0
     for _ in range(PACKED_SIZE):
-        reach = reach | couples[:, reach].any(axis=1)
+        grown = reach | couples[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
     return reach
 
 
@@ -383,26 +396,21 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def _decay_rows(decay: np.ndarray, reach: np.ndarray, y: np.ndarray, offset: float, count: int, interval: float):
-    """Yield (first, rows): packed states exp(L0 * (offset + k * interval)) @ y for k from ``first`` on, k < count.
+def _decay_rows(m: np.ndarray, start: np.ndarray, count: int):
+    """Yield (first, rows): packed states M^k @ start for k from ``first`` on, k < count, with M = ``m``.
 
-    ``decay`` is L0 on the components that ``reach`` marks; the others
-    stay exactly zero.  Each yield covers up to _TAIL_ROWS rows, in runs of
-    _TAIL_POWERS: row j of a run is M^j, M = exp(L0 * interval), applied to
-    the run's first row, and run b's first row is (M^_TAIL_POWERS)^b
-    applied to the yield's first row.  The rounding of M so adds up about
-    linearly in k, as it would however the products were grouped.
+    Each yield covers up to _TAIL_ROWS rows, in runs of _TAIL_POWERS: row
+    j of a run is M^j applied to the run's first row, and run b's first row
+    is (M^_TAIL_POWERS)^b applied to the yield's first row.  The rounding of
+    M so adds up about linearly in k, as it would however the products were
+    grouped.
     """
-    m = np.zeros((PACKED_SIZE, PACKED_SIZE))
-    m[np.ix_(reach, reach)] = _expm(decay * interval)
     powers = _powers(m, min(_TAIL_POWERS, count))
     # Row b of heads @ spread is the run of rows that starts at heads[b].
     spread = powers.reshape(-1, PACKED_SIZE).T
     jump = powers[-1] @ m
     jumps = _powers(jump, -(-min(_TAIL_ROWS, count) // len(powers)))
     leap = jumps[-1] @ jump
-    start = np.zeros(PACKED_SIZE)
-    start[reach] = _expm(decay * offset) @ y[reach]
     for first in range(0, count, _TAIL_ROWS):
         runs = min(len(jumps), -(-(count - first) // len(powers)))
         heads = jumps[:runs] @ start
@@ -419,6 +427,21 @@ def _powers(m: np.ndarray, n: int) -> np.ndarray:
     return powers
 
 
+def _once(shared: dict, key, make):
+    """shared[key], made by make() the first time it is asked for."""
+    if key not in shared:
+        shared[key] = make()
+    return shared[key]
+
+
+def _decay_setup(params: SystemParams) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """L0, the generator basis, and the norms of G1 and G2 (largest absolute row sums) of one SystemParams."""
+    decay = decay_generator(params)
+    basis = generator_basis(decay)
+    norms = np.abs(basis[:2].reshape(2, PACKED_SIZE, PACKED_SIZE)).sum(axis=2).max(axis=1).tolist()
+    return decay, basis, norms
+
+
 class _Lane:
     """One scenario in the lockstep stepper: its controller state, its recorder and its exact tail.
 
@@ -432,6 +455,12 @@ class _Lane:
     not at all when there is no pulse.  It lands on t_stop and ``finish``
     records the grid times after it in closed form.
 
+    Lanes built with one ``shared`` dict compute what they have in common
+    once: lanes with equal SystemParams share L0 and the generator basis,
+    and those whose reachable components match too share the spectral
+    radius and the tail's exponentials; lanes with equal drives and atol
+    share t_off.
+
     Raises IntegrationError up front when the stepped span needs more than
     MAX_STEPS steps: when the decay rates are too stiff (the spectral
     radius of L0 on the reachable components), or when the span holds more
@@ -439,21 +468,23 @@ class _Lane:
     stiff that the tail's rounding could exceed atol.
     """
 
-    def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0):
-        drive = scenario.drive
-        decay = decay_generator(scenario.params)
+    def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0, shared: dict | None = None):
+        drive, params = scenario.drive, scenario.params
+        self.shared = {} if shared is None else shared
+        decay, self.basis, norms = _once(self.shared, params, lambda: _decay_setup(params))
         t_start, t_end = grid[0].item(), grid[-1].item()
-        self.basis = generator_basis(decay)
         self.reach = _reachable(scenario, decay, grid)
-        self.decay = decay[np.ix_(self.reach, self.reach)]  # L0 on the reachable components
-        # Weigh the envelopes by |G1| and |G2|, the largest absolute row sums.
-        norms = np.abs(self.basis[:2].reshape(2, PACKED_SIZE, PACKED_SIZE)).sum(axis=2).max(axis=1).tolist()
-        self.t_stop = max(t_start, min(t_end, pulses_over(drive, norms, _DRIVE_LEFT * scenario.atol)))
+        self.key = (params, self.reach.tobytes())  # all that L0 on the reachable components depends on
+        self.decay = _once(self.shared, self.key, lambda: decay[np.ix_(self.reach, self.reach)])
+        eps = _DRIVE_LEFT * scenario.atol
+        t_off = _once(self.shared, ("t_off", drive, tuple(norms), eps), lambda: pulses_over(drive, norms, eps))
+        self.t_stop = max(t_start, min(t_end, t_off))
         span = self.t_stop - t_start
         # The tail's exponentials need L0 times the window to be finite.
         with np.errstate(over="ignore", invalid="ignore"):
             finite = bool(np.isfinite(self.decay * (t_end - t_start)).all())
-        radius = float(np.max(np.abs(np.linalg.eigvals(self.decay)))) if finite else math.inf
+        radius = _once(self.shared, ("radius", self.key),
+                       lambda: float(np.max(np.abs(np.linalg.eigvals(self.decay))))) if finite else math.inf
         needed = span * radius / _STABILITY_LIMIT if finite else math.inf
         if needed > MAX_STEPS:
             raise IntegrationError(
@@ -469,6 +500,8 @@ class _Lane:
                 f"{drift:.3g} to rounding, more than atol = {scenario.atol:g}"
             )
         self.max_step = drive.tau / 10.0
+        # A step spans at most this many grid times: it bounds the search for them.
+        self.span_rows = int(self.max_step / scenario.sample_interval) + 2
         capped = span / self.max_step
         if capped > MAX_STEPS:
             raise IntegrationError(
@@ -479,11 +512,12 @@ class _Lane:
         self.grid = grid
         self.recorder = _SampleRecorder(scenario, len(grid), keep_from)
         self.y0 = pack_state(scenario.initial_state)
-        self.recorder.record(grid[:1], self.y0[None])
+        self.recorder.record(np.concatenate((grid[:1], self.y0))[None])
         # L(t) y at the start; each accepted step carries its last stage over.
         self.k0 = (drive_generators(t_start, drive)[0] + decay) @ self.y0
         self.t = t_start
         self.pending = 1  # index of the next grid time to record
+        self.next_time = grid[1].item() if len(grid) > 1 else math.inf  # grid[pending]
         self.h_floor = 1e-13 * max(1.0, abs(t_start), abs(self.t_stop))
         self.h = self.max_step
         self.h_try = self.t_new = math.nan
@@ -491,34 +525,42 @@ class _Lane:
         self.evaluations = 1
         self.just_rejected = False
         self.prev = _PREV_FLOOR  # last accepted error norm, floored
-
-    @property
-    def running(self) -> bool:
-        """True while the lane has neither failed nor reached t_stop."""
-        return self.recorder.error is None and self.t < self.t_stop
+        self.failure = ""  # why the lane could not go on, when ``propose`` says so
+        # The lane's index among the lanes stepped together, and where its
+        # grid starts in theirs; set by _DenseRows.
+        self.number = self.grid_base = 0
 
     def propose(self) -> tuple[float, float] | None:
-        """The next trial step (t, h) from the current state; None if the lane fails instead."""
+        """The next trial step (t, h) from the current state; None if the lane fails instead, with ``failure`` set."""
         t, t_stop = self.t, self.t_stop
         if self.accepted + self.rejected >= MAX_STEPS:
-            return self.recorder.fail(f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}")
-        h_try = min(self.h, self.max_step, t_stop - t)
+            self.failure = f"step budget of {MAX_STEPS} attempted steps exhausted at t={t:g}"
+            return None
+        # min() and max() spelled out: per lane and step, the builtins cost
+        # as much as the rest of the controller.
+        h_try = self.h
+        if self.max_step < h_try:
+            h_try = self.max_step
+        if t_stop - t < h_try:
+            h_try = t_stop - t
         t_new = t + h_try
         # A step ending within the floor of t_stop lands on it.
         if t_stop - t_new <= self.h_floor:
             t_new, h_try = t_stop, t_stop - t
         elif h_try < self.h_floor:
-            return self.recorder.fail(f"step size underflow at t={t:g} (h={h_try:.3e})")
+            self.failure = f"step size underflow at t={t:g} (h={h_try:.3e})"
+            return None
         self.h_try, self.t_new = h_try, t_new
         return t, h_try
 
-    def settle(self, square: float, lanes: "_LaneSet", i: int) -> bool:
-        """Accept or reject the trial step by its sum of squared scaled errors; True if accepted.
+    def settle(self, square: float, lanes: "_LaneSet", i: int) -> tuple[float, float] | None:
+        """Accept or reject the trial step by its sum of squared scaled errors; return the next trial step (t, h).
 
-        An accepted step records the grid times in (t, t_new]: the
-        continuous extension, except that a time the step lands on takes
-        the step's own state.  The step that lands on t_stop hands its
-        state to ``finish``.
+        An accepted step joins ``lanes.accepted``, and asks the lane set
+        for the dense-output rows of the grid times in (t, t_new].  Returns
+        None when the lane stops: its step landed on t_stop, or ``propose``
+        found no next step.  ``stop`` then ends the lane, once its rows are
+        recorded.
         """
         h_try, t_new = self.h_try, self.t_new
         norm = math.sqrt(square / PACKED_SIZE)
@@ -527,31 +569,37 @@ class _Lane:
             self.rejected += 1
             self.just_rejected = True
             self.h = h_try * min(1.0, max(_MIN_FACTOR, _SAFETY * norm ** -_ALPHA))
-            return False
-        grid, pending = self.grid, self.pending
-        if grid[pending] <= t_new:
-            end = bisect.bisect_right(grid, t_new, pending)
-            times = grid[pending:end]
-            theta = (times - self.t) / h_try
-            dense = lanes.y[i] + (h_try * (theta[:, None] ** _POWERS @ _P)) @ lanes.stages[i]
-            if times[-1] == t_new:
-                dense[-1] = lanes.trial[i]
-            self.recorder.record(times, dense)
+            return self.propose()
+        lanes.accepted.append(i)
+        if self.next_time <= t_new:
+            grid, pending = self.grid, self.pending
+            end = bisect.bisect_right(grid, t_new, pending, min(len(grid), pending + self.span_rows))
+            lanes.asked.append((i, self.number, self.t, h_try, t_new, self.grid_base + pending, end - pending))
+            lanes.asked_rows += end - pending
             self.pending = end
+            self.next_time = grid[end].item() if end < len(grid) else math.inf
         self.t = t_new
         self.accepted += 1
-        if t_new == self.t_stop:
-            self.finish(lanes.trial[i])
         if norm == 0.0:
             factor = _MAX_FACTOR
-        else:
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -_ALPHA * self.prev ** _BETA))
-        self.prev = max(norm, _PREV_FLOOR)
+        else:  # clamped to [_MIN_FACTOR, _MAX_FACTOR], as min() and max() would (see propose)
+            factor = _SAFETY * norm ** -_ALPHA * self.prev ** _BETA
+            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
+        self.prev = _PREV_FLOOR if _PREV_FLOOR > norm else norm
         if self.just_rejected:
-            factor = min(1.0, factor)
+            factor = factor if factor < 1.0 else 1.0
             self.just_rejected = False
         self.h = h_try * factor
-        return True
+        return None if t_new == self.t_stop else self.propose()
+
+    def stop(self, y: np.ndarray) -> None:
+        """End the stepping at state y: record the tail if the lane reached t_stop, else store its failure."""
+        if self.recorder.error is None:
+            if self.t == self.t_stop:
+                self.finish(y)
+            else:
+                self.recorder.fail(self.failure)
 
     def finish(self, y: np.ndarray) -> None:
         """Record the grid times after t_stop from y, the state at t_stop, by the exact post-pulse propagator.
@@ -566,17 +614,23 @@ class _Lane:
         times = self.grid[self.pending:]
         if self.recorder.error is not None or not len(times):
             return
-        drive = self.scenario.drive
-        start = detuning_phases(self.t_stop, drive)
-        batches = _decay_rows(self.decay, self.reach, y, times[0] - self.t_stop, len(times),
-                              self.scenario.sample_interval)
-        for first, rows in batches:
+        drive, reach = self.scenario.drive, self.reach
+        m = np.zeros((PACKED_SIZE, PACKED_SIZE))
+        m[np.ix_(reach, reach)] = self._exp_decay(self.scenario.sample_interval)
+        start = np.zeros(PACKED_SIZE)
+        start[reach] = self._exp_decay(times[0].item() - self.t_stop) @ y[reach]
+        phase = detuning_phases(self.t_stop, drive)
+        for first, rows in _decay_rows(m, start, len(times)):
             ts = times[first:first + len(rows)]
-            rotate_coherences(rows, detuning_phases(ts, drive) - start)
-            self.recorder.record(ts, rows)
+            rotate_coherences(rows, detuning_phases(ts, drive) - phase)
+            self.recorder.record(np.column_stack((ts, rows)))
             if self.recorder.error is not None:
                 return
         self.pending = len(self.grid)
+
+    def _exp_decay(self, dt: float) -> np.ndarray:
+        """exp(L0 dt) on the reachable components, computed once for the lanes that share L0."""
+        return _once(self.shared, ("expm", self.key, dt), lambda: _expm(self.decay * dt))
 
     def trajectory(self) -> Trajectory:
         return self.recorder.trajectory(self.accepted, self.rejected, self.evaluations)
@@ -588,19 +642,29 @@ class _LaneSet:
     Built once per lane set and rebuilt only when a lane stops running: the
     stacked generator bases and drive parameters, the states, the stage
     times and derivatives, the h·_A coefficients, the error-norm buffers,
-    and per-stage views into them.
+    and per-stage views into them.  Over one round of ``_Lane.settle``,
+    ``accepted`` collects the lanes whose step was accepted, and ``asked``
+    the steps that ask for dense-output rows.
     """
 
-    def __init__(self, lanes: list[_Lane], y: np.ndarray, k0: np.ndarray):
+    def __init__(self, lanes: list[_Lane], y: np.ndarray, k0: np.ndarray, dense: "_DenseRows"):
         n = len(lanes)
         self.lanes = lanes
+        self.dense = dense
+        self.accepted: list[int] = []
+        # (i, lane number, t, h, t_new, index of the first grid time, rows) per step
+        self.asked: list[tuple[int, int, float, float, float, int, int]] = []
+        self.asked_rows = 0
         self.drives = DriveLanes([lane.scenario.drive for lane in lanes], len(_C))
         self.basis = np.stack([lane.basis for lane in lanes])
         tolerances = np.array([(lane.scenario.rtol, lane.scenario.atol) for lane in lanes])
         self.rtol, self.atol = tolerances[:, :1], tolerances[:, 1:]
-        self.y = y
-        self.stages = np.empty((n, 7, PACKED_SIZE))
-        self.first_stage, self.last_stage = self.stages[:, 0], self.stages[:, -1]
+        # The seven stages, the start state and the trial state of each lane,
+        # one (n, 16) slab each, so that one gather copies a lane's step.
+        self.block = np.empty((9, n, PACKED_SIZE))
+        self.stages, self.y, self.trial = self.block[:7].transpose(1, 0, 2), self.block[7], self.block[8]
+        self.y[...] = y
+        self.first_stage, self.last_stage = self.block[0], self.block[6]
         self.first_stage[...] = k0
         self.times = np.empty((n, len(_C)))
         # Generator coefficients at the five stage times; the trailing 1
@@ -610,13 +674,12 @@ class _LaneSet:
         self.gens = np.empty((n, len(_C), PACKED_SIZE * PACKED_SIZE))
         self.h_a = np.empty((n,) + _A.shape)
         self.sums = np.empty((n, 1, PACKED_SIZE))
-        self.y_new = np.empty((n, 1, PACKED_SIZE))
-        self.trial = self.y_new[:, 0]
+        self.y_new = self.trial[:, None]
         self.err = np.empty((n, PACKED_SIZE))
         self.scale = np.empty((n, PACKED_SIZE))
-        self.abs_trial = np.empty((n, PACKED_SIZE))
+        self.abs_states = np.empty((2, n, PACKED_SIZE))  # |y| and |trial|
         gens = self.gens.reshape(n, len(_C), PACKED_SIZE, PACKED_SIZE)
-        y, column = self.y[:, None], self.y_new.reshape(n, PACKED_SIZE, 1)
+        y, column = self.y[:, None], self.trial[:, :, None]
         # Stage k is L(t + c_k h) (y + (h·_A)[k-1, :k] @ stages[:k]); the
         # last two stages share c = 1.
         self.stage_views = [
@@ -627,7 +690,7 @@ class _LaneSet:
 
     def keep(self, indices: list[int]) -> "_LaneSet":
         """The lane set of the lanes at ``indices``, with their states and carried-over stages."""
-        return _LaneSet([self.lanes[i] for i in indices], self.y[indices], self.stages[indices, 0])
+        return _LaneSet([self.lanes[i] for i in indices], self.y[indices], self.stages[indices, 0], self.dense)
 
     def step(self, steps: list[tuple[float, float]]) -> list[float]:
         """Attempt one step (t, h) per lane; return the sums of the squared scaled errors.
@@ -658,47 +721,146 @@ class _LaneSet:
         err, scale = self.err, self.scale
         np.matmul(_E, self.stages, out=err)
         np.multiply(h, err, out=err)
-        np.maximum(np.abs(self.y, out=scale), np.abs(self.trial, out=self.abs_trial), out=scale)
+        abs_y, abs_trial = np.abs(self.block[7:], out=self.abs_states)
+        np.maximum(abs_y, abs_trial, out=scale)
         np.multiply(self.rtol, scale, out=scale)
         np.add(self.atol, scale, out=scale)
         np.divide(err, scale, out=err)
         return np.vecdot(err, err).tolist()
 
-    def advance(self, accepted: list[int]) -> None:
-        """Carry the accepted lanes' trial states and last stages over to their next step."""
+    def advance(self) -> None:
+        """Hand the steps that asked for rows to ``dense``; carry the accepted lanes' trial states and last stages over."""
+        if self.asked:
+            self.dense.add(self.asked, self.block[:, [request[0] for request in self.asked]], self.asked_rows)
+            self.asked, self.asked_rows = [], 0
+        accepted = self.accepted
         if len(accepted) == len(self.lanes):
             np.copyto(self.y, self.trial)
             np.copyto(self.first_stage, self.last_stage)
         elif accepted:
             self.y[accepted] = self.trial[accepted]
             self.stages[accepted, 0] = self.stages[accepted, -1]
+        accepted.clear()
+
+
+class _DenseRows:
+    """The dense-output rows that accepted steps ask for, formed in batches and handed to the lanes' recorders.
+
+    A step asks for the grid times t_j in (t, t_new]; the row at t_j is
+    y + h·W(theta) @ K with theta = (t_j - t)/h, from the step's start
+    state y and stages K, except that a time the step lands on takes the
+    step's own state.  ``add`` keeps copies of y, K and the trial state per
+    step, and ``stop`` the lanes that stopped stepping, with their last
+    states.  ``flush`` forms every row asked for since the last flush,
+    hands each lane its rows in one slice, in time order, and then ends
+    the stopped lanes (their tails or failures).  The steps with m rows
+    form them with the (m, 4) and (m, 7) products one step alone would
+    use, stacked, so a row's bits do not depend on the other steps
+    flushed with it.  A flush costs about 15 numpy calls plus 10 per
+    distinct m, however many rows it forms, so it waits until _DENSE_ROWS
+    are asked for or every lane has stopped.  A lane's rows so reach its
+    recorder in order and before its tail or failure, and its first bad
+    row is the one a per-step recorder finds; a lane whose rows fail
+    leaves after that flush.
+    """
+
+    def __init__(self, lanes: list[_Lane]):
+        self.lanes = lanes
+        grids = {id(lane.grid): lane.grid for lane in lanes}  # sweep lanes share one
+        self.grid = np.concatenate(list(grids.values())) if len(grids) > 1 else lanes[0].grid
+        bases = dict(zip(grids, np.cumsum([0] + [len(grid) for grid in grids.values()]).tolist()))
+        for number, lane in enumerate(lanes):
+            lane.number, lane.grid_base = number, bases[id(lane.grid)]
+        self.requests: list[tuple[int, int, float, float, float, int, int]] = []  # as _LaneSet.asked
+        self.blocks: list[np.ndarray] = []  # the steps' stages, start and trial states, as _LaneSet.block
+        self.rows = 0
+        self.stopped: list[tuple[_Lane, np.ndarray]] = []
+
+    def add(self, requests: list[tuple[int, int, float, float, float, int, int]], block: np.ndarray,
+            rows: int) -> None:
+        self.requests += requests
+        self.blocks.append(block)
+        self.rows += rows
+
+    def stop(self, lanes: list[tuple[_Lane, np.ndarray]]) -> None:
+        """Note lanes that stopped stepping, each with its state at the stop, for the next flush to end."""
+        self.stopped += lanes
+
+    def flush(self) -> bool:
+        """Record the rows asked for and end the stopped lanes; True if a lane's rows failed the physicality check."""
+        failed = bool(self.requests) and self._record()
+        for lane, y in self.stopped:
+            lane.stop(y)
+        self.stopped = []
+        return failed
+
+    def _record(self) -> bool:
+        spec, block = np.array(self.requests), np.concatenate(self.blocks, axis=1)
+        self.requests, self.blocks, self.rows = [], [], 0
+        stages, y, trial = block[:7].transpose(1, 0, 2), block[7], block[8]
+        counts = spec[:, 6].astype(np.intp)
+        ends = np.cumsum(counts)
+        times = self.grid[np.repeat(spec[:, 5].astype(np.intp) - (ends - counts), counts) + np.arange(ends[-1])]
+        t, h = np.repeat(spec[:, 2], counts), np.repeat(spec[:, 3], counts)
+        powers = np.repeat((times - t) / h, len(_P)).reshape(-1, len(_P))
+        np.cumprod(powers, axis=1, out=powers)
+        samples = np.empty((len(times), 1 + PACKED_SIZE))
+        samples[:, 0] = times
+        # The steps with m rows each form them in (m, 4) @ (4, 7) and
+        # (m, 7) @ (7, 16) products, as each would alone.
+        for m in np.flatnonzero(np.bincount(counts)).tolist():
+            steps = np.flatnonzero(counts == m)
+            rows = (ends[steps] - m)[:, None] + np.arange(m)
+            weights = np.matmul(powers[rows], _P)
+            weights *= h[rows, None]
+            samples[rows, 1:] = y[steps, None] + np.matmul(weights, stages[steps])
+        last = ends - 1
+        landed = times[last] == spec[:, 4]
+        samples[last[landed], _STATE] = trial[landed]
+        numbers = np.repeat(spec[:, 1].astype(np.intp), counts)
+        order = np.argsort(numbers, kind="stable")
+        samples, numbers = samples[order], numbers[order]
+        bounds = np.cumsum(np.bincount(numbers, minlength=len(self.lanes))).tolist()
+        failed, start = False, 0
+        for lane, end in zip(self.lanes, bounds):
+            if end > start:
+                lane.recorder.record(samples[start:end])
+                failed = failed or lane.recorder.error is not None
+                start = end
+        return failed
 
 
 def _run_lanes(lanes: list[_Lane]) -> None:
     """Step every lane to its t_stop in lockstep, and let each record its tail from there.
 
-    Each iteration proposes one step per lane, attempts them all with one
-    stacked generator build, and lets each lane accept or reject its own.
-    Lanes that land on t_stop or fail leave the active set.
+    Each iteration attempts one step per lane with one stacked generator
+    build, and lets each lane accept or reject its own and propose its
+    next.  Lanes that land on t_stop or fail leave the active set; the
+    dense-output rows, and then each stopped lane's tail or failure, are
+    recorded in batches (see _DenseRows).
     """
     for lane in lanes:
-        if not lane.running:  # no pulse or a one-row grid: nothing to step
+        if lane.t >= lane.t_stop:  # no pulse or a one-row grid: nothing to step
             lane.finish(lane.y0)
-    lanes = [lane for lane in lanes if lane.running]
+    lanes = [lane for lane in lanes if lane.t < lane.t_stop]
     if not lanes:
         return
-    active = _LaneSet(lanes, np.array([lane.y0 for lane in lanes]), np.array([lane.k0 for lane in lanes]))
+    dense = _DenseRows(lanes)
+    active = _LaneSet(lanes, np.array([lane.y0 for lane in lanes]), np.array([lane.k0 for lane in lanes]), dense)
+    steps = [lane.propose() for lane in lanes]
     while True:
-        lanes = active.lanes
-        steps = [lane.propose() for lane in lanes]
-        if None not in steps:
-            squares = active.step(steps)
-            active.advance([i for i, lane in enumerate(lanes) if lane.settle(squares[i], active, i)])
-        staying = [i for i, lane in enumerate(lanes) if lane.running]
-        if len(staying) < len(lanes):
+        if None in steps:
+            dense.stop([(active.lanes[i], active.y[i].copy()) for i, step in enumerate(steps) if step is None])
+            staying = [i for i, step in enumerate(steps) if step is not None]
             if not staying:
+                dense.flush()
                 return
-            active = active.keep(staying)
+            active, steps = active.keep(staying), [steps[i] for i in staying]
+        squares = active.step(steps)
+        steps = [lane.settle(square, active, i) for i, (lane, square) in enumerate(zip(active.lanes, squares))]
+        active.advance()
+        if dense.rows >= _DENSE_ROWS and dense.flush():
+            steps = [None if lane.recorder.error is not None else step for lane, step in zip(active.lanes, steps)]
 
 
 def integrate(scenario: Scenario) -> Trajectory:
@@ -736,19 +898,17 @@ def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | Simulat
     """
     outcomes: list = [None] * len(scenarios)
     lanes = {}
-    grids: dict[tuple[float, float, float], np.ndarray] = {}  # one grid per time window, shared
+    shared: dict = {}  # one grid per time window, and the set-up that lanes share (see _Lane)
     for i, scenario in enumerate(scenarios):
-        key = (scenario.t_start, scenario.t_end, scenario.sample_interval)
-        if key not in grids:
-            grids[key] = sample_times(scenario)
-        grid = grids[key]
+        window = ("grid", scenario.t_start, scenario.t_end, scenario.sample_interval)
+        grid = _once(shared, window, lambda: sample_times(scenario))
         # A window error is reported only if the run itself succeeds.
         try:
             start, window_error = _steady_window(scenario, grid), None
         except SimulationError as exc:
             start, window_error = math.inf, exc
         try:
-            lanes[i] = (_Lane(scenario, grid, bisect.bisect_left(grid, start)), start, window_error)
+            lanes[i] = (_Lane(scenario, grid, bisect.bisect_left(grid, start), shared), start, window_error)
         except SimulationError as exc:
             outcomes[i] = exc
     _run_lanes([lane for lane, _, _ in lanes.values()])
@@ -776,7 +936,7 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
     recorder = _SampleRecorder(scenario, len(grid))
 
     y = pack_state(scenario.initial_state)
-    recorder.record(grid[:1], y[None])
+    recorder.record(np.concatenate((grid[:1], y))[None])
 
     def rhs(coherent: np.ndarray, y: np.ndarray) -> np.ndarray:
         return coherent @ y + decay @ y
@@ -800,7 +960,7 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
             recorder.fail(f"non-finite state at t={target:g}")
         if recorder.error:
             break
-        recorder.record((target,), y[None])
+        recorder.record(np.concatenate(((target,), y))[None])
 
     return recorder.trajectory(steps, 0, 4 * steps)
 

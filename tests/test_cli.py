@@ -93,13 +93,19 @@ class TestRun:
 
     def test_window_holding_one_sample_exits_2(self, tmp_path, capsys):
         # A JSON summary needs a verdict: the reason is a physics failure,
-        # printed under --quiet too.
+        # printed under --quiet too.  A CSV run still writes its rows, and
+        # says why it has no verdict, under --quiet too.
         cfg = write(tmp_path, "coarse.cfg", "[integration]\nsample_interval = 30\n")
         for quiet in ([], ["--quiet"]):
             assert main([*quiet, "--format", "json", "run", "--config", cfg]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("victrap: physics failure: window 5 holds one sample")
+            assert main([*quiet, "run", "--config", cfg]) == 2
+            captured = capsys.readouterr()
+            assert captured.out.startswith(TRAJECTORY_CSV_HEADER)
+            assert len(captured.out.splitlines()) == 1 + len(sample_times(parse_config((tmp_path / "coarse.cfg").read_text())))
+            assert captured.err.startswith("steady-state detection skipped: window 5 holds one sample")
 
     def test_profile_key_is_usage_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "profile.cfg", "[chirp]\nenabled = true\nprofile = constant\n")

@@ -334,6 +334,60 @@ def test_physicality_failure_in_one_lane_leaves_the_others_untouched():
         assert summary_bits(outcomes[i]) == summary_bits(detect_steady_state(integrate(scenarios[i])))
 
 
+def test_physicality_failure_first_in_a_dropped_row_is_the_lane_outcome(monkeypatch):
+    # Loose tolerances let fig4 dip below -1e-9 at t = -9.5, long before the
+    # steady window: the row is dropped unread, so the Cholesky verdict checks
+    # it, finds it cannot certify the block, and falls back to eigvalsh.  The
+    # outcome is the solo run's error; the neighbours keep their bits.
+    failing = replace(preset("fig4"), rtol=1e-4, atol=1e-6, pos_tol=1e-9)
+    with pytest.raises(PhysicalityError) as solo:
+        integrate(failing)
+    assert str(solo.value).endswith("at t=-9.5")
+    uncertified = []
+    real = integrator.packed_verdict
+
+    def verdict(states, pos_tol):
+        columns = real(states, pos_tol)
+        uncertified.append(pos_tol == failing.pos_tol and not np.isnan(columns[:, 2]).any())
+        return columns
+
+    monkeypatch.setattr(integrator, "packed_verdict", verdict)
+    scenarios = [preset("fig4"), failing, apply_parameter(preset("fig4"), "theta", 0.8)]
+    outcomes = integrator.steady_states(scenarios)
+    assert summary_bits(outcomes[1]) == summary_bits(solo.value)
+    assert any(uncertified)
+    monkeypatch.undo()
+    for i in (0, 2):
+        assert summary_bits(outcomes[i]) == summary_bits(detect_steady_state(integrate(scenarios[i])))
+
+
+@pytest.mark.parametrize("spec, distinct", [
+    (SweepSpec(base=preset("fig4"), axes=(SweepAxis("chi1", (0.15, 0.3, 0.45)),)), 1),
+    (THETA_CHI1, 4),
+], ids=["chi1", "theta_chi1"])
+def test_lanes_with_equal_decay_rates_share_their_set_up(monkeypatch, spec, distinct):
+    # One spectral radius and two exponentials (exp(L0 * sample_interval)
+    # and exp(L0 * offset), every lane's tail starting at the same offset)
+    # per distinct SystemParams, not per lane; each row keeps its solo bits.
+    solo = [solo_bits(spec, values) for values in spec.grid()]
+    calls = {"eigvals": 0, "expm": 0}
+    eigvals, expm = np.linalg.eigvals, integrator._expm
+
+    def counted_eigvals(a):
+        calls["eigvals"] += 1
+        return eigvals(a)
+
+    def counted_expm(a):
+        calls["expm"] += 1
+        return expm(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(integrator, "_expm", counted_expm)
+    rows = sweep(spec).rows
+    assert calls == {"eigvals": distinct, "expm": 2 * distinct}
+    assert [row_bits(row) for row in rows] == solo
+
+
 def test_physicality_failure_first_in_the_exact_tail_is_the_lane_outcome():
     # fig2's stepped rows keep their trace error far below 1e-14; the first
     # row above it lies past t_stop, among the rows of the exact tail.

@@ -12,6 +12,7 @@ from victrap import (
     DensityMatrix,
     IntegrationError,
     PhysicalityError,
+    Scenario,
     emit_trajectory_csv,
     integrate,
     integrate_fixed_step,
@@ -19,8 +20,8 @@ from victrap import (
 )
 from victrap import integrator
 from victrap.integrator import TRAJECTORY_COLUMNS
-from victrap.liouvillian import unpack_state
-from victrap.observables import observable_record
+from victrap.liouvillian import pack_state, unpack_state
+from victrap.observables import observable_record, packed_diagnostics, packed_verdict
 
 BLOCK = 64
 
@@ -92,13 +93,13 @@ def test_step_rows_straddling_a_block_boundary(fig2_run, bad):
     # the first bad row is the error, with its own time, and recording
     # stops at the same point as row-by-row recording.
     traj = fig2_run.traj
-    times, states = traj.times[:70].tolist(), traj.columns[:70, 1:17].copy()
-    states[list(bad), 0] += 1e-3  # rho00 off by 1e-3 breaks the trace
+    times, samples = traj.times[:70].tolist(), traj.columns[:70, :17].copy()
+    samples[list(bad), 1] += 1e-3  # rho00 off by 1e-3 breaks the trace
 
     def record(chunks):
         recorder = integrator._SampleRecorder(fig2_run.scenario, len(times))
         for start, stop in chunks:
-            recorder.record(times[start:stop], states[start:stop])
+            recorder.record(samples[start:stop])
         recorder.check()
         assert isinstance(recorder.error, PhysicalityError)
         return str(recorder.error), recorder.written
@@ -107,6 +108,63 @@ def test_step_rows_straddling_a_block_boundary(fig2_run, bad):
     assert blockwise == record([(i, i + 1) for i in range(70)])
     assert blockwise[0].endswith(f"at t={times[bad[0]]:g}")
     assert blockwise[1] == (BLOCK if bad[0] < BLOCK else 70)
+
+
+def states_with_min_eig(min_eigs, seed=0):
+    """Packed unit-trace states, each with the given smallest eigenvalue, in a random basis."""
+    rng = np.random.default_rng(seed)
+    states = []
+    for lowest in min_eigs:
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        spectrum = np.array((lowest, *(rng.dirichlet((1.0, 1.0, 1.0)) * (1.0 - lowest))))
+        rho = (q * spectrum) @ q.conj().T
+        states.append(pack_state((rho + rho.conj().T) / 2))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("pos_tol", [1e-7, 1e-12], ids=["default", "smallest_served"])
+@pytest.mark.parametrize("edge", [-(1 + 1e-6), -(1 - 1e-6), -0.5, 0.0], ids=["below", "just_above", "half", "zero"])
+def test_dropped_rows_get_the_eigenvalue_verdict(pos_tol, edge):
+    # Rows before keep_from are checked by a Cholesky factorisation of
+    # rho + (pos_tol/2) I (observables.packed_verdict).  It certifies
+    # lambda_min > -pos_tol with a margin of pos_tol/2, at least 50 times its
+    # rounding bound of about 1e-14 ||rho|| for pos_tol >= 1e-12; a block it
+    # cannot certify falls back to eigvalsh.  Row 20 sits at edge * pos_tol,
+    # row 40 below -pos_tol: the first bad row, its time and the message are
+    # those the eigvalsh check of kept rows gives.
+    lowest = np.full(64, 0.01)
+    lowest[20], lowest[40] = edge * pos_tol, -(1 + 1e-6) * pos_tol
+    states = states_with_min_eig(lowest)
+    samples = np.column_stack((0.5 * np.arange(64), states))
+    exact = packed_diagnostics(states)
+    assert exact[20, 2] == pytest.approx(edge * pos_tol, rel=1e-9, abs=1e-15)
+    verdict = packed_verdict(states, pos_tol)
+    assert np.array_equal(verdict[:, 1], exact[:, 1])
+    assert np.array_equal(verdict[:, 2] < -pos_tol, exact[:, 2] < -pos_tol)
+    outcomes = []
+    for keep_from in (0, 64):  # every row kept, every row dropped
+        recorder = integrator._SampleRecorder(Scenario(pos_tol=pos_tol), 64, keep_from)
+        recorder.record(samples)
+        recorder.check()
+        assert isinstance(recorder.error, PhysicalityError)
+        outcomes.append((str(recorder.error), recorder.written))
+    assert outcomes[0] == outcomes[1]
+    # At pos_tol = 1e-12, 1e-6 of it is below eigvalsh's rounding: row 20
+    # "just above" may then read below -pos_tol; both paths say the same.
+    first = int(np.argmax(exact[:, 2] < -pos_tol))
+    assert first in ({20} if edge < -1 else {20, 40} if edge == -(1 - 1e-6) and pos_tol == 1e-12 else {40})
+    assert outcomes[0][0] == f"minimum eigenvalue {exact[first, 2]:.3e} below -{pos_tol:.1e} at t={0.5 * first:g}"
+
+
+def test_verdict_certifies_physical_blocks_without_eigenvalues():
+    # A block whose smallest eigenvalues lie at -pos_tol/4 or above factors:
+    # its purity and minimum-eigenvalue columns are left out (NaN).  Below
+    # the smallest pos_tol served, the verdict is packed_diagnostics itself.
+    states = states_with_min_eig(np.linspace(-2.5e-8, 0.2, 64))
+    verdict = packed_verdict(states, 1e-7)
+    assert np.isnan(verdict[:, [0, 2]]).all()
+    assert np.array_equal(verdict[:, 1], packed_diagnostics(states)[:, 1])
+    assert np.array_equal(packed_verdict(states, 1e-13), packed_diagnostics(states))
 
 
 def first_in_block(values, limit, above):
