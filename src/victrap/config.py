@@ -3,8 +3,11 @@
 The format is flat INI: ``key = value`` lines under ``[section]`` headers.
 Sections are [decay], [drive], [chirp], [integration], [sweep], [output];
 every key is optional and unknown keys or sections are errors.  An empty
-config yields the baseline scenario (the fig2 preset).  A config containing
-a [sweep] section describes a parameter sweep instead of a single run.
+config yields the baseline scenario (the fig2 preset).  ``[chirp] enabled``
+is the file's switch for the amplitudes below it: off (the default) sets
+chi1 = chi2 = 0, on takes the given amplitudes or ``CHIRP_BASELINE``.  A
+config containing a [sweep] section describes a parameter sweep instead of
+a single run.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidParameterError
-from .experiments import SWEEPABLE_PARAMETERS, SweepAxis, SweepSpec
+from .experiments import SweepAxis, SweepSpec
 from .model import (
+    CHIRP_BASELINE,
     DensityMatrix,
     DriveConfig,
     Scenario,
@@ -34,20 +38,15 @@ _INITIAL_STATES = {
     "maximally_mixed": maximally_mixed,
 }
 
-_BOOLEAN_STATES = {
-    "1": True, "yes": True, "true": True, "on": True,
-    "0": False, "no": False, "false": False, "off": False,
-}
-
 # Scenario keys per section: the object a section sets ("params", "drive"
-# or "scenario") and the field behind each key.  Parsing and serialization
-# both read this table, in this order.
+# or "scenario") and the field behind each key; [chirp] enabled sets no
+# field but switches the amplitudes.  Parsing and serialization both read
+# this table, in this order.
 _FIELDS: dict[str, tuple[str, dict[str, str]]] = {
-    "decay": ("params", {key: key for key in
-                         ("gamma01", "gamma02", "gamma03", "gamma_coll", "theta", "allow_wide_theta")}),
+    "decay": ("params", {key: key for key in ("gamma01", "gamma02", "gamma03", "gamma_coll", "theta")}),
     "drive": ("drive", {"g01": "g01", "g02": "g02", "tau": "tau", "t0": "t0", "delta1": "static_delta1",
                         "delta2": "static_delta2", "t_origin": "t_origin"}),
-    "chirp": ("drive", {"enabled": "chirp_enabled", "chi1": "chi1", "chi2": "chi2", "ramp": "chirp_ramp"}),
+    "chirp": ("drive", {"enabled": "enabled", "chi1": "chi1", "chi2": "chi2", "ramp": "chirp_ramp"}),
     "integration": ("scenario", {key: key for key in ("t_start", "t_end", "sample_interval", "rtol", "atol",
                                                       "trace_tol", "pos_tol", "initial_state")}),
 }
@@ -92,7 +91,7 @@ def _as_int(section: str, key: str, raw: str) -> int:
 
 
 def _as_bool(section: str, key: str, raw: str) -> bool:
-    state = _BOOLEAN_STATES.get(raw.strip().lower())
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
     if state is None:
         _fail(section, key, f"expected true/false, got {raw!r}")
     return state
@@ -132,7 +131,7 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
 
 def _parse_value(section: str, key: str, field: str, raw: str):
     """Convert one raw value to the type of the field it sets."""
-    if field in ("allow_wide_theta", "chirp_enabled"):
+    if field == "enabled":
         return _as_bool(section, key, raw)
     name = raw.strip().lower()
     if field == "initial_state":
@@ -147,8 +146,12 @@ def _build_scenario(sections: dict[str, dict[str, str]]) -> Scenario:
     for section, (owner, fields) in _FIELDS.items():
         for key, raw in sections.get(section, {}).items():
             kwargs[owner][fields[key]] = _parse_value(section, key, fields[key], raw)
+    drive = kwargs["drive"]
+    enabled = drive.pop("enabled", False)
+    for name, baseline in zip(("chi1", "chi2"), CHIRP_BASELINE):
+        drive[name] = drive.get(name, baseline) if enabled else 0.0
     try:
-        return Scenario(params=SystemParams(**kwargs["params"]), drive=DriveConfig(**kwargs["drive"]),
+        return Scenario(params=SystemParams(**kwargs["params"]), drive=DriveConfig(**drive),
                         **kwargs["scenario"])
     except InvalidParameterError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
@@ -165,9 +168,6 @@ def _build_axis(section: dict[str, str], suffix: str) -> SweepAxis | None:
     if "parameter" not in keys:
         raise ConfigError(f"[sweep] parameter{suffix} is required when other axis keys are set")
     parameter = keys["parameter"].strip()
-    if parameter not in SWEEPABLE_PARAMETERS:
-        _fail("sweep", "parameter" + suffix,
-              f"unknown parameter {parameter!r}; choose one of {', '.join(SWEEPABLE_PARAMETERS)}")
     has_values = "values" in keys
     has_range = any(k in keys for k in ("start", "stop", "points"))
     if has_values and has_range:
@@ -239,11 +239,13 @@ def serialize_config(job: Scenario | SweepSpec) -> str:
     """Render a Scenario or SweepSpec as config text; inverse of parse_config."""
     scenario = job.base if isinstance(job, SweepSpec) else job
     owners = {"params": scenario.params, "drive": scenario.drive, "scenario": scenario}
+    chirped = scenario.drive.chi1 != 0 or scenario.drive.chi2 != 0
     out = io.StringIO()
     for section, (owner, fields) in _FIELDS.items():
         out.write(f"\n[{section}]\n" if out.tell() else f"[{section}]\n")
         for key, field in fields.items():
-            out.write(f"{key} = {_format_value(getattr(owners[owner], field))}\n")
+            value = chirped if field == "enabled" else getattr(owners[owner], field)
+            out.write(f"{key} = {_format_value(value)}\n")
     if isinstance(job, SweepSpec):
         out.write("\n[sweep]\n")
         for axis, suffix in zip(job.axes, ("", "2")):

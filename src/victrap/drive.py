@@ -39,11 +39,6 @@ class DriveSample:
 _COLUMNS = np.array(((0, 1, 0, 1), (2, 2, 3, 3), (4, 5, 6, 7), (10, 10, 8, 9)))
 
 
-def _chi(drive: DriveConfig) -> tuple[float, float]:
-    """The chirp amplitudes (chi1, chi2), zero when the chirp is off."""
-    return (drive.chi1, drive.chi2) if drive.chirp_enabled else (0.0, 0.0)
-
-
 class DriveLanes:
     """The numeric drive parameters of several lanes, tiled for a fixed number of times per lane.
 
@@ -56,7 +51,7 @@ class DriveLanes:
     __slots__ = ("shift", "scale", "gain", "offset", "x", "blocks")
 
     def __init__(self, drives: Sequence[DriveConfig], times: int):
-        fields = np.array([(d.center1, d.center2, d.tau, d.chirp_ramp, d.g01, d.g02, *_chi(d),
+        fields = np.array([(d.center1, d.center2, d.tau, d.chirp_ramp, d.g01, d.g02, d.chi1, d.chi2,
                             d.static_delta1, d.static_delta2, -0.0) for d in drives])
         values = fields[:, _COLUMNS].transpose(1, 0, 2).reshape(4, len(drives), 2, 1, 2)
         self.shift, self.scale, self.gain, self.offset = np.repeat(values, times, axis=3)
@@ -75,8 +70,7 @@ def drive_coefficients(ts, drive: DriveConfig | DriveLanes, out: np.ndarray | No
     matching the stack and the result has shape (lanes, times, 4), written
     into ``out`` when given.  Gaussian envelopes g_k = g0k * exp(-(t -
     c_k)^2 / tau^2) peak at the pulse centers c_k.  The detunings are
-    static_k + chi_k * tanh((t - c_k)/r), with r the chirp ramp and the chi
-    amplitudes zero when the chirp is off.
+    static_k + chi_k * tanh((t - c_k)/r), with r the chirp ramp.
     """
     if isinstance(drive, DriveLanes):
         lanes, t = drive, ts[:, None, :, None]
@@ -134,12 +128,11 @@ def pulses_over(drive: DriveConfig, weights: Sequence[float], eps: float) -> flo
 def detuning_phases(ts, drive: DriveConfig) -> np.ndarray:
     """Antiderivatives (Phi1, Phi2) of the detunings at the times ``ts``, shape (n, 2).
 
-    Phi = chi * r * log cosh((t - c)/r) + static * t, with r the chirp ramp
-    and chi zero when the chirp is off.  log cosh x is evaluated as |x| +
-    log1p(exp(-2|x|)) - log 2, which does not overflow.  Only differences of
-    the phases are meaningful.
+    Phi = chi * r * log cosh((t - c)/r) + static * t, with r the chirp
+    ramp.  log cosh x is evaluated as |x| + log1p(exp(-2|x|)) - log 2, which
+    does not overflow.  Only differences of the phases are meaningful.
     """
     t = np.asarray(ts, dtype=float).reshape(-1, 1)
-    static = np.array((drive.static_delta1, drive.static_delta2))
+    chi, static = np.array(((drive.chi1, drive.chi2), (drive.static_delta1, drive.static_delta2)))
     x = np.abs(t - np.array((drive.center1, drive.center2))) / drive.chirp_ramp
-    return np.array(_chi(drive)) * drive.chirp_ramp * (x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)) + static * t
+    return chi * drive.chirp_ramp * (x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)) + static * t

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .errors import InvalidParameterError, SimulationError
 from .integrator import SteadySummary, steady_states
-from .model import DriveConfig, Scenario, SystemParams
+from .model import CHIRP_BASELINE, DriveConfig, Scenario
 
 __all__ = [
     "PRESET_NAMES",
@@ -139,13 +139,11 @@ def apply_parameter(scenario: Scenario, name: str, value: float) -> Scenario:
 
 def preset(name: str) -> Scenario | SweepSpec:
     """Scenario (fig2-fig5) or sweep spec (fig6) behind each scripted experiment."""
-    base = Scenario(
-        params=SystemParams(),
-        drive=DriveConfig(chirp_enabled=False),
-    )
+    base = Scenario()
     if name in ("fig2", "fig3"):
         return base
-    chirped = replace(base, drive=replace(base.drive, chirp_enabled=True))
+    chi1, chi2 = CHIRP_BASELINE
+    chirped = replace(base, drive=DriveConfig(chi1=chi1, chi2=chi2))
     if name in ("fig4", "fig5"):
         return chirped
     if name == "fig6":

@@ -52,9 +52,10 @@ import numpy as np
 from .drive import DriveLanes, detuning_phases, drive_coefficients, pulses_over
 from .errors import IntegrationError, InsufficientDataError, InvalidParameterError, PhysicalityError, SimulationError
 from .liouvillian import (
-    PACKED_SIZE, decay_generator, drive_generators, generator_basis, pack_state, rotate_coherences, unpack_state,
+    PACKED_SIZE, decay_generator, drive_generators, drive_norms, generator_basis, pack_state, rotate_coherences,
+    unpack_state,
 )
-from .model import DensityMatrix, ObservableRecord, Scenario, SystemParams
+from .model import DensityMatrix, ObservableRecord, Scenario
 from .observables import packed_diagnostics, packed_verdict
 
 __all__ = [
@@ -434,14 +435,6 @@ def _once(shared: dict, key, make):
     return shared[key]
 
 
-def _decay_setup(params: SystemParams) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """L0, the generator basis, and the norms of G1 and G2 (largest absolute row sums) of one SystemParams."""
-    decay = decay_generator(params)
-    basis = generator_basis(decay)
-    norms = np.abs(basis[:2].reshape(2, PACKED_SIZE, PACKED_SIZE)).sum(axis=2).max(axis=1).tolist()
-    return decay, basis, norms
-
-
 class _Lane:
     """One scenario in the lockstep stepper: its controller state, its recorder and its exact tail.
 
@@ -471,13 +464,14 @@ class _Lane:
     def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0, shared: dict | None = None):
         drive, params = scenario.drive, scenario.params
         self.shared = {} if shared is None else shared
-        decay, self.basis, norms = _once(self.shared, params, lambda: _decay_setup(params))
+        self.basis = _once(self.shared, params, lambda: generator_basis(decay_generator(params)))
+        decay = self.basis[-1].reshape(PACKED_SIZE, PACKED_SIZE)  # L0
         t_start, t_end = grid[0].item(), grid[-1].item()
         self.reach = _reachable(scenario, decay, grid)
         self.key = (params, self.reach.tobytes())  # all that L0 on the reachable components depends on
         self.decay = _once(self.shared, self.key, lambda: decay[np.ix_(self.reach, self.reach)])
         eps = _DRIVE_LEFT * scenario.atol
-        t_off = _once(self.shared, ("t_off", drive, tuple(norms), eps), lambda: pulses_over(drive, norms, eps))
+        t_off = _once(self.shared, ("t_off", drive, eps), lambda: pulses_over(drive, drive_norms(), eps))
         self.t_stop = max(t_start, min(t_end, t_off))
         span = self.t_stop - t_start
         # The tail's exponentials need L0 times the window to be finite.

@@ -102,6 +102,12 @@ def _units() -> tuple[np.ndarray, np.ndarray]:
     return np.array([packed(op) for op in commutators]), np.array([packed(op) for op in decays])
 
 
+@functools.cache
+def drive_norms() -> tuple[float, float]:
+    """The norms (largest absolute row sums) of G1 and G2."""
+    return tuple(np.abs(_units()[0][:2].reshape(2, PACKED_SIZE, PACKED_SIZE)).sum(axis=2).max(axis=1).tolist())
+
+
 def drive_generators(ts, drive: DriveConfig) -> np.ndarray:
     """Coherent parts g1 G1 + g2 G2 + delta1 D1 + delta2 D2 at the times ts, shape (n, 16, 16)."""
     return (drive_coefficients(ts, drive) @ _units()[0]).reshape(-1, PACKED_SIZE, PACKED_SIZE)

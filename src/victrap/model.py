@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ContractViolationError, InvalidParameterError
 
 __all__ = [
+    "CHIRP_BASELINE",
     "DIM",
     "HERMITICITY_TOL",
     "MAX_SAMPLE_ROWS",
@@ -43,6 +44,10 @@ HERMITICITY_TOL = 1e-12
 # Cap on the recording grid, floor(span/sample_interval) + 1 rows, checked
 # before anything is allocated; the presets use at most 1,921 rows.
 MAX_SAMPLE_ROWS = 100_000
+
+# Chirp amplitudes (chi1, chi2) of the chirped scenarios, and of a config
+# file's [chirp] section switched on without amplitudes.
+CHIRP_BASELINE = (0.3, 0.2)
 
 
 def cross_damping(gamma01: float, gamma02: float, theta: float) -> float:
@@ -208,8 +213,7 @@ class SystemParams:
     Defaults are the baseline parameter set used throughout the preset
     scenarios (gamma01=5.8, gamma02=2.2, gamma03=0.1, theta=0).
 
-    theta outside [0, pi/2] is rejected unless ``allow_wide_theta`` is set;
-    larger angles are physically meaningful but outside the explored range.
+    theta must lie in [0, pi/2], the explored range.
     """
 
     gamma01: float = 5.8
@@ -217,20 +221,14 @@ class SystemParams:
     gamma03: float = 0.1
     gamma_coll: float = 0.0
     theta: float = 0.0
-    allow_wide_theta: bool = False
 
     def __post_init__(self):
         for name in ("gamma01", "gamma02", "gamma03", "gamma_coll"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise InvalidParameterError(f"{name} must be a finite nonnegative rate, got {value!r}")
-        if not math.isfinite(self.theta):
-            raise InvalidParameterError(f"theta must be finite, got {self.theta!r}")
-        if not self.allow_wide_theta and not 0.0 <= self.theta <= math.pi / 2:
-            raise InvalidParameterError(
-                f"theta must lie in [0, pi/2] (got {self.theta!r}); "
-                "set allow_wide_theta=True to override"
-            )
+        if not 0.0 <= self.theta <= math.pi / 2:  # also rejects nan
+            raise InvalidParameterError(f"theta must lie in [0, pi/2] (got {self.theta!r})")
 
     @property
     def gamma12(self) -> float:
@@ -246,20 +244,17 @@ class DriveConfig:
     at ``t_origin``; pulse 2 (amplitude ``g02``) couples |0> to |3> and peaks
     at ``t_origin + t0``.  ``t0`` is signed.  The detunings are
     static_delta_i + chi_i * tanh((t - center_i)/chirp_ramp), each swept
-    around its pulse center; when ``chirp_enabled`` is false the chi
-    amplitudes count as zero and the detunings stay at the static offsets.
-
-    chi defaults are the chirped-scenario baseline (0.3, 0.2); the ramp time
-    defaults to half the pulse width of that baseline (2.0).
+    around its pulse center.  The chirp is off exactly when chi1 = chi2 = 0,
+    the defaults; the chirped scenarios use ``CHIRP_BASELINE``.  The ramp
+    time defaults to half the pulse width (2.0).
     """
 
     g01: float = 0.9
     g02: float = 0.3
     tau: float = 4.0
     t0: float = 10.0
-    chirp_enabled: bool = False
-    chi1: float = 0.3
-    chi2: float = 0.2
+    chi1: float = 0.0
+    chi2: float = 0.0
     chirp_ramp: float = 2.0
     static_delta1: float = 0.0
     static_delta2: float = 0.0

@@ -3,7 +3,9 @@ from dataclasses import replace
 import pytest
 
 from victrap import (
+    CHIRP_BASELINE,
     ConfigError,
+    DriveConfig,
     Scenario,
     SweepAxis,
     SweepSpec,
@@ -23,7 +25,7 @@ class TestDefaults:
         assert sc.params.gamma02 == 2.2
         assert sc.params.gamma03 == 0.1
         assert sc.params.theta == 0.0
-        assert not sc.drive.chirp_enabled
+        assert sc.drive.chi1 == 0.0 and sc.drive.chi2 == 0.0  # chirp off
         assert sc == preset("fig2")
 
     def test_empty_output_options(self):
@@ -40,10 +42,24 @@ class TestParsing:
 
     def test_chirp_section(self):
         sc = parse_config("[chirp]\nenabled = true\nchi1 = 0.4\nramp = 1.0\n")
-        assert sc.drive.chirp_enabled
         assert sc.drive.chi1 == 0.4
-        assert sc.drive.chi2 == 0.2
+        assert sc.drive.chi2 == 0.2  # the baseline amplitude
         assert sc.drive.chirp_ramp == 1.0
+        assert sc.drive == DriveConfig(chi1=0.4, chi2=0.2, chirp_ramp=1.0)
+
+    def test_chirp_switch(self):
+        # [chirp] enabled switches the amplitudes below it: off, or no
+        # enabled key, is chi = 0 whatever they say; on without amplitudes
+        # is the baseline.
+        for text in ("", "[chirp]\nenabled = false\nchi1 = 0.3\nchi2 = 0.2\n", "[chirp]\nchi1 = 0.3\n",
+                     "[chirp]\nenabled = off\n"):
+            drive = parse_config(text).drive
+            assert (drive.chi1, drive.chi2) == (0.0, 0.0), text
+        for text in ("[chirp]\nenabled = true\n", "[chirp]\nenabled = on\n"):
+            drive = parse_config(text).drive
+            assert (drive.chi1, drive.chi2) == CHIRP_BASELINE, text
+        drive = parse_config("[chirp]\nenabled = yes\nchi1 = 0.5\nchi2 = 0\n").drive
+        assert (drive.chi1, drive.chi2) == (0.5, 0.0)
 
     def test_profile_key_is_rejected(self):
         # The detuning has one formula; a constant offset is a static delta.
@@ -64,8 +80,9 @@ class TestParsing:
             parse_config("[decay]\ntheta = -0.1\n")
 
     def test_wide_theta_override(self):
-        sc = parse_config("[decay]\ntheta = 2.0\nallow_wide_theta = yes\n")
-        assert sc.params.theta == 2.0
+        # allow_wide_theta is not a key: theta has one range, [0, pi/2].
+        with pytest.raises(ConfigError, match="unknown key 'allow_wide_theta' in \\[decay\\]"):
+            parse_config("[decay]\ntheta = 2.0\nallow_wide_theta = yes\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="gama01"):
@@ -162,6 +179,18 @@ class TestRoundTrip:
     def test_chirped_scenario(self):
         sc = preset("fig4")
         assert parse_config(serialize_config(sc)) == sc
+
+    def test_chirp_off_scenario(self):
+        sc = preset("fig2")
+        text = serialize_config(sc)
+        assert "[chirp]\nenabled = false\nchi1 = 0.0\nchi2 = 0.0\n" in text
+        assert parse_config(text) == sc
+
+    def test_chirp_with_one_zero_amplitude(self):
+        sc = replace(Scenario(), drive=DriveConfig(chi1=0.3, chi2=0.0))
+        text = serialize_config(sc)
+        assert "[chirp]\nenabled = true\nchi1 = 0.3\nchi2 = 0.0\n" in text
+        assert parse_config(text) == sc
 
     def test_sweep_spec(self):
         spec = preset("fig6")

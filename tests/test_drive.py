@@ -8,7 +8,7 @@ from victrap.drive import drive_coefficients
 
 times = st.floats(min_value=-40.0, max_value=80.0, allow_nan=False)
 
-FIG2_DRIVE = DriveConfig(chirp_enabled=False)
+FIG2_DRIVE = DriveConfig()
 
 
 def envelopes(t, drive):
@@ -57,7 +57,7 @@ class TestEnvelopes:
             assert envelopes(t + 5.0, shifted) == envelopes(t, FIG2_DRIVE)
 
 
-CHIRPED = DriveConfig(chirp_enabled=True)
+CHIRPED = DriveConfig(chi1=0.3, chi2=0.2)
 
 
 class TestChirp:
@@ -75,12 +75,12 @@ class TestChirp:
         assert d2 == pytest.approx(0.2, abs=1e-12)
 
     def test_disabled_means_static(self):
-        drive = DriveConfig(chirp_enabled=False, static_delta1=0.0, static_delta2=0.0)
+        drive = DriveConfig(chi1=0.0, chi2=0.0, static_delta1=0.0, static_delta2=0.0)
         for t in (-20.0, 0.0, 7.0, 55.0):
             assert detunings(t, drive) == (0.0, 0.0)
 
     def test_static_offsets_add(self):
-        drive = DriveConfig(chirp_enabled=True, static_delta1=1.5, static_delta2=-0.5)
+        drive = DriveConfig(chi1=0.3, chi2=0.2, static_delta1=1.5, static_delta2=-0.5)
         d1, d2 = detunings(1e4, drive)
         assert d1 == pytest.approx(1.5 + 0.3)
         assert d2 == pytest.approx(-0.5 + 0.2)
@@ -98,8 +98,8 @@ class TestChirp:
         assert abs(d2) <= abs(CHIRPED.chi2)
 
     def test_ramp_time_scales_argument(self):
-        slow = DriveConfig(chirp_enabled=True, chirp_ramp=4.0)
-        fast = DriveConfig(chirp_enabled=True, chirp_ramp=1.0)
+        slow = DriveConfig(chi1=0.3, chi2=0.2, chirp_ramp=4.0)
+        fast = DriveConfig(chi1=0.3, chi2=0.2, chirp_ramp=1.0)
         assert detunings(2.0, slow)[0] == pytest.approx(0.3 * math.tanh(0.5))
         assert detunings(2.0, fast)[0] == pytest.approx(0.3 * math.tanh(2.0))
 

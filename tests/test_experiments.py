@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from victrap import (
+    CHIRP_BASELINE,
     InsufficientDataError,
     IntegrationError,
     InvalidParameterError,
@@ -37,7 +38,7 @@ class TestPresets:
         assert sc.drive.g02 == 0.3
         assert sc.drive.tau == 4.0
         assert sc.drive.t0 == 10.0  # 2.5 * tau
-        assert not sc.drive.chirp_enabled
+        assert sc.drive.chi1 == 0.0 and sc.drive.chi2 == 0.0  # chirp off
         assert sc.drive.static_delta1 == 0.0 and sc.drive.static_delta2 == 0.0
 
     def test_fig3_is_the_fig2_run(self):
@@ -45,9 +46,10 @@ class TestPresets:
 
     def test_fig4_enables_chirp(self):
         sc = preset("fig4")
-        assert sc.drive.chirp_enabled
+        assert (sc.drive.chi1, sc.drive.chi2) == CHIRP_BASELINE
         assert sc.drive.chi1 == 0.3
         assert sc.drive.chi2 == 0.2
+        assert sc == replace(preset("fig2"), drive=replace(preset("fig2").drive, chi1=0.3, chi2=0.2))
 
     def test_fig5_is_the_fig4_run(self):
         assert preset("fig5") == preset("fig4")
@@ -228,6 +230,15 @@ class TestLaneBatchedSweep:
         assert [row_bits(row) for row in table.rows] == solo_rows
         converged = [row.converged for row in table.rows]
         assert not all(converged) and any(converged)
+
+    def test_chirp_amplitude_axis_on_a_chirp_off_base_chirps(self):
+        # chi1 = 0 is the chirp off, so the first row is fig2's; the others
+        # chirp pulse 1 and move every observable.
+        spec = SweepSpec(base=preset("fig2"), axes=(SweepAxis("chi1", (0.0, 0.3, 0.6)),))
+        table = sweep(spec)
+        assert [row_bits(row) for row in table.rows] == [solo_bits(spec, values) for values in spec.grid()]
+        for name in ("doublet_population", "doublet_purity", "abs_coherence_21"):
+            assert len({getattr(row, name) for row in table.rows}) == 3, name
 
     def test_lane_failing_mid_run_is_flagged_and_others_untouched(self, monkeypatch):
         # gamma01 = 100 passes the up-front estimate for the span it steps,

@@ -19,6 +19,7 @@ from victrap import (
     initial_metastable,
     integrate,
     integrate_fixed_step,
+    parse_config,
     preset,
 )
 from victrap import integrator
@@ -32,7 +33,7 @@ QUIET_DRIVE = DriveConfig(g01=0.0, g02=0.0)
 # covering both pulses; stepping here is limited by stability, not accuracy.
 STIFF = Scenario(
     params=SystemParams(gamma01=100.0, gamma02=40.0),
-    drive=DriveConfig(chirp_enabled=True),
+    drive=DriveConfig(chi1=0.3, chi2=0.2),
     t_start=-12.0,
     t_end=22.0,
     sample_interval=0.1,
@@ -241,7 +242,7 @@ class TestControllerBehaviour:
         # instead of cycling grow-reject-shrink (10% rejected without the
         # prev^beta term).  The run attempts about 2,155 steps, well within
         # the estimate for the whole window, span * rho(L0) / 3.3 = 4,073.
-        sc = Scenario(params=SystemParams(gamma01=100.0, gamma02=40.0), drive=DriveConfig(chirp_enabled=True))
+        sc = Scenario(params=SystemParams(gamma01=100.0, gamma02=40.0), drive=DriveConfig(chi1=0.3, chi2=0.2))
         stats = integrate(sc).stats
         attempted = stats.steps_accepted + stats.steps_rejected
         radius = np.max(np.abs(np.linalg.eigvals(decay_generator(sc.params))))
@@ -422,13 +423,14 @@ class TestExactTail:
 
 
 class TestChirpOff:
-    """With the chirp off the detunings are the static offsets: the chi amplitudes count as zero."""
+    """A config file's [chirp] enabled = false is chi = 0: the detunings are the static offsets."""
 
     @pytest.mark.parametrize("static", [(0.0, 0.0), (0.37, -0.11)], ids=["fig2", "static_detuned"])
     def test_same_bits_as_a_zero_chirp(self, static):
-        drive = DriveConfig(static_delta1=static[0], static_delta2=static[1])
-        off = integrate(replace(preset("fig2"), drive=drive))
-        zero = integrate(replace(preset("fig2"), drive=replace(drive, chirp_enabled=True, chi1=0.0, chi2=0.0)))
+        parsed = parse_config(f"[drive]\ndelta1 = {static[0]!r}\ndelta2 = {static[1]!r}\n"
+                              "[chirp]\nenabled = false\nchi1 = 0.3\nchi2 = 0.2\n")
+        off = integrate(parsed)
+        zero = integrate(replace(preset("fig2"), drive=DriveConfig(static_delta1=static[0], static_delta2=static[1])))
         assert off.columns.tobytes() == zero.columns.tobytes()
         assert off.stats == zero.stats
 

@@ -24,7 +24,7 @@ from victrap.observables import dark_state_vector
 from conftest import random_density_matrix, random_hermitian
 
 PARAMS = SystemParams()
-DRIVE = DriveConfig(chirp_enabled=True)
+DRIVE = DriveConfig(chi1=0.3, chi2=0.2)
 QUIET = DriveConfig(g01=0.0, g02=0.0)
 
 

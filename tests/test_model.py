@@ -97,10 +97,9 @@ class TestSystemParams:
             SystemParams(theta=-0.1)
         with pytest.raises(InvalidParameterError):
             SystemParams(theta=2.0)
-
-    def test_theta_override(self):
-        params = SystemParams(theta=2.0, allow_wide_theta=True)
-        assert params.gamma12 < 0  # cos(theta) < 0 beyond pi/2
+        for theta in (math.nan, math.inf):
+            with pytest.raises(InvalidParameterError, match=r"\[0, pi/2\]"):
+                SystemParams(theta=theta)
 
     def test_doublet_decay_matrix_singular_at_full_interference(self):
         mat = doublet_decay_matrix(SystemParams(theta=0.0))
