@@ -206,8 +206,8 @@ def sweep(
 ) -> SweepTable:
     """Run every grid point and collect steady-state values, in grid order.
 
-    The points run as lanes of one lockstep Dormand-Prince stepper, in
-    chunks of at most MAX_LANES: each iteration advances every active lane
+    The points run as lanes of one lockstep stepper (the explicit and the
+    implicit lanes as two groups), in chunks of at most MAX_LANES: each iteration advances every active lane
     by one attempted step, and each lane keeps its own time, step size and
     accept/reject decision, so row i is bit for bit what
     ``detect_steady_state(integrate(point))`` gives, whatever the chunk.  A

@@ -1,12 +1,19 @@
 """Adaptive time integration, observable sampling, and steady-state detection.
 
-The propagating method is a Dormand-Prince 5(4) embedded pair with the
-stabilised (PI) step-size controller of Hairer's dopri5; the error norm
-mixes absolute and relative tolerance over the 16 real state components,
-which share a common [0, 1] scale.  Steps are additionally capped at
-tau/10 so the pulse structure can never be skipped.  The controller alone chooses the steps:
+Each lane steps with one of two methods, chosen once from its decay rates.
+The explicit one is a Dormand-Prince 5(4) embedded pair with the
+stabilised (PI) step-size controller of Hairer's dopri5.  Lanes whose decay
+is so stiff that an explicit step would be held far below the tau/10 cap
+(see STIFF_RATIO) step with the 3-stage Radau IIA method instead: order 5,
+L-stable and stiffly accurate.  The ODE is linear, so its collocation
+equations are one linear system per step, solved once, with no Newton
+iteration; its error estimate is radau5's.  The error norm mixes absolute
+and relative tolerance over the 16 real state components, which share a
+common [0, 1] scale.  Steps are additionally capped at tau/10 so the pulse
+structure can never be skipped.  The controller alone chooses the steps:
 samples that fall inside an accepted step are read off the method's
-fourth-order continuous extension, and each is checked against the
+continuous extension (fourth order for Dormand-Prince, the third-order
+collocation polynomial for Radau IIA), and each is checked against the
 scenario's trace and positivity tolerances - violations abort the run
 rather than being repaired.
 
@@ -22,10 +29,11 @@ most atol/1000.  Step counts, RHS evaluations and the MAX_STEPS budget
 cover the stepped span only.
 
 One stepper serves single runs and sweeps.  Each scenario is a lane with
-its own time, step size and accept/reject decision; one loop iteration
-attempts one step in every active lane, with the generators, stage sums,
-stage products and error norms computed for all lanes at once, and lanes
-that finish or fail leave the active set.  The controller runs per lane
+its own time, step size and accept/reject decision; the lanes of each
+method step in their own lockstep group, where one loop iteration
+attempts one step in every active lane, with the generators, stages and
+error norms computed for all lanes at once, and lanes that finish or fail
+leave the active set.  The controller runs per lane
 on Python floats; the dense-output rows of all lanes are formed together,
 a few hundred at a time.  ``integrate`` is the one-lane
 case, and ``steady_states`` runs many lanes, each keeping only the rows of
@@ -72,6 +80,7 @@ __all__ = [
     "STEADY_WINDOW",
     "STEADY_TOL",
     "MAX_STEPS",
+    "STIFF_RATIO",
 ]
 
 STEADY_WINDOW = 5.0
@@ -119,6 +128,36 @@ _P = np.array((_E1, 3.0 * _A[5] - 2.0 * _E1 - _E7 + _D, -2.0 * _A[5] + _E1 + _E7
 # Stage derivatives evaluated per attempted step (the first is carried over).
 _NEW_STAGES = 6
 
+# Radau IIA, 3 stages (Hairer & Wanner, Solving ODEs II, IV.5 and IV.8).
+# The stage values are y + h K_i with (I - h [a_ij L(t + c_j h)]) K =
+# [sum_j a_ij L(t + c_j h) y], one linear system for the linear ODE; the
+# last node is 1 and the last row of A its weights, so y_new = y + h K_3.
+_SQRT6 = math.sqrt(6.0)
+_RADAU_C = np.array(((4.0 - _SQRT6) / 10.0, (4.0 + _SQRT6) / 10.0, 1.0))
+_RADAU_A = np.array((
+    ((88.0 - 7.0 * _SQRT6) / 360.0, (296.0 - 169.0 * _SQRT6) / 1800.0, (-2.0 + 3.0 * _SQRT6) / 225.0),
+    ((296.0 + 169.0 * _SQRT6) / 1800.0, (88.0 + 7.0 * _SQRT6) / 360.0, (-2.0 - 3.0 * _SQRT6) / 225.0),
+    ((16.0 - _SQRT6) / 36.0, (16.0 + _SQRT6) / 36.0, 1.0 / 9.0),
+))
+# -a_ij laid out as (i, 1, j, 1), for the blocks of the system matrix.
+_RADAU_MINUS_A = -_RADAU_A[:, None, :, None]
+# radau5's error estimate, (u1/h I - L(t))^-1 (L(t) y + _RADAU_DD @ K): an
+# error of order 3 in h, filtered by the inverse so that stiff modes do not
+# inflate it.
+_RADAU_DD = np.array((-(13.0 + 7.0 * _SQRT6) / 3.0, (-13.0 + 7.0 * _SQRT6) / 3.0, -1.0 / 3.0))
+_RADAU_U1 = 30.0 / (6.0 + 81.0 ** (1.0 / 3.0) - 9.0 ** (1.0 / 3.0))
+# The collocation polynomial through y at 0 and y + h K_i at c_i: the state
+# at t + θh is y + h (θ, θ², θ³) @ _RADAU_P @ K, with _RADAU_P the inverse
+# of the matrix of c_i^k, k = 1..3, in closed form (a LAPACK call at import
+# would add about 0.4 MB of resident code to every run).
+_RADAU_P = np.array((
+    ((13.0 + 7.0 * _SQRT6) / 3.0, (13.0 - 7.0 * _SQRT6) / 3.0, 1.0 / 3.0),
+    (-(23.0 + 22.0 * _SQRT6) / 3.0, (-23.0 + 22.0 * _SQRT6) / 3.0, -8.0 / 3.0),
+    (10.0 / 3.0 + 5.0 * _SQRT6, 10.0 / 3.0 - 5.0 * _SQRT6, 10.0 / 3.0),
+))
+# Generator products per attempted step: L(t + c_j h) y and L(t) y.
+_RADAU_PRODUCTS = 4
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -127,15 +166,24 @@ _MAX_FACTOR = 5.0
 # runs.  dopri5's beta = 0.04 costs smooth runs 4-6% more steps than 0.02.
 _BETA = 0.02
 _ALPHA = 0.2 - 0.75 * _BETA
+# The Radau IIA estimate is of order 3, so its exponent is 1/4 in place of
+# 1/5; being L-stable, it has no stability edge to damp, and a PI term costs
+# it steps (516 accepted on the stiff bench run, 525 with beta = 0.02).
+_RADAU_ALPHA = 0.25
+_RADAU_BETA = 0.0
 _PREV_FLOOR = 1e-4
 
 # Budget of attempted steps per run, on the stepped span up to the end of
 # the pulses; gamma01=100, gamma02=40 over the default window attempts
-# about 2,200.
+# about 520 implicit steps (2,155 explicit ones).
 MAX_STEPS = 200_000
 # Real-axis reach of the Dormand-Prince stability region: a stable step
 # needs h * (spectral radius of L0) <= 3.3.
 _STABILITY_LIMIT = 3.3
+# A lane steps with Radau IIA when the tau/10 cap is more than this many
+# times the explicit stability limit, h * rho(L0) > STIFF_RATIO * 3.3: past
+# that, fewer but costlier implicit steps take less time (see the README).
+STIFF_RATIO = 5.0
 # Substeps of the fixed-step reference whose drive parts are built at once.
 _RK4_BATCH = 256
 # The stepping ends once the drive still to come, integrated and weighted by
@@ -454,11 +502,16 @@ class _Lane:
     radius and the tail's exponentials; lanes with equal drives and atol
     share t_off.
 
-    Raises IntegrationError up front when the stepped span needs more than
-    MAX_STEPS steps: when the decay rates are too stiff (the spectral
-    radius of L0 on the reachable components), or when the span holds more
-    than MAX_STEPS steps of the tau/10 cap; and when the decay rates are so
-    stiff that the tail's rounding could exceed atol.
+    The lane's method, ``stepper``, is chosen here from the spectral
+    radius of L0 on the reachable components: Radau IIA when the tau/10
+    cap is more than STIFF_RATIO times the explicit stability limit, else
+    Dormand-Prince.
+
+    Raises IntegrationError up front when L0 times the window is not
+    finite; when the stepped span needs more than MAX_STEPS steps: for an
+    explicit lane, steps within its stability limit, and for any lane,
+    steps of the tau/10 cap; and when the decay rates are so stiff that the
+    tail's rounding could exceed atol.
     """
 
     def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0, shared: dict | None = None):
@@ -477,10 +530,15 @@ class _Lane:
         # The tail's exponentials need L0 times the window to be finite.
         with np.errstate(over="ignore", invalid="ignore"):
             finite = bool(np.isfinite(self.decay * (t_end - t_start)).all())
-        radius = _once(self.shared, ("radius", self.key),
-                       lambda: float(np.max(np.abs(np.linalg.eigvals(self.decay))))) if finite else math.inf
-        needed = span * radius / _STABILITY_LIMIT if finite else math.inf
-        if needed > MAX_STEPS:
+        if not finite:
+            raise IntegrationError(
+                f"decay rates too stiff: L0 times the window from t={t_start:g} to t={t_end:g} is not finite"
+            )
+        radius = _once(self.shared, ("radius", self.key), lambda: float(np.max(np.abs(np.linalg.eigvals(self.decay)))))
+        self.max_step = drive.tau / 10.0
+        self.stepper = _RadauLanes if radius * self.max_step > STIFF_RATIO * _STABILITY_LIMIT else _DopriLanes
+        needed = span * radius / _STABILITY_LIMIT
+        if self.stepper is _DopriLanes and needed > MAX_STEPS:
             raise IntegrationError(
                 f"decay rates too stiff: a stable run needs at least {needed:.3g} steps; the budget is {MAX_STEPS}"
             )
@@ -493,7 +551,6 @@ class _Lane:
                 f"decay rates too stiff: the exact tail from t={self.t_stop:g} to t={t_end:g} could lose "
                 f"{drift:.3g} to rounding, more than atol = {scenario.atol:g}"
             )
-        self.max_step = drive.tau / 10.0
         # A step spans at most this many grid times: it bounds the search for them.
         self.span_rows = int(self.max_step / scenario.sample_interval) + 2
         capped = span / self.max_step
@@ -507,8 +564,13 @@ class _Lane:
         self.recorder = _SampleRecorder(scenario, len(grid), keep_from)
         self.y0 = pack_state(scenario.initial_state)
         self.recorder.record(np.concatenate((grid[:1], self.y0))[None])
-        # L(t) y at the start; each accepted step carries its last stage over.
-        self.k0 = (drive_generators(t_start, drive)[0] + decay) @ self.y0
+        self.alpha, self.beta, self.products = self.stepper.ALPHA, self.stepper.BETA, self.stepper.PRODUCTS
+        if self.stepper is _DopriLanes:
+            # L(t) y at the start; each accepted step carries its last stage over.
+            self.k0 = (drive_generators(t_start, drive)[0] + decay) @ self.y0
+            self.evaluations = 1
+        else:
+            self.evaluations = 0
         self.t = t_start
         self.pending = 1  # index of the next grid time to record
         self.next_time = grid[1].item() if len(grid) > 1 else math.inf  # grid[pending]
@@ -516,7 +578,6 @@ class _Lane:
         self.h = self.max_step
         self.h_try = self.t_new = math.nan
         self.accepted = self.rejected = 0
-        self.evaluations = 1
         self.just_rejected = False
         self.prev = _PREV_FLOOR  # last accepted error norm, floored
         self.failure = ""  # why the lane could not go on, when ``propose`` says so
@@ -558,11 +619,11 @@ class _Lane:
         """
         h_try, t_new = self.h_try, self.t_new
         norm = math.sqrt(square / PACKED_SIZE)
-        self.evaluations += _NEW_STAGES
+        self.evaluations += self.products
         if not norm <= 1.0:
             self.rejected += 1
             self.just_rejected = True
-            self.h = h_try * min(1.0, max(_MIN_FACTOR, _SAFETY * norm ** -_ALPHA))
+            self.h = h_try * min(1.0, max(_MIN_FACTOR, _SAFETY * norm ** -self.alpha))
             return self.propose()
         lanes.accepted.append(i)
         if self.next_time <= t_new:
@@ -577,7 +638,7 @@ class _Lane:
         if norm == 0.0:
             factor = _MAX_FACTOR
         else:  # clamped to [_MIN_FACTOR, _MAX_FACTOR], as min() and max() would (see propose)
-            factor = _SAFETY * norm ** -_ALPHA * self.prev ** _BETA
+            factor = _SAFETY * norm ** -self.alpha * self.prev ** self.beta
             factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
             factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
         self.prev = _PREV_FLOOR if _PREV_FLOOR > norm else norm
@@ -631,17 +692,26 @@ class _Lane:
 
 
 class _LaneSet:
-    """The arrays of the active lanes, stepped together.
+    """The arrays of the active lanes of one method, stepped together.
 
     Built once per lane set and rebuilt only when a lane stops running: the
-    stacked generator bases and drive parameters, the states, the stage
-    times and derivatives, the h·_A coefficients, the error-norm buffers,
-    and per-stage views into them.  Over one round of ``_Lane.settle``,
-    ``accepted`` collects the lanes whose step was accepted, and ``asked``
-    the steps that ask for dense-output rows.
+    stacked generator bases and drive parameters, the states, the stages,
+    the stage times, the error-norm buffers and, in the subclasses, the
+    method's own buffers and views.  ``block`` holds the stages, the start
+    state and the trial state of each lane, one (n, 16) slab each, so that
+    one gather copies a lane's step for the dense output.  Over one round
+    of ``_Lane.settle``, ``accepted`` collects the lanes whose step was
+    accepted, and ``asked`` the steps that ask for dense-output rows.
     """
 
-    def __init__(self, lanes: list[_Lane], y: np.ndarray, k0: np.ndarray, dense: "_DenseRows"):
+    NODES: np.ndarray  # stage times per step, as fractions of h
+    STAGES: int  # stage rows in block
+    DENSE: np.ndarray  # continuous extension: W(θ) = (θ, θ², ...) @ DENSE
+    ALPHA: float  # controller exponents
+    BETA: float
+    PRODUCTS: int  # generator-vector products per attempted step
+
+    def __init__(self, lanes: list[_Lane], y: np.ndarray, dense: "_DenseRows"):
         n = len(lanes)
         self.lanes = lanes
         self.dense = dense
@@ -649,42 +719,24 @@ class _LaneSet:
         # (i, lane number, t, h, t_new, index of the first grid time, rows) per step
         self.asked: list[tuple[int, int, float, float, float, int, int]] = []
         self.asked_rows = 0
-        self.drives = DriveLanes([lane.scenario.drive for lane in lanes], len(_C))
+        self.drives = DriveLanes([lane.scenario.drive for lane in lanes], len(self.NODES))
         self.basis = np.stack([lane.basis for lane in lanes])
         tolerances = np.array([(lane.scenario.rtol, lane.scenario.atol) for lane in lanes])
         self.rtol, self.atol = tolerances[:, :1], tolerances[:, 1:]
-        # The seven stages, the start state and the trial state of each lane,
-        # one (n, 16) slab each, so that one gather copies a lane's step.
-        self.block = np.empty((9, n, PACKED_SIZE))
-        self.stages, self.y, self.trial = self.block[:7].transpose(1, 0, 2), self.block[7], self.block[8]
+        self.block = np.empty((self.STAGES + 2, n, PACKED_SIZE))
+        self.stages, self.y, self.trial = self.block[:-2].transpose(1, 0, 2), self.block[-2], self.block[-1]
         self.y[...] = y
-        self.first_stage, self.last_stage = self.block[0], self.block[6]
-        self.first_stage[...] = k0
-        self.times = np.empty((n, len(_C)))
-        # Generator coefficients at the five stage times; the trailing 1
-        # picks L0 out of the basis.
-        self.coefs = np.ones((n, len(_C), 5))
+        # What an accepted step carries over, (to, from) per pair.
+        self.carry = [(self.y, self.trial)]
+        self.times = np.empty((n, len(self.NODES)))
+        # Generator coefficients at the stage times; the trailing 1 picks L0
+        # out of the basis.
+        self.coefs = np.ones((n, len(self.NODES), 5))
         self.drive_coefs = self.coefs[..., :4]
-        self.gens = np.empty((n, len(_C), PACKED_SIZE * PACKED_SIZE))
-        self.h_a = np.empty((n,) + _A.shape)
-        self.sums = np.empty((n, 1, PACKED_SIZE))
-        self.y_new = self.trial[:, None]
+        self.gens = np.empty((n, len(self.NODES), PACKED_SIZE * PACKED_SIZE))
         self.err = np.empty((n, PACKED_SIZE))
         self.scale = np.empty((n, PACKED_SIZE))
         self.abs_states = np.empty((2, n, PACKED_SIZE))  # |y| and |trial|
-        gens = self.gens.reshape(n, len(_C), PACKED_SIZE, PACKED_SIZE)
-        y, column = self.y[:, None], self.trial[:, :, None]
-        # Stage k is L(t + c_k h) (y + (h·_A)[k-1, :k] @ stages[:k]); the
-        # last two stages share c = 1.
-        self.stage_views = [
-            (self.h_a[:, k - 1:k, :k], self.stages[:, :k], y, gens[:, min(k, len(_C)) - 1], column,
-             self.stages[:, k, :, None])
-            for k in range(1, _NEW_STAGES + 1)
-        ]
-
-    def keep(self, indices: list[int]) -> "_LaneSet":
-        """The lane set of the lanes at ``indices``, with their states and carried-over stages."""
-        return _LaneSet([self.lanes[i] for i in indices], self.y[indices], self.stages[indices, 0], self.dense)
 
     def step(self, steps: list[tuple[float, float]]) -> list[float]:
         """Attempt one step (t, h) per lane; return the sums of the squared scaled errors.
@@ -695,15 +747,10 @@ class _LaneSet:
         """
         steps = np.array(steps)
         t, h = steps[:, :1], steps[:, 1:]
-        np.add(t, np.multiply(h, _C, out=self.times), out=self.times)
+        np.add(t, np.multiply(h, self.NODES, out=self.times), out=self.times)
         drive_coefficients(self.times, self.drives, out=self.drive_coefs)
         np.matmul(self.coefs, self.basis, out=self.gens)
-        np.multiply(h[:, :, None], _A, out=self.h_a)
-        sums, y_new = self.sums, self.y_new
-        for h_a, stages, y, gen, column, out in self.stage_views:
-            np.matmul(h_a, stages, out=sums)
-            np.add(y, sums, out=y_new)
-            np.matmul(gen, column, out=out)
+        self._attempt(h)
         if np.isfinite(self.trial).all():
             return self._squares(h)
         with np.errstate(all="ignore"):
@@ -711,41 +758,154 @@ class _LaneSet:
         finite = np.isfinite(self.trial).all(axis=1).tolist()
         return [square if ok else math.inf for square, ok in zip(squares, finite)]
 
+    def _attempt(self, h: np.ndarray) -> None:
+        """Form the stages and the trial state from the generators at the stage times."""
+        raise NotImplementedError
+
     def _squares(self, h: np.ndarray) -> list[float]:
-        err, scale = self.err, self.scale
-        np.matmul(_E, self.stages, out=err)
-        np.multiply(h, err, out=err)
-        abs_y, abs_trial = np.abs(self.block[7:], out=self.abs_states)
+        """The sums of the squared errors, each scaled by atol + rtol * max(|y|, |trial|)."""
+        err, scale = self._error(h), self.scale
+        abs_y, abs_trial = np.abs(self.block[-2:], out=self.abs_states)
         np.maximum(abs_y, abs_trial, out=scale)
         np.multiply(self.rtol, scale, out=scale)
         np.add(self.atol, scale, out=scale)
         np.divide(err, scale, out=err)
         return np.vecdot(err, err).tolist()
 
+    def _error(self, h: np.ndarray) -> np.ndarray:
+        """The error estimate of each lane's trial state, in ``err``."""
+        raise NotImplementedError
+
+    @classmethod
+    def start(cls, lanes: list[_Lane], dense: "_DenseRows") -> "_LaneSet":
+        """The lane set of ``lanes`` at their initial states."""
+        return cls(lanes, np.array([lane.y0 for lane in lanes]), dense)
+
+    def keep(self, indices: list[int]) -> "_LaneSet":
+        """The lane set of the lanes at ``indices``, with their states (and carried-over stages)."""
+        return type(self)([self.lanes[i] for i in indices], self.y[indices], self.dense)
+
     def advance(self) -> None:
-        """Hand the steps that asked for rows to ``dense``; carry the accepted lanes' trial states and last stages over."""
+        """Hand the steps that asked for rows to ``dense``; carry the accepted lanes' trial states (and stages) over."""
         if self.asked:
             self.dense.add(self.asked, self.block[:, [request[0] for request in self.asked]], self.asked_rows)
             self.asked, self.asked_rows = [], 0
         accepted = self.accepted
         if len(accepted) == len(self.lanes):
-            np.copyto(self.y, self.trial)
-            np.copyto(self.first_stage, self.last_stage)
+            for to, source in self.carry:
+                np.copyto(to, source)
         elif accepted:
-            self.y[accepted] = self.trial[accepted]
-            self.stages[accepted, 0] = self.stages[accepted, -1]
+            for to, source in self.carry:
+                to[accepted] = source[accepted]
         accepted.clear()
+
+
+class _DopriLanes(_LaneSet):
+    """Dormand-Prince lanes: seven stages, the first carried over from the last of the previous step."""
+
+    NODES, STAGES, DENSE, ALPHA, BETA, PRODUCTS = _C, 7, _P, _ALPHA, _BETA, _NEW_STAGES
+
+    def __init__(self, lanes: list[_Lane], y: np.ndarray, k0: np.ndarray, dense: "_DenseRows"):
+        super().__init__(lanes, y, dense)
+        n = len(lanes)
+        self.first_stage, self.last_stage = self.block[0], self.block[6]
+        self.first_stage[...] = k0
+        self.carry.append((self.first_stage, self.last_stage))
+        self.h_a = np.empty((n,) + _A.shape)
+        self.sums = np.empty((n, 1, PACKED_SIZE))
+        self.y_new = self.trial[:, None]
+        gens = self.gens.reshape(n, len(_C), PACKED_SIZE, PACKED_SIZE)
+        y, column = self.y[:, None], self.trial[:, :, None]
+        # Stage k is L(t + c_k h) (y + (h·_A)[k-1, :k] @ stages[:k]); the
+        # last two stages share c = 1.
+        self.stage_views = [
+            (self.h_a[:, k - 1:k, :k], self.stages[:, :k], y, gens[:, min(k, len(_C)) - 1], column,
+             self.stages[:, k, :, None])
+            for k in range(1, _NEW_STAGES + 1)
+        ]
+
+    @classmethod
+    def start(cls, lanes: list[_Lane], dense: "_DenseRows") -> "_DopriLanes":
+        return cls(lanes, np.array([lane.y0 for lane in lanes]), np.array([lane.k0 for lane in lanes]), dense)
+
+    def keep(self, indices: list[int]) -> "_DopriLanes":
+        return _DopriLanes([self.lanes[i] for i in indices], self.y[indices], self.stages[indices, 0], self.dense)
+
+    def _attempt(self, h: np.ndarray) -> None:
+        np.multiply(h[:, :, None], _A, out=self.h_a)
+        sums, y_new = self.sums, self.y_new
+        for h_a, stages, y, gen, column, out in self.stage_views:
+            np.matmul(h_a, stages, out=sums)
+            np.add(y, sums, out=y_new)
+            np.matmul(gen, column, out=out)
+
+    def _error(self, h: np.ndarray) -> np.ndarray:
+        err = self.err
+        np.matmul(_E, self.stages, out=err)
+        np.multiply(h, err, out=err)
+        return err
+
+
+class _RadauLanes(_LaneSet):
+    """Radau IIA lanes: per step one (48, 48) solve for the stages and one (16, 16) solve for the error.
+
+    The generators are built at t (for the error estimate) and at the three
+    collocation nodes.  ``block`` holds K_1..K_3, y and the trial state.
+    """
+
+    NODES = np.concatenate(((0.0,), _RADAU_C))
+    STAGES, DENSE, ALPHA, BETA, PRODUCTS = 3, _RADAU_P, _RADAU_ALPHA, _RADAU_BETA, _RADAU_PRODUCTS
+
+    def __init__(self, lanes: list[_Lane], y: np.ndarray, dense: "_DenseRows"):
+        super().__init__(lanes, y, dense)
+        n, size = len(lanes), PACKED_SIZE
+        gens = self.gens.reshape(n, len(self.NODES), size, size)
+        self.start_gen = gens[:, 0]  # L(t)
+        self.node_gens = gens[:, 1:]  # L(t + c_j h)
+        # I - h [a_ij L_j] with entry (i, r, j, s) = delta_ij delta_rs - h a_ij L_j[r, s].
+        self.system = np.empty((n, 3, size, 3, size))
+        self.system_blocks = self.node_gens.transpose(0, 2, 1, 3)[:, None]
+        self.h_a = np.empty((n, 3, 1, 3, 1))
+        self.matrix = self.system.reshape(n, 3 * size, 3 * size)
+        self.system_diagonal = self.matrix.reshape(n, -1)[:, ::3 * size + 1]
+        self.node_products = np.empty((n, 3, size, 1))  # L_j y
+        self.rhs = np.empty((n, 3, size))
+        self.estimate = np.empty((n, size, size))  # u1/h I - L(t)
+        self.estimate_diagonal = self.estimate.reshape(n, -1)[:, ::size + 1]
+        self.start_product = np.empty((n, size, 1))  # L(t) y
+
+    def _attempt(self, h: np.ndarray) -> None:
+        n = len(self.lanes)
+        np.multiply(h[:, :, None, None, None], _RADAU_MINUS_A, out=self.h_a)
+        np.multiply(self.h_a, self.system_blocks, out=self.system)
+        self.system_diagonal += 1.0
+        np.matmul(self.node_gens, self.y[:, None, :, None], out=self.node_products)
+        np.matmul(_RADAU_A, self.node_products[..., 0], out=self.rhs)
+        self.stages[...] = np.linalg.solve(self.matrix, self.rhs.reshape(n, -1, 1)).reshape(n, 3, PACKED_SIZE)
+        np.multiply(h, self.stages[:, 2], out=self.trial)
+        np.add(self.y, self.trial, out=self.trial)
+
+    def _error(self, h: np.ndarray) -> np.ndarray:
+        err = self.err
+        np.matmul(self.start_gen, self.y[:, :, None], out=self.start_product)
+        np.matmul(_RADAU_DD, self.stages, out=err)
+        np.add(err, self.start_product[..., 0], out=err)
+        np.negative(self.start_gen, out=self.estimate)
+        self.estimate_diagonal += _RADAU_U1 / h
+        err[...] = np.linalg.solve(self.estimate, err[..., None])[..., 0]
+        return err
 
 
 class _DenseRows:
     """The dense-output rows that accepted steps ask for, formed in batches and handed to the lanes' recorders.
 
     A step asks for the grid times t_j in (t, t_new]; the row at t_j is
-    y + h·W(theta) @ K with theta = (t_j - t)/h, from the step's start
-    state y and stages K, except that a time the step lands on takes the
-    step's own state.  ``add`` keeps copies of y, K and the trial state per
-    step, and ``stop`` the lanes that stopped stepping, with their last
-    states.  ``flush`` forms every row asked for since the last flush,
+    y + h·W(theta) @ K with theta = (t_j - t)/h and W(theta) = (theta,
+    theta², ...) @ ``weights``, the continuous extension of the lanes'
+    method, from the step's start state y and stages K, except that a time
+    the step lands on takes the step's own state.  ``add`` keeps copies of
+    y, K and the trial state per step, and ``stop`` the lanes that stopped
+    stepping, with their last states.  ``flush`` forms every row asked for since the last flush,
     hands each lane its rows in one slice, in time order, and then ends
     the stopped lanes (their tails or failures).  The steps with m rows
     form them with the (m, 4) and (m, 7) products one step alone would
@@ -758,8 +918,9 @@ class _DenseRows:
     leaves after that flush.
     """
 
-    def __init__(self, lanes: list[_Lane]):
+    def __init__(self, lanes: list[_Lane], weights: np.ndarray):
         self.lanes = lanes
+        self.weights = weights
         grids = {id(lane.grid): lane.grid for lane in lanes}  # sweep lanes share one
         self.grid = np.concatenate(list(grids.values())) if len(grids) > 1 else lanes[0].grid
         bases = dict(zip(grids, np.cumsum([0] + [len(grid) for grid in grids.values()]).tolist()))
@@ -791,21 +952,22 @@ class _DenseRows:
     def _record(self) -> bool:
         spec, block = np.array(self.requests), np.concatenate(self.blocks, axis=1)
         self.requests, self.blocks, self.rows = [], [], 0
-        stages, y, trial = block[:7].transpose(1, 0, 2), block[7], block[8]
+        stages, y, trial = block[:-2].transpose(1, 0, 2), block[-2], block[-1]
         counts = spec[:, 6].astype(np.intp)
         ends = np.cumsum(counts)
         times = self.grid[np.repeat(spec[:, 5].astype(np.intp) - (ends - counts), counts) + np.arange(ends[-1])]
         t, h = np.repeat(spec[:, 2], counts), np.repeat(spec[:, 3], counts)
-        powers = np.repeat((times - t) / h, len(_P)).reshape(-1, len(_P))
+        degree = len(self.weights)
+        powers = np.repeat((times - t) / h, degree).reshape(-1, degree)
         np.cumprod(powers, axis=1, out=powers)
         samples = np.empty((len(times), 1 + PACKED_SIZE))
         samples[:, 0] = times
-        # The steps with m rows each form them in (m, 4) @ (4, 7) and
-        # (m, 7) @ (7, 16) products, as each would alone.
+        # The steps with m rows each form them in (m, degree) @ (degree,
+        # stages) and (m, stages) @ (stages, 16) products, as each would alone.
         for m in np.flatnonzero(np.bincount(counts)).tolist():
             steps = np.flatnonzero(counts == m)
             rows = (ends[steps] - m)[:, None] + np.arange(m)
-            weights = np.matmul(powers[rows], _P)
+            weights = np.matmul(powers[rows], self.weights)
             weights *= h[rows, None]
             samples[rows, 1:] = y[steps, None] + np.matmul(weights, stages[steps])
         last = ends - 1
@@ -825,7 +987,18 @@ class _DenseRows:
 
 
 def _run_lanes(lanes: list[_Lane]) -> None:
-    """Step every lane to its t_stop in lockstep, and let each record its tail from there.
+    """Step every lane to its t_stop, the lanes of each method as one lockstep group, and let each record its tail."""
+    for lane in lanes:
+        if lane.t >= lane.t_stop:  # no pulse or a one-row grid: nothing to step
+            lane.finish(lane.y0)
+    for stepper in (_DopriLanes, _RadauLanes):
+        group = [lane for lane in lanes if lane.t < lane.t_stop and lane.stepper is stepper]
+        if group:
+            _run_group(stepper, group)
+
+
+def _run_group(stepper: type[_LaneSet], lanes: list[_Lane]) -> None:
+    """Step lanes of one method to their t_stop in lockstep, and let each record its tail from there.
 
     Each iteration attempts one step per lane with one stacked generator
     build, and lets each lane accept or reject its own and propose its
@@ -833,14 +1006,8 @@ def _run_lanes(lanes: list[_Lane]) -> None:
     dense-output rows, and then each stopped lane's tail or failure, are
     recorded in batches (see _DenseRows).
     """
-    for lane in lanes:
-        if lane.t >= lane.t_stop:  # no pulse or a one-row grid: nothing to step
-            lane.finish(lane.y0)
-    lanes = [lane for lane in lanes if lane.t < lane.t_stop]
-    if not lanes:
-        return
-    dense = _DenseRows(lanes)
-    active = _LaneSet(lanes, np.array([lane.y0 for lane in lanes]), np.array([lane.k0 for lane in lanes]), dense)
+    dense = _DenseRows(lanes, stepper.DENSE)
+    active = stepper.start(lanes, dense)
     steps = [lane.propose() for lane in lanes]
     while True:
         if None in steps:
@@ -866,15 +1033,18 @@ def integrate(scenario: Scenario) -> Trajectory:
     inside each accepted step are read off the continuous extension from
     the step's own stages, and the last step lands on that end.  The grid
     times after it come from the exact post-pulse propagator.  Each
-    attempted step builds the generators at its five new stage times in
-    one stacked product.
+    attempted step builds the generators at its stage times in one stacked
+    product: five new ones for Dormand-Prince, and for Radau IIA, chosen
+    when the decay is stiff (see STIFF_RATIO), the three collocation nodes
+    and the step's start.
 
     Raises PhysicalityError if a recorded sample violates the scenario's
     trace or positivity tolerances, and IntegrationError on step-size
     underflow, or when the stepped span needs more than MAX_STEPS attempted
-    steps (checked up front from the spectral radius of L0 on the reachable
-    components and from the tau/10 cap, and again in the loop), or when
-    decay rates that stiff would make the exact tail's rounding exceed atol.
+    steps (checked up front from the tau/10 cap and, for explicit steps,
+    from the spectral radius of L0 on the reachable components, and again
+    in the loop), or when decay rates that stiff would make the exact
+    tail's rounding exceed atol, or L0 times the window is not finite.
     """
     lane = _Lane(scenario, sample_times(scenario))
     _run_lanes([lane])

@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,20 @@ class TestDefaults:
         _, out = parse_config_full("")
         assert out.format == "csv"
         assert out.path is None
+
+
+class TestReadmeReferenceConfig:
+    def test_reference_block_parses_as_written(self):
+        # The ini block under "Config format" lists every key with its
+        # default; passed unchanged, it is the fig2 baseline swept over theta.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.DOTALL)
+        spec, out = parse_config_full(block)
+        assert isinstance(spec, SweepSpec)
+        assert spec.base == preset("fig2")
+        (axis,) = spec.axes
+        assert axis.parameter == "theta" and len(axis.values) == 64
+        assert (out.format, out.path) == ("csv", "out.csv")
 
 
 class TestParsing:

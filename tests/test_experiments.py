@@ -241,11 +241,12 @@ class TestLaneBatchedSweep:
             assert len({getattr(row, name) for row in table.rows}) == 3, name
 
     def test_lane_failing_mid_run_is_flagged_and_others_untouched(self, monkeypatch):
-        # gamma01 = 100 passes the up-front estimate for the span it steps,
-        # up to the end of the pulses (about 1,466 steps), and needs about
-        # 1,757 attempts there; 1e5 is rejected before stepping.
-        monkeypatch.setattr(integrator, "MAX_STEPS", 1_600)
-        spec = SweepSpec(base=preset("fig4"), axes=(SweepAxis("gamma01", (5.8, 100.0, 1e5)),))
+        # gamma01 = 20 steps explicitly past its stability edge: it passes the
+        # up-front estimate for the span it steps, up to the end of the
+        # pulses (about 318 steps), and needs about 666 attempts there;
+        # 1e5 is rejected before stepping.
+        monkeypatch.setattr(integrator, "MAX_STEPS", 550)
+        spec = SweepSpec(base=preset("fig4"), axes=(SweepAxis("gamma01", (5.8, 20.0, 1e5)),))
         ok, exhausted, stiff = sweep(spec).rows
         assert "step budget" in exhausted.error
         assert "too stiff" in stiff.error
@@ -254,6 +255,18 @@ class TestLaneBatchedSweep:
             assert math.isnan(flagged.doublet_population)
         assert ok.error is None
         assert row_bits(ok) == solo_bits(spec, (5.8,))
+
+    def test_explicit_and_implicit_lanes_give_their_solo_rows(self):
+        # gamma01 = 5.8 steps with Dormand-Prince and gamma01 = 100 with
+        # Radau IIA; each kind steps in its own lockstep group.
+        spec = SweepSpec(base=preset("fig4"),
+                         axes=(SweepAxis("gamma01", (5.8, 100.0)), SweepAxis("theta", (0.0, 0.8))))
+        points = [point_scenario(spec, values) for values in spec.grid()]
+        kinds = [integrator._Lane(sc, integrator.sample_times(sc)).stepper for sc in points]
+        assert kinds == [integrator._DopriLanes] * 2 + [integrator._RadauLanes] * 2
+        rows = sweep(spec).rows
+        assert all(row.error is None for row in rows)
+        assert [row_bits(row) for row in rows] == [solo_bits(spec, values) for values in spec.grid()]
 
     def test_point_whose_scenario_cannot_be_built_is_flagged(self):
         spec = SweepSpec(base=preset("fig4"), axes=(SweepAxis("tau", (4.0, -1.0)),))

@@ -1,6 +1,9 @@
+import importlib.util
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,8 @@ from victrap.liouvillian import decay_generator, generator_basis
 QUIET_DRIVE = DriveConfig(g01=0.0, g02=0.0)
 
 # Stiff decay rates (gamma01 * tau = 400) with the chirp on, over a window
-# covering both pulses; stepping here is limited by stability, not accuracy.
+# covering both pulses.  The tau/10 cap is 17 times the explicit stability
+# limit, so the lane steps with Radau IIA.
 STIFF = Scenario(
     params=SystemParams(gamma01=100.0, gamma02=40.0),
     drive=DriveConfig(chi1=0.3, chi2=0.2),
@@ -38,6 +42,16 @@ STIFF = Scenario(
     t_end=22.0,
     sample_interval=0.1,
 )
+# Decay rates on the explicit side of the selection: the tau/10 cap is 3.3
+# times the Dormand-Prince stability limit, so stepping is held at that
+# limit, and still below STIFF_RATIO times it.
+EDGE = replace(STIFF, params=SystemParams(gamma01=20.0, gamma02=7.6))
+
+
+def stability_ratio(scenario: Scenario) -> float:
+    """The tau/10 cap over the explicit stability limit, h * rho(L0) <= 3.3."""
+    radius = np.max(np.abs(np.linalg.eigvals(decay_generator(scenario.params))))
+    return scenario.drive.tau / 10.0 * radius / 3.3
 
 
 def exact_tail(scenario: Scenario, rows: np.ndarray) -> np.ndarray:
@@ -211,8 +225,17 @@ class TestControllerBehaviour:
     def test_rhs_evaluations_count_six_per_attempted_step(self, name, request):
         # One initial evaluation, then six new stages per attempted step
         # (first-same-as-last), accepted or rejected.
-        stats = request.getfixturevalue("fig2_run").traj.stats if name == "fig2" else integrate(STIFF).stats
+        stats = request.getfixturevalue("fig2_run").traj.stats if name == "fig2" else integrate(EDGE).stats
+        assert stats.steps_rejected > 0
         assert stats.rhs_evaluations == 1 + 6 * (stats.steps_accepted + stats.steps_rejected)
+
+    def test_rhs_evaluations_count_four_per_implicit_step(self):
+        # A Radau IIA step applies the generators at its three nodes and at
+        # its start to the start state, accepted or rejected; nothing is
+        # evaluated before the first step.
+        stats = integrate(replace(STIFF, initial_state=ground_state(), t_start=STIFF.drive.center1)).stats
+        assert stats.steps_rejected > 0
+        assert stats.rhs_evaluations == 4 * (stats.steps_accepted + stats.steps_rejected)
 
     def test_stiff_rates_match_fixed_step(self):
         adaptive = integrate(STIFF)
@@ -224,25 +247,26 @@ class TestControllerBehaviour:
     def test_forced_rejection_matches_fixed_step(self):
         # Pulse 1 at its peak drives the ground state into the fast-decaying
         # optical coherences from the first stage on, and the first trial
-        # step, tau/10, is far past the stability edge h * rho(L0) <= 3.3:
-        # the run must reject it whatever the controller's tuning.
-        sc = replace(STIFF, initial_state=ground_state(), t_start=STIFF.drive.center1, t_end=4.0)
-        radius = np.max(np.abs(np.linalg.eigvals(decay_generator(sc.params))))
-        assert sc.drive.tau / 10.0 * radius > 10 * 3.3
+        # step, tau/10, is past the stability edge h * rho(L0) <= 3.3 of the
+        # explicit step: the run must reject it whatever the controller's
+        # tuning.
+        sc = replace(EDGE, initial_state=ground_state(), t_start=EDGE.drive.center1, t_end=4.0)
+        assert 1.0 < stability_ratio(sc) < integrator.STIFF_RATIO
         adaptive = integrate(sc)
         assert adaptive.stats.steps_rejected > 0
-        fixed = integrate_fixed_step(sc, 1.0 / sc.params.gamma01)
+        fixed = integrate_fixed_step(sc, 0.01)
         assert len(fixed.samples) == len(adaptive.samples)
         for fa, ad in zip(fixed.samples, adaptive.samples):
             assert np.max(np.abs(fa.state.matrix - ad.state.matrix)) <= 1e-6, fa.time
 
     def test_stiff_run_rejects_almost_no_steps(self):
-        # Up to the end of the pulses the stepping is stability-limited: the
-        # stabilised controller settles just below the stability edge
-        # instead of cycling grow-reject-shrink (10% rejected without the
-        # prev^beta term).  The run attempts about 2,155 steps, well within
-        # the estimate for the whole window, span * rho(L0) / 3.3 = 4,073.
-        sc = Scenario(params=SystemParams(gamma01=100.0, gamma02=40.0), drive=DriveConfig(chi1=0.3, chi2=0.2))
+        # Up to the end of the pulses the explicit stepping is held at the
+        # stability edge: the stabilised controller settles just below it
+        # instead of cycling grow-reject-shrink.  The run attempts about 707
+        # steps, within the estimate for the whole window, span * rho(L0) /
+        # 3.3 = 803.
+        sc = Scenario(params=EDGE.params, drive=EDGE.drive)
+        assert 1.0 < stability_ratio(sc) < integrator.STIFF_RATIO
         stats = integrate(sc).stats
         attempted = stats.steps_accepted + stats.steps_rejected
         radius = np.max(np.abs(np.linalg.eigvals(decay_generator(sc.params))))
@@ -338,6 +362,92 @@ class TestControllerBehaviour:
             integrate(sc)
 
 
+def bench_job(name: str):
+    """The parsed config of a bench workload at seed 0 (bench/workloads.py, loaded without the harness)."""
+    module = sys.modules.get("bench_workloads")
+    if module is None:
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        module = sys.modules["bench_workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return parse_config(module.make(name, 0).config)
+
+
+def stepper(scenario: Scenario) -> type:
+    return integrator._Lane(scenario, sample_times(scenario)).stepper
+
+
+class TestStepperSelection:
+    """A lane steps with Radau IIA only when the tau/10 cap is past STIFF_RATIO times the explicit stability limit."""
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(preset("fig2"), id="fig2"),
+        pytest.param(preset("fig4"), id="fig4"),
+        pytest.param(preset("fig6").base, id="fig6_base"),
+        pytest.param(bench_job("trajectory_csv"), id="trajectory_csv"),
+        pytest.param(bench_job("sweep_2d").base, id="sweep_2d_base"),
+    ])
+    def test_paper_scenarios_step_explicitly(self, scenario):
+        assert stability_ratio(scenario) < 1.0
+        assert stepper(scenario) is integrator._DopriLanes
+
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(STIFF, id="STIFF"),
+        pytest.param(bench_job("stiff_json"), id="stiff_json"),
+    ])
+    def test_stiff_decay_steps_implicitly(self, scenario, monkeypatch):
+        assert stability_ratio(scenario) > integrator.STIFF_RATIO
+        assert stepper(scenario) is integrator._RadauLanes
+        monkeypatch.setattr(integrator, "STIFF_RATIO", math.inf)
+        assert stepper(scenario) is integrator._DopriLanes
+
+    def test_radau_tableau(self):
+        # The stage equations reproduce the nodes, the collocation polynomial
+        # passes through every stage value, and radau5's error weights are
+        # its slope at 0, negated.
+        c, a, p = integrator._RADAU_C, integrator._RADAU_A, integrator._RADAU_P
+        np.testing.assert_allclose(a.sum(axis=1), c, rtol=0, atol=1e-15)
+        np.testing.assert_allclose((c[:, None] ** np.arange(1, 4)) @ p, np.eye(3), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(integrator._RADAU_DD, -p[0], rtol=1e-15)
+
+    def test_implicit_run_takes_a_quarter_of_the_explicit_steps(self):
+        # The stiff bench run: 516 accepted steps, against 2,150 held at the
+        # explicit stability edge.
+        stats = integrate(bench_job("stiff_json")).stats
+        assert stats.steps_accepted <= 700
+        assert stats.steps_rejected <= 10
+
+    def test_very_stiff_decay_finishes(self, monkeypatch):
+        # gamma01 = 1e4 over the default window: stepped explicitly it would
+        # need at least 2.01e5 steps and is rejected up front; implicitly it
+        # takes about 470.  The rows on a short window agree with the
+        # fixed-step reference at dt = 1e-4, inside its stability limit.
+        sc = Scenario(params=SystemParams(gamma01=1e4, gamma02=4e3))
+        traj = integrate(sc)
+        assert traj.stats.steps_accepted + traj.stats.steps_rejected < 1_000
+        assert traj.stats.max_trace_error <= 1e-9
+        assert traj.stats.min_eigenvalue >= -1e-12
+        short = replace(sc, t_start=-2.0, t_end=-1.0)
+        adaptive, fixed = integrate(short), integrate_fixed_step(short, 1e-4)
+        assert adaptive.times.tobytes() == fixed.times.tobytes()
+        assert np.max(np.abs(adaptive.columns[:, 1:18] - fixed.columns[:, 1:18])) <= 1e-6
+        monkeypatch.setattr(integrator, "STIFF_RATIO", math.inf)
+        with pytest.raises(IntegrationError, match="needs at least 2.01e[+]05 steps"):
+            integrate(sc)
+
+    def test_implicit_lanes_keep_their_solo_bits_beside_each_other(self):
+        # Each kind of lane steps in its own lockstep group; within it, a
+        # lane's arithmetic (one batched solve per step) does not depend on
+        # the others.
+        scenarios = [STIFF, replace(STIFF, params=SystemParams(gamma01=60.0, gamma02=40.0, theta=0.4)),
+                     preset("fig2"), replace(STIFF, drive=DriveConfig(chi1=0.45, chi2=0.2))]
+        outcomes = integrator.steady_states([replace(sc, t_end=60.0) for sc in scenarios])
+        for sc, outcome in zip(scenarios, outcomes):
+            solo = detect_steady_state(integrate(replace(sc, t_end=60.0)))
+            assert outcome.state.matrix.tobytes() == solo.state.matrix.tobytes()
+            assert outcome.max_delta == solo.max_delta
+
+
 class TestExactTail:
     """Runs step only while the pulses are on; the rows after that come from a closed form."""
 
@@ -404,9 +514,9 @@ class TestExactTail:
             assert np.max(np.abs(traj.columns[1:, 1] - 1.0)) <= sc.atol
 
     def test_stiff_window_longer_than_the_step_budget_finishes(self):
-        # Stepping gamma01 = 100, gamma02 = 40 to t = 5000 would take about
-        # 212,000 steps, more than MAX_STEPS; up to the end of the pulses it
-        # takes about 2,150.  The rows to t = 80 agree with the fixed-step
+        # Stepping gamma01 = 100, gamma02 = 40 explicitly to t = 5000 would
+        # take about 212,000 steps, more than MAX_STEPS; up to the end of the
+        # pulses it takes about 520 implicit steps.  The rows to t = 80 agree with the fixed-step
         # reference within the criterion-9 tolerance, and every row after
         # the pulses with oracle B.
         sc = replace(STIFF, t_start=-16.0, t_end=5000.0, sample_interval=1.0)
