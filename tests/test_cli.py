@@ -1,6 +1,11 @@
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +284,50 @@ class TestSweepProgress:
         assert len(progress) == 3
         assert re.fullmatch(r"sweep: 8/8 points, 0 failed, 2 not converged, \d+\.\d\d s", progress[-1])
         assert progress[0].startswith("sweep: 3/8 points, ")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args):
+    """A fresh interpreter that imports victrap from this checkout's sources."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("argv, config, expected", [
+        (["--quiet", "preset", "fig2"], None, 0),
+        (["--quiet", "--format", "json", "preset", "fig4"], None, 0),
+        (["--quiet", "run", "--config"], "[chirp]\nprofile = constant\n", 1),  # unknown key
+        (["--quiet", "run", "--config"], "[integration]\nsample_interval = 30\n", 2),  # one-sample window
+    ])
+    def test_module_entry_matches_main(self, tmp_path, capsys, argv, config, expected):
+        if config is not None:
+            argv = [*argv, write(tmp_path, "job.cfg", config)]
+        assert main(argv) == expected
+        out = capsys.readouterr().out.encode()
+        child = run_python("-m", "victrap.cli", *argv)
+        assert (child.returncode, child.stdout) == (expected, out)
+
+    def test_main_leaves_the_callers_heap_unfrozen(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["--quiet", "--format", "json", "preset", "fig4"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("start", [
+        "from victrap.cli import run; sys.exit(run())",
+        "import runpy; runpy.run_module('victrap.cli', run_name='__main__')",  # python -m victrap.cli
+    ])
+    def test_process_entry_freezes_the_import_time_heap(self, start):
+        code = ("import atexit, gc, sys\n"
+                "print(gc.get_freeze_count())\n"
+                "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+                "sys.argv = ['victrap', '--quiet', 'validate']\n" + start)
+        child = run_python("-c", code)
+        assert child.returncode == 0, child.stderr
+        before, after = map(int, child.stdout.split())
+        assert before == 0 and after > 0
+
+    def test_console_script_is_the_process_entry(self):
+        assert 'victrap = "victrap.cli:run"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")

@@ -291,3 +291,40 @@ class TestPackedRepresentation:
         decay = [unit_matrix(lambda rho, unit=unit: lindblad_oracle(rho, unit)) for unit in units]
         assert np.array_equal(liouvillian._units()[0], np.array(drive))
         assert np.array_equal(liouvillian._units()[1], np.array(decay))
+
+
+class TestRotateCoherences:
+    @staticmethod
+    def six_exponentials(states, phases):
+        """The rotation with one exponential per coherence: rates D_k[im, re] of each (re, im) pair."""
+        units = liouvillian._units()[0][2:].reshape(2, 16, 16)
+        rates = units[:, 5::2, 4::2].diagonal(axis1=1, axis2=2)
+        rotated = states.copy()
+        coherences = rotated[:, 4:].view(complex)
+        coherences *= np.exp(1j * (phases @ rates))
+        return rotated
+
+    def test_four_distinct_rates(self):
+        rates, column = liouvillian._detuning_rates()
+        # rho10 and rho20 turn with delta1, rho21 not at all, rho30 with
+        # delta2, rho31 and rho32 with delta2 - delta1.
+        assert np.array_equal(rates[:, column], [[1, 1, 0, 0, -1, -1], [0, 0, 0, 1, 1, 1]])
+        assert rates.shape == (2, 4)
+
+    def test_bit_for_bit_against_six_exponentials(self):
+        rng = np.random.default_rng(22)
+        zeros = np.array([[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0]])
+        phases = np.vstack((zeros, rng.normal(size=(60, 2)), 1e6 * rng.normal(size=(60, 2)),
+                            1e6 + rng.normal(size=(4, 2)), -1e6 + rng.normal(size=(4, 2))))
+        states = rng.normal(size=(len(phases), 16))
+        # Signed zeros in the coherences: every sign pattern of re and im,
+        # on some rows beside a zero phase.
+        states[:8, 4:] = 0.0
+        states[1::2, 4::2] *= -1.0
+        states[2::4, 5::2] = -0.0
+        states[-8:, 4:] = np.copysign(0.0, rng.normal(size=(8, 12)))
+        expected = self.six_exponentials(states, phases)
+        rotated = states.copy()
+        liouvillian.rotate_coherences(rotated, phases)
+        assert rotated.tobytes() == expected.tobytes()
+        assert np.array_equal(rotated[:, :4], states[:, :4])
