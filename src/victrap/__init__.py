@@ -49,11 +49,9 @@ from .model import (
 )
 from .observables import (
     bright_state_overlap,
-    coherence,
     dark_state_overlap,
     dark_state_vector,
     doublet_purity,
-    doublet_purity_normalized,
     populations,
 )
 from .config import OutputOptions, parse_config, parse_config_full, serialize_config
@@ -96,7 +94,6 @@ __all__ = [
     "TrajectorySample",
     "SystemParams",
     "bright_state_overlap",
-    "coherence",
     "coherence_decay_rate",
     "coherent_only",
     "cross_damping",
@@ -105,7 +102,6 @@ __all__ = [
     "detect_steady_state",
     "dissipator_only",
     "doublet_purity",
-    "doublet_purity_normalized",
     "drive_sample",
     "emit_summary_json",
     "emit_sweep_csv",

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .experiments import PRESET_NAMES, SweepSpec, preset, sweep
 from .integrator import detect_steady_state, integrate
-from .model import DriveConfig, Scenario, SystemParams, coherence_decay_rate, initial_metastable
+from .model import DensityMatrix, DriveConfig, Scenario, SystemParams, coherence_decay_rate, initial_metastable
 from .output import emit_summary_json, emit_sweep_csv, emit_sweep_json, emit_trajectory_csv
 
 EXIT_OK = 0
@@ -176,17 +176,21 @@ def _self_checks():
     drive = DriveConfig()
 
     def check_rates():
-        a = abs(params.gamma12 - math.sqrt(5.8 * 2.2)) < 1e-12
-        b = abs(coherence_decay_rate(2, 1, params) - 4.0) < 1e-12
-        c = abs(coherence_decay_rate(1, 0, params) - 2.9) < 1e-12
-        return a and b and c
+        # The packed L0 damps both parts of each coherence, in packed order,
+        # at its coherence_decay_rate; theta and gamma_coll are nonzero so
+        # that every rate enters.
+        tilted = replace(params, theta=0.4, gamma_coll=0.25)
+        damping = -np.diagonal(liouvillian.decay_generator(tilted))[4:]
+        pairs = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+        rates = [coherence_decay_rate(i, j, tilted) for i, j in pairs for _ in ("re", "im")]
+        return abs(params.gamma12 - math.sqrt(5.8 * 2.2)) < 1e-12 and np.array_equal(damping, rates)
 
     def check_generator():
         rng = np.random.default_rng(7)
         for _ in range(50):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             rho = m @ m.conj().T
-            rho /= np.trace(rho).real
+            rho = DensityMatrix(rho / np.trace(rho).real)
             full = liouvillian.master_rhs(0.3, rho, params, drive)
             if abs(np.trace(full)) > 1e-13:
                 return False
@@ -200,7 +204,7 @@ def _self_checks():
     def check_dark_state():
         quiet = replace(drive, g01=0.0, g02=0.0)
         v = observables.dark_state_vector(params)
-        rho = np.outer(v, v.conj())
+        rho = DensityMatrix(np.outer(v, v.conj()))
         flat = np.max(np.abs(liouvillian.master_rhs(0.0, rho, params, quiet)))
         tilted = np.max(np.abs(liouvillian.master_rhs(
             0.0, rho, replace(params, theta=0.3), quiet)))

@@ -97,6 +97,8 @@ class SweepSpec:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise InvalidParameterError(f"sweeps take one or two axes, got {len(self.axes)}")
+        if len(set(self.parameters)) < len(self.axes):
+            raise InvalidParameterError(f"both sweep axes name {self.axes[0].parameter!r}; they need two parameters")
         total = math.prod(len(axis.values) for axis in self.axes)
         if total > MAX_GRID_POINTS:
             raise InvalidParameterError(f"sweep grid has {total} points; the cap is {MAX_GRID_POINTS}")

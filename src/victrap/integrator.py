@@ -155,9 +155,6 @@ _RADAU_P = np.array((
     (-(23.0 + 22.0 * _SQRT6) / 3.0, (-23.0 + 22.0 * _SQRT6) / 3.0, -8.0 / 3.0),
     (10.0 / 3.0 + 5.0 * _SQRT6, 10.0 / 3.0 - 5.0 * _SQRT6, 10.0 / 3.0),
 ))
-# Generator products per attempted step: L(t + c_j h) y and L(t) y.
-_RADAU_PRODUCTS = 4
-
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -282,8 +279,8 @@ class _Samples(Sequence):
 class Trajectory:
     """Recorded samples as one read-only (n, 20) array, one column per TRAJECTORY_COLUMNS name.
 
-    ``samples``, ``final`` and ``times`` are views of the rows; equality is
-    identity, so compare ``columns`` to compare runs.
+    ``samples`` and ``times`` are views of the rows; equality is identity,
+    so compare ``columns`` to compare runs.
     """
 
     scenario: Scenario
@@ -298,10 +295,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.columns[:, 0]
-
-    @property
-    def final(self) -> TrajectorySample:
-        return _sample(self.columns[-1])
 
     def column(self, name: str) -> np.ndarray:
         """The column called ``name`` in TRAJECTORY_COLUMNS."""
@@ -562,15 +555,16 @@ class _Lane:
         self.scenario = scenario
         self.grid = grid
         self.recorder = _SampleRecorder(scenario, len(grid), keep_from)
-        self.y0 = pack_state(scenario.initial_state)
-        self.recorder.record(np.concatenate((grid[:1], self.y0))[None])
-        self.alpha, self.beta, self.products = self.stepper.ALPHA, self.stepper.BETA, self.stepper.PRODUCTS
+        # The lane's column of its lane set's block at the start: y0 and, for
+        # Dormand-Prince, the first stage L(t_start) y0, which each accepted
+        # step then carries over from its last.
+        self.column = np.zeros((self.stepper.STAGES + 2, PACKED_SIZE))
+        self.y0 = self.column[-2]
+        self.y0[...] = pack_state(scenario.initial_state)
         if self.stepper is _DopriLanes:
-            # L(t) y at the start; each accepted step carries its last stage over.
-            self.k0 = (drive_generators(t_start, drive)[0] + decay) @ self.y0
-            self.evaluations = 1
-        else:
-            self.evaluations = 0
+            self.column[0] = (drive_generators(t_start, drive)[0] + decay) @ self.y0
+        self.recorder.record(np.concatenate((grid[:1], self.y0))[None])
+        self.alpha, self.beta = self.stepper.ALPHA, self.stepper.BETA
         self.t = t_start
         self.pending = 1  # index of the next grid time to record
         self.next_time = grid[1].item() if len(grid) > 1 else math.inf  # grid[pending]
@@ -619,7 +613,6 @@ class _Lane:
         """
         h_try, t_new = self.h_try, self.t_new
         norm = math.sqrt(square / PACKED_SIZE)
-        self.evaluations += self.products
         if not norm <= 1.0:
             self.rejected += 1
             self.just_rejected = True
@@ -688,20 +681,28 @@ class _Lane:
         return _once(self.shared, ("expm", self.key, dt), lambda: _expm(self.decay * dt))
 
     def trajectory(self) -> Trajectory:
-        return self.recorder.trajectory(self.accepted, self.rejected, self.evaluations)
+        """The recorded run; its RHS evaluations are the generator-vector products of its attempted steps.
+
+        Dormand-Prince makes six per attempt, after the first stage at the
+        start; Radau IIA makes four, L(t + c_j h) y and L(t) y.
+        """
+        attempts = self.accepted + self.rejected
+        evaluations = 1 + _NEW_STAGES * attempts if self.stepper is _DopriLanes else 4 * attempts
+        return self.recorder.trajectory(self.accepted, self.rejected, evaluations)
 
 
 class _LaneSet:
     """The arrays of the active lanes of one method, stepped together.
 
-    Built once per lane set and rebuilt only when a lane stops running: the
-    stacked generator bases and drive parameters, the states, the stages,
-    the stage times, the error-norm buffers and, in the subclasses, the
-    method's own buffers and views.  ``block`` holds the stages, the start
-    state and the trial state of each lane, one (n, 16) slab each, so that
-    one gather copies a lane's step for the dense output.  Over one round
-    of ``_Lane.settle``, ``accepted`` collects the lanes whose step was
-    accepted, and ``asked`` the steps that ask for dense-output rows.
+    Built from the lanes' columns and rebuilt, by ``keep``, only when a lane
+    stops running: the stacked generator bases and drive parameters, the
+    stage times, the error-norm buffers and, in the subclasses, the method's
+    own buffers and views.  ``block``, of shape (STAGES + 2, n, 16), holds
+    the stages, the start state and the trial state of each lane, one
+    (n, 16) slab each, so that one gather copies a lane's step for the
+    dense output.  Over one round of ``_Lane.settle``, ``accepted`` collects
+    the lanes whose step was accepted, and ``asked`` the steps that ask for
+    dense-output rows.
     """
 
     NODES: np.ndarray  # stage times per step, as fractions of h
@@ -709,9 +710,8 @@ class _LaneSet:
     DENSE: np.ndarray  # continuous extension: W(θ) = (θ, θ², ...) @ DENSE
     ALPHA: float  # controller exponents
     BETA: float
-    PRODUCTS: int  # generator-vector products per attempted step
 
-    def __init__(self, lanes: list[_Lane], y: np.ndarray, dense: "_DenseRows"):
+    def __init__(self, lanes: list[_Lane], block: np.ndarray, dense: "_DenseRows"):
         n = len(lanes)
         self.lanes = lanes
         self.dense = dense
@@ -723,9 +723,8 @@ class _LaneSet:
         self.basis = np.stack([lane.basis for lane in lanes])
         tolerances = np.array([(lane.scenario.rtol, lane.scenario.atol) for lane in lanes])
         self.rtol, self.atol = tolerances[:, :1], tolerances[:, 1:]
-        self.block = np.empty((self.STAGES + 2, n, PACKED_SIZE))
-        self.stages, self.y, self.trial = self.block[:-2].transpose(1, 0, 2), self.block[-2], self.block[-1]
-        self.y[...] = y
+        self.block = block
+        self.stages, self.y, self.trial = block[:-2].transpose(1, 0, 2), block[-2], block[-1]
         # What an accepted step carries over, (to, from) per pair.
         self.carry = [(self.y, self.trial)]
         self.times = np.empty((n, len(self.NODES)))
@@ -776,14 +775,9 @@ class _LaneSet:
         """The error estimate of each lane's trial state, in ``err``."""
         raise NotImplementedError
 
-    @classmethod
-    def start(cls, lanes: list[_Lane], dense: "_DenseRows") -> "_LaneSet":
-        """The lane set of ``lanes`` at their initial states."""
-        return cls(lanes, np.array([lane.y0 for lane in lanes]), dense)
-
     def keep(self, indices: list[int]) -> "_LaneSet":
-        """The lane set of the lanes at ``indices``, with their states (and carried-over stages)."""
-        return type(self)([self.lanes[i] for i in indices], self.y[indices], self.dense)
+        """The lane set of the lanes at ``indices``, with their columns of ``block`` (states, carried stages)."""
+        return type(self)([self.lanes[i] for i in indices], self.block[:, indices], self.dense)
 
     def advance(self) -> None:
         """Hand the steps that asked for rows to ``dense``; carry the accepted lanes' trial states (and stages) over."""
@@ -803,14 +797,12 @@ class _LaneSet:
 class _DopriLanes(_LaneSet):
     """Dormand-Prince lanes: seven stages, the first carried over from the last of the previous step."""
 
-    NODES, STAGES, DENSE, ALPHA, BETA, PRODUCTS = _C, 7, _P, _ALPHA, _BETA, _NEW_STAGES
+    NODES, STAGES, DENSE, ALPHA, BETA = _C, 7, _P, _ALPHA, _BETA
 
-    def __init__(self, lanes: list[_Lane], y: np.ndarray, k0: np.ndarray, dense: "_DenseRows"):
-        super().__init__(lanes, y, dense)
+    def __init__(self, lanes: list[_Lane], block: np.ndarray, dense: "_DenseRows"):
+        super().__init__(lanes, block, dense)
         n = len(lanes)
-        self.first_stage, self.last_stage = self.block[0], self.block[6]
-        self.first_stage[...] = k0
-        self.carry.append((self.first_stage, self.last_stage))
+        self.carry.append((block[0], block[6]))
         self.h_a = np.empty((n,) + _A.shape)
         self.sums = np.empty((n, 1, PACKED_SIZE))
         self.y_new = self.trial[:, None]
@@ -823,13 +815,6 @@ class _DopriLanes(_LaneSet):
              self.stages[:, k, :, None])
             for k in range(1, _NEW_STAGES + 1)
         ]
-
-    @classmethod
-    def start(cls, lanes: list[_Lane], dense: "_DenseRows") -> "_DopriLanes":
-        return cls(lanes, np.array([lane.y0 for lane in lanes]), np.array([lane.k0 for lane in lanes]), dense)
-
-    def keep(self, indices: list[int]) -> "_DopriLanes":
-        return _DopriLanes([self.lanes[i] for i in indices], self.y[indices], self.stages[indices, 0], self.dense)
 
     def _attempt(self, h: np.ndarray) -> None:
         np.multiply(h[:, :, None], _A, out=self.h_a)
@@ -854,10 +839,10 @@ class _RadauLanes(_LaneSet):
     """
 
     NODES = np.concatenate(((0.0,), _RADAU_C))
-    STAGES, DENSE, ALPHA, BETA, PRODUCTS = 3, _RADAU_P, _RADAU_ALPHA, _RADAU_BETA, _RADAU_PRODUCTS
+    STAGES, DENSE, ALPHA, BETA = 3, _RADAU_P, _RADAU_ALPHA, _RADAU_BETA
 
-    def __init__(self, lanes: list[_Lane], y: np.ndarray, dense: "_DenseRows"):
-        super().__init__(lanes, y, dense)
+    def __init__(self, lanes: list[_Lane], block: np.ndarray, dense: "_DenseRows"):
+        super().__init__(lanes, block, dense)
         n, size = len(lanes), PACKED_SIZE
         gens = self.gens.reshape(n, len(self.NODES), size, size)
         self.start_gen = gens[:, 0]  # L(t)
@@ -1007,7 +992,7 @@ def _run_group(stepper: type[_LaneSet], lanes: list[_Lane]) -> None:
     recorded in batches (see _DenseRows).
     """
     dense = _DenseRows(lanes, stepper.DENSE)
-    active = stepper.start(lanes, dense)
+    active = stepper(lanes, np.stack([lane.column for lane in lanes], axis=1), dense)
     steps = [lane.propose() for lane in lanes]
     while True:
         if None in steps:

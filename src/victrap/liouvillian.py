@@ -27,8 +27,7 @@ import functools
 import numpy as np
 
 from .drive import drive_coefficients
-from .errors import ContractViolationError
-from .model import DIM, HERMITICITY_TOL, DensityMatrix, DriveConfig, SystemParams
+from .model import DIM, DensityMatrix, DriveConfig, SystemParams
 
 __all__ = ["master_rhs", "dissipator_only", "coherent_only", "pack_state", "unpack_state", "make_packed_rhs",
            "drive_generators", "decay_generator", "generator_basis"]
@@ -47,19 +46,9 @@ _FLAT = np.arange(2 * DIM * DIM).reshape(DIM, DIM, 2)
 _PACK = np.concatenate((_FLAT[np.diag_indices(DIM)][:, 0], _FLAT[_ROWS, _COLS].ravel()))
 
 
-def pack_state(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Encode a Hermitian 4x4 matrix as 16 reals."""
-    if isinstance(rho, DensityMatrix):
-        m = rho.matrix
-    else:
-        m = np.asarray(rho, dtype=complex)
-        if m.shape != (DIM, DIM):
-            raise ContractViolationError(f"expected a {DIM}x{DIM} matrix, got shape {m.shape}")
-        defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > HERMITICITY_TOL:
-            raise ContractViolationError(
-                f"input is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL:.0e})"
-            )
+def pack_state(rho: DensityMatrix) -> np.ndarray:
+    """Encode a density matrix as 16 reals."""
+    m = rho.matrix
     return np.concatenate((m.diagonal().real, m[_ROWS, _COLS].view(float)))
 
 
@@ -160,8 +149,7 @@ def rotate_coherences(states: np.ndarray, phases: np.ndarray) -> None:
     coherences *= np.exp(1j * (phases @ rates))[:, column]
 
 
-def master_rhs(t: float, rho: DensityMatrix | np.ndarray, params: SystemParams,
-               drive: DriveConfig) -> np.ndarray:
+def master_rhs(t: float, rho: DensityMatrix, params: SystemParams, drive: DriveConfig) -> np.ndarray:
     """d(rho)/dt under drive and dissipation at time t.
 
     Equals ``coherent_only(t, rho, ...) + dissipator_only(rho, ...)`` exactly
@@ -171,12 +159,12 @@ def master_rhs(t: float, rho: DensityMatrix | np.ndarray, params: SystemParams,
     return unpack_state(drive_generators(t, drive)[0] @ y + decay_generator(params) @ y)
 
 
-def dissipator_only(rho: DensityMatrix | np.ndarray, params: SystemParams) -> np.ndarray:
+def dissipator_only(rho: DensityMatrix, params: SystemParams) -> np.ndarray:
     """Decay/dephasing part of the generator alone (drive-independent)."""
     return unpack_state(decay_generator(params) @ pack_state(rho))
 
 
-def coherent_only(t: float, rho: DensityMatrix | np.ndarray, drive: DriveConfig) -> np.ndarray:
+def coherent_only(t: float, rho: DensityMatrix, drive: DriveConfig) -> np.ndarray:
     """Drive commutator -i[H(t), rho] alone; traceless for any input."""
     return unpack_state(drive_generators(t, drive)[0] @ pack_state(rho))
 

@@ -114,21 +114,6 @@ class DensityMatrix:
         """Read-only view of the underlying 4x4 complex array."""
         return self._m
 
-    def __getitem__(self, idx) -> complex:
-        return self._m[idx]
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self._m).real)
-
-    def purity(self) -> float:
-        """Tr(rho^2) of the full 4x4 matrix."""
-        return float(np.trace(self._m @ self._m).real)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Real eigenvalues in ascending order."""
-        return np.linalg.eigvalsh(self._m)
-
     @classmethod
     def pure(cls, level: int) -> "DensityMatrix":
         if level not in _LEVELS:
@@ -170,38 +155,28 @@ class PhysicalityReport:
     """Diagnostics from :func:`validate_physicality`; callers decide whether to abort."""
 
     trace_error: float
-    hermiticity_defect: float
     min_eigenvalue: float
     trace_ok: bool
-    hermitian_ok: bool
     positive_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.trace_ok and self.hermitian_ok and self.positive_ok
+        return self.trace_ok and self.positive_ok
 
 
 def validate_physicality(
-    rho: "DensityMatrix | np.ndarray",
+    rho: DensityMatrix,
     trace_tol: float = 1e-6,
     pos_tol: float = 1e-7,
 ) -> PhysicalityReport:
-    """Measure trace error, Hermiticity defect, and minimum eigenvalue.
-
-    Accepts either a :class:`DensityMatrix` (whose defect is zero by
-    construction) or a raw 4x4 array.
-    """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    """Measure trace error and minimum eigenvalue; a DensityMatrix is exactly Hermitian by construction."""
+    m = rho.matrix
     trace_error = abs(float(np.trace(m).real) - 1.0)
-    defect = float(np.max(np.abs(m - m.conj().T)))
-    herm = (m + m.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
+    min_eig = float(np.linalg.eigvalsh(m)[0])
     return PhysicalityReport(
         trace_error=trace_error,
-        hermiticity_defect=defect,
         min_eigenvalue=min_eig,
         trace_ok=trace_error <= trace_tol,
-        hermitian_ok=defect <= HERMITICITY_TOL,
         positive_ok=min_eig >= -pos_tol,
     )
 
@@ -340,8 +315,7 @@ class Scenario:
             raise InvalidParameterError(
                 "initial state is unphysical: "
                 f"trace_error={report.trace_error:.3e}, "
-                f"min_eigenvalue={report.min_eigenvalue:.3e}, "
-                f"hermiticity_defect={report.hermiticity_defect:.3e}"
+                f"min_eigenvalue={report.min_eigenvalue:.3e}"
             )
 
 

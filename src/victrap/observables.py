@@ -1,8 +1,7 @@
 """Quantities read off a density matrix: populations, coherences, purity.
 
 The doublet-block purity is Tr(B^2) of the *unnormalized* 2x2 block over
-{|1>, |2>}, so it tends to zero when the doublet empties; a normalized
-variant is available separately for diagnostics.
+{|1>, |2>}, so it tends to zero when the doublet empties.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from .model import DensityMatrix, ObservableRecord, SystemParams, validate_physi
 
 __all__ = [
     "populations",
-    "coherence",
     "doublet_purity",
-    "doublet_purity_normalized",
     "dark_state_vector",
     "dark_state_overlap",
     "bright_state_overlap",
@@ -33,13 +30,9 @@ __all__ = [
 _CHOLESKY_MARGIN = 1e-12
 
 
-def _matrix(rho: DensityMatrix | np.ndarray) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
-def populations(rho: DensityMatrix | np.ndarray) -> tuple[float, float, float, float]:
+def populations(rho: DensityMatrix) -> tuple[float, float, float, float]:
     """Real diagonal (p0, p1, p2, p3)."""
-    m = _matrix(rho)
+    m = rho.matrix
     return (
         float(m[0, 0].real),
         float(m[1, 1].real),
@@ -48,35 +41,16 @@ def populations(rho: DensityMatrix | np.ndarray) -> tuple[float, float, float, f
     )
 
 
-def coherence(rho: DensityMatrix | np.ndarray, i: int, j: int) -> complex:
-    """Off-diagonal element rho_ij."""
-    if i == j:
-        raise InvalidParameterError(f"coherence requires two distinct levels, got i=j={i}")
-    return complex(_matrix(rho)[i, j])
-
-
-def doublet_purity(rho: DensityMatrix | np.ndarray) -> float:
+def doublet_purity(rho: DensityMatrix) -> float:
     """Tr(B^2) of the unnormalized doublet block B = rho[1:3, 1:3].
 
     Equals p1^2 + p2^2 + 2|rho21|^2, bounded by (p1 + p2)^2 with equality
     iff the block is rank one.
     """
-    m = _matrix(rho)
+    m = rho.matrix
     p1 = float(m[1, 1].real)
     p2 = float(m[2, 2].real)
     return p1 * p1 + p2 * p2 + 2.0 * abs(complex(m[2, 1])) ** 2
-
-
-def doublet_purity_normalized(rho: DensityMatrix | np.ndarray) -> float:
-    """Purity of the renormalized doublet block, Tr(B^2)/Tr(B)^2.
-
-    Lies in [1/2, 1] for a nonempty block; raises if the block is empty.
-    """
-    m = _matrix(rho)
-    weight = m[1, 1].real + m[2, 2].real
-    if weight <= 0.0:
-        raise InvalidParameterError("doublet block is empty; normalized purity undefined")
-    return doublet_purity(rho) / (weight * weight)
 
 
 def dark_state_vector(params: SystemParams) -> np.ndarray:
@@ -93,13 +67,13 @@ def dark_state_vector(params: SystemParams) -> np.ndarray:
     return v
 
 
-def dark_state_overlap(rho: DensityMatrix | np.ndarray, params: SystemParams) -> float:
+def dark_state_overlap(rho: DensityMatrix, params: SystemParams) -> float:
     """<A|rho|A> for the dark doublet superposition |A>; real, in [0, 1]."""
     v = dark_state_vector(params)
-    return float((v.conj() @ _matrix(rho) @ v).real)
+    return float((v.conj() @ rho.matrix @ v).real)
 
 
-def bright_state_overlap(rho: DensityMatrix | np.ndarray, params: SystemParams) -> float:
+def bright_state_overlap(rho: DensityMatrix, params: SystemParams) -> float:
     """<B|rho|B> for the orthogonal (fast-decaying) doublet superposition."""
     total = params.gamma01 + params.gamma02
     if total <= 0.0:
@@ -107,19 +81,19 @@ def bright_state_overlap(rho: DensityMatrix | np.ndarray, params: SystemParams) 
     v = np.zeros(4, dtype=complex)
     v[1] = math.sqrt(params.gamma01 / total)
     v[2] = math.sqrt(params.gamma02 / total)
-    return float((v.conj() @ _matrix(rho) @ v).real)
+    return float((v.conj() @ rho.matrix @ v).real)
 
 
 def observable_record(
     time: float,
-    rho: DensityMatrix | np.ndarray,
+    rho: DensityMatrix,
     trace_tol: float = 1e-6,
     pos_tol: float = 1e-7,
 ) -> ObservableRecord:
     """Snapshot every plotted/emitted quantity plus physicality diagnostics."""
-    m = _matrix(rho)
-    p0, p1, p2, p3 = populations(m)
-    report = validate_physicality(m, trace_tol, pos_tol)
+    m = rho.matrix
+    p0, p1, p2, p3 = populations(rho)
+    report = validate_physicality(rho, trace_tol, pos_tol)
     record = ObservableRecord(
         time=time,
         p0=p0,
@@ -132,7 +106,7 @@ def observable_record(
         c30=complex(m[3, 0]),
         c31=complex(m[3, 1]),
         c32=complex(m[3, 2]),
-        doublet_purity=doublet_purity(m),
+        doublet_purity=doublet_purity(rho),
         trace_error=report.trace_error,
         min_eigenvalue=report.min_eigenvalue,
     )

@@ -4,20 +4,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from victrap import detect_steady_state, integrate, integrate_fixed_step, preset, sweep
+from victrap import DensityMatrix, detect_steady_state, integrate, integrate_fixed_step, preset, sweep
 
 
-def random_density_matrix(rng: np.random.Generator) -> np.ndarray:
+def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
     """Random physical state: positive, unit trace, generically full rank."""
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho = m @ m.conj().T
-    return rho / np.trace(rho).real
+    return DensityMatrix(rho / np.trace(rho).real)
 
 
-def random_hermitian(rng: np.random.Generator) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator) -> DensityMatrix:
     """Random Hermitian matrix, not necessarily positive or unit trace."""
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    return (m + m.conj().T) / 2.0
+    return DensityMatrix((m + m.conj().T) / 2.0)
 
 
 @pytest.fixture(scope="session")

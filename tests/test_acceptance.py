@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from victrap import (
+    DensityMatrix,
     DriveConfig,
     Scenario,
     SystemParams,
@@ -97,7 +98,7 @@ def test_criterion_6_dark_state_invariance():
     params = SystemParams()
     quiet = DriveConfig(g01=0.0, g02=0.0)
     v = dark_state_vector(params)
-    rho = np.outer(v, v.conj())
+    rho = DensityMatrix(np.outer(v, v.conj()))
     flat = float(np.max(np.abs(master_rhs(0.0, rho, params, quiet))))
     tilted = float(
         np.max(np.abs(master_rhs(0.0, rho, SystemParams(theta=0.3), quiet)))

@@ -227,6 +227,14 @@ class TestSweep:
         assert len(rows) == 2
         assert all("holds one sample" in row["error"] and not row["converged"] for row in rows)
 
+    def test_axes_naming_one_parameter_are_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "sweep.cfg", "[sweep]\nparameter = theta\nvalues = 0.1\n"
+                                           "parameter2 = theta\nvalues2 = 0.2\n")
+        assert main(["--quiet", "sweep", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("victrap: error: invalid sweep: both sweep axes name 'theta'")
+
     def test_scenario_config_is_usage_error(self, tmp_path):
         cfg = write(tmp_path, "run.cfg", SHORT_RUN_CFG)
         assert main(["sweep", "--config", cfg]) == 1

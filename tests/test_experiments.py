@@ -113,6 +113,12 @@ class TestSweepSpec:
         with pytest.raises(InvalidParameterError):
             SweepSpec(base=Scenario(), axes=(axis, axis, axis))
 
+    def test_axes_naming_one_parameter_rejected(self):
+        # The second axis's value would overwrite the first's in every point.
+        axes = (SweepAxis(parameter="theta", values=(0.1,)), SweepAxis(parameter="theta", values=(0.2,)))
+        with pytest.raises(InvalidParameterError, match="theta"):
+            SweepSpec(base=Scenario(), axes=axes)
+
     def test_two_axis_grid_order(self):
         spec = SweepSpec(
             base=Scenario(),
@@ -327,15 +333,21 @@ def summary_bits(outcome):
                  outcome.abs_coherence_21, outcome.converged, outcome.max_delta))
 
 
-def test_lanes_leaving_at_different_times_leave_the_others_untouched():
-    # Stiff lanes reject about one step in ten, each in its own pattern,
-    # and finish one by one; every compaction of the active set must carry
-    # the remaining lanes' states and stages over unchanged.
+@pytest.mark.parametrize("stepper, rates", [
+    (integrator._RadauLanes, lambda k: dict(gamma01=100.0, gamma02=30.0 + 2.0 * k)),
+    (integrator._DopriLanes, lambda k: dict(gamma01=20.0 + k, gamma02=6.0 + k)),
+], ids=["stiff", "explicit"])
+def test_lanes_leaving_at_different_times_leave_the_others_untouched(stepper, rates):
+    # Each lane takes its own number of steps (479 to 580 implicit ones, 699
+    # to 907 explicit ones), so the lanes land on t_stop one by one; every
+    # compaction of the active set must carry the remaining lanes' states
+    # over unchanged, and for Dormand-Prince their first stages too.
     chirped = preset("fig4")
     scenarios = [
-        replace(chirped, params=replace(chirped.params, gamma01=100.0, gamma02=30.0 + 2.0 * k), t_end=40.0 + 4.0 * k)
+        replace(chirped, params=replace(chirped.params, **rates(k)), t_end=40.0 + 4.0 * k)
         for k in range(8)
     ]
+    assert all(integrator._Lane(sc, integrator.sample_times(sc)).stepper is stepper for sc in scenarios)
     outcomes = integrator.steady_states(scenarios)
     for scenario, outcome in zip(scenarios, outcomes):
         try:

@@ -201,7 +201,7 @@ class TestControllerBehaviour:
         loose = integrate(sc)
         tight = integrate(replace(sc, rtol=sc.rtol / 2.0, atol=sc.atol / 2.0))
         drift = abs(
-            loose.final.record.doublet_population - tight.final.record.doublet_population
+            loose.samples[-1].record.doublet_population - tight.samples[-1].record.doublet_population
         )
         assert drift < 10.0 * sc.rtol
 

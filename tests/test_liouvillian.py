@@ -85,7 +85,7 @@ class TestAgainstBruteForceOracles:
             for _ in range(30):
                 rho = random_density_matrix(rng)
                 got = dissipator_only(rho, params)
-                want = lindblad_oracle(rho, params)
+                want = lindblad_oracle(rho.matrix, params)
                 assert np.max(np.abs(got - want)) < 1e-13
 
     def test_coherent_matches_commutator(self):
@@ -94,7 +94,7 @@ class TestAgainstBruteForceOracles:
             for _ in range(20):
                 rho = random_density_matrix(rng)
                 got = coherent_only(t, rho, DRIVE)
-                want = commutator_oracle(t, rho, DRIVE)
+                want = commutator_oracle(t, rho.matrix, DRIVE)
                 assert np.max(np.abs(got - want)) < 1e-13
 
     def test_full_equation_matches_oracle_sum(self):
@@ -102,7 +102,7 @@ class TestAgainstBruteForceOracles:
         for _ in range(30):
             rho = random_density_matrix(rng)
             got = master_rhs(1.2, rho, PARAMS, DRIVE)
-            want = commutator_oracle(1.2, rho, DRIVE) + lindblad_oracle(rho, PARAMS)
+            want = commutator_oracle(1.2, rho.matrix, DRIVE) + lindblad_oracle(rho.matrix, PARAMS)
             assert np.max(np.abs(got - want)) < 1e-13
 
 
@@ -181,7 +181,7 @@ class TestStructuralProperties:
             r1 = random_hermitian(rng)
             r2 = random_hermitian(rng)
             alpha, beta = 0.3, -1.7
-            lhs = master_rhs(1.0, alpha * r1 + beta * r2, PARAMS, DRIVE)
+            lhs = master_rhs(1.0, DensityMatrix(alpha * r1.matrix + beta * r2.matrix), PARAMS, DRIVE)
             rhs = alpha * master_rhs(1.0, r1, PARAMS, DRIVE) + beta * master_rhs(
                 1.0, r2, PARAMS, DRIVE
             )
@@ -190,8 +190,8 @@ class TestStructuralProperties:
     def test_non_hermitian_input_rejected(self):
         m = np.zeros((4, 4), dtype=complex)
         m[0, 1] = 0.5
-        with pytest.raises(ContractViolationError):
-            master_rhs(0.0, m, PARAMS, DRIVE)
+        with pytest.raises(ContractViolationError, match="not Hermitian"):
+            master_rhs(0.0, DensityMatrix(m), PARAMS, DRIVE)
 
     def test_positivity_flow_on_boundary_states(self):
         # On rank-deficient states with the fields off, a zero eigenvalue
@@ -203,9 +203,9 @@ class TestStructuralProperties:
                 rho = np.zeros((4, 4), dtype=complex)
                 for v in vecs:
                     rho += np.outer(v, v.conj())
-                rho /= np.trace(rho).real
+                rho = DensityMatrix(rho / np.trace(rho).real)
                 deriv = master_rhs(0.0, rho, PARAMS, QUIET)
-                eigvals, eigvecs = np.linalg.eigh(rho)
+                eigvals, eigvecs = np.linalg.eigh(rho.matrix)
                 for idx in range(4):
                     if eigvals[idx] < 1e-12:
                         v = eigvecs[:, idx]
@@ -229,16 +229,16 @@ class TestKnownFlows:
         # rho11 = g02/(g01+g02), rho22 = g01/(g01+g02),
         # rho21 = -sqrt(g01 g02)/(g01+g02): the antisymmetric doublet state.
         v = dark_state_vector(PARAMS)
-        rho = np.outer(v, v.conj())
-        assert rho[1, 1].real == pytest.approx(0.275)
-        assert rho[2, 2].real == pytest.approx(0.725)
-        assert rho[2, 1].real == pytest.approx(-0.4465142774872938)
+        rho = DensityMatrix(np.outer(v, v.conj()))
+        assert rho.matrix[1, 1].real == pytest.approx(0.275)
+        assert rho.matrix[2, 2].real == pytest.approx(0.725)
+        assert rho.matrix[2, 1].real == pytest.approx(-0.4465142774872938)
         deriv = master_rhs(0.0, rho, PARAMS, QUIET)
         assert np.max(np.abs(deriv)) < 1e-12
 
     def test_dark_state_decays_without_full_interference(self):
         v = dark_state_vector(PARAMS)
-        rho = np.outer(v, v.conj())
+        rho = DensityMatrix(np.outer(v, v.conj()))
         tilted = SystemParams(theta=0.3)
         deriv = master_rhs(0.0, rho, tilted, QUIET)
         assert np.max(np.abs(deriv)) > 1e-6
@@ -261,17 +261,16 @@ class TestPackedRepresentation:
         rng = np.random.default_rng(20)
         for _ in range(20):
             rho = random_density_matrix(rng)
-            rho = DensityMatrix(rho).matrix  # exactly hermitian
             packed = pack_state(rho)
             assert packed.shape == (16,)
-            assert np.array_equal(unpack_state(packed), rho)
-            assert np.array_equal(pack_state(unpack_state(packed)), packed)
+            assert np.array_equal(unpack_state(packed), rho.matrix)
+            assert np.array_equal(pack_state(DensityMatrix(unpack_state(packed))), packed)
 
     def test_packed_rhs_matches_matrix_rhs(self):
         rng = np.random.default_rng(21)
         rhs = make_packed_rhs(PARAMS, DRIVE)
         for t in (-4.0, 0.0, 9.5):
-            rho = DensityMatrix(random_density_matrix(rng)).matrix
+            rho = random_density_matrix(rng)
             packed_deriv = rhs(t, pack_state(rho))
             assert np.array_equal(unpack_state(packed_deriv), master_rhs(t, rho, PARAMS, DRIVE))
 
@@ -280,7 +279,7 @@ class TestPackedRepresentation:
         # state at a time, column by column, from the oracles above with one
         # unit coefficient or rate each, they come out the same.
         def unit_matrix(op):
-            return np.column_stack([pack_state(op(unpack_state(e))) for e in np.eye(16)]).ravel()
+            return np.column_stack([pack_state(DensityMatrix(op(unpack_state(e)))) for e in np.eye(16)]).ravel()
 
         drive = []
         for g1, g2, d1, d2 in np.eye(4):  # (g1, g2, delta1, delta2)

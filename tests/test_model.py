@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from victrap import (
     ContractViolationError,
@@ -18,10 +18,12 @@ from victrap import (
     maximally_mixed,
     validate_physicality,
 )
+from victrap.liouvillian import decay_generator
 from victrap.model import MAX_SAMPLE_ROWS
 
 rates = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 angles = st.floats(min_value=0.0, max_value=math.pi / 2, allow_nan=False)
+normal_rates = st.just(0.0) | st.floats(min_value=1e-300, max_value=1e3)
 
 
 def doublet_decay_matrix(params: SystemParams) -> np.ndarray:
@@ -82,6 +84,18 @@ class TestCoherenceDecayRate:
         with pytest.raises(InvalidParameterError):
             coherence_decay_rate(2, 2, SystemParams())
 
+    @settings(derandomize=True)
+    @given(g01=normal_rates, g02=normal_rates, g03=normal_rates, g_coll=normal_rates, th=angles)
+    def test_equals_the_packed_decay_generator_diagonal(self, g01, g02, g03, g_coll, th):
+        # The packed L0, built from the jump operators, damps both parts of
+        # each coherence (pairs in packed order) at exactly this rate.
+        # Halving is exact only while the half is a normal float, so rates
+        # below about 4.5e-308 may differ in the last bit and are not drawn.
+        params = SystemParams(g01, g02, g03, g_coll, th)
+        damping = -np.diagonal(decay_generator(params))[4:]
+        pairs = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+        assert damping.tolist() == [coherence_decay_rate(i, j, params) for i, j in pairs for _ in ("re", "im")]
+
     def test_out_of_range_level_rejected(self):
         with pytest.raises(InvalidParameterError):
             coherence_decay_rate(4, 0, SystemParams())
@@ -139,17 +153,25 @@ class TestDriveConfig:
 
 class TestDensityMatrix:
     def test_metastable_initial_state(self):
-        rho = initial_metastable()
-        assert rho[3, 3] == 1.0
-        assert rho.trace == 1.0
-        assert rho.purity() == pytest.approx(1.0)
-        assert rho.eigenvalues()[0] == pytest.approx(0.0, abs=1e-15)
+        m = initial_metastable().matrix
+        assert m[3, 3] == 1.0
+        assert np.trace(m).real == 1.0
+        assert np.trace(m @ m).real == pytest.approx(1.0)
+        assert np.linalg.eigvalsh(m)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_metastable_passes_physicality_exactly(self):
         report = validate_physicality(initial_metastable())
         assert report.ok
         assert report.trace_error == 0.0
-        assert report.hermiticity_defect == 0.0
+        assert report.min_eigenvalue == 0.0
+
+    def test_stored_matrix_is_exactly_hermitian(self):
+        # Within HERMITICITY_TOL the input is accepted and symmetrized, so
+        # no state argument carries a Hermiticity defect.
+        m = np.eye(4, dtype=complex) / 4.0
+        m[1, 0], m[0, 1] = 0.1 + 0.2j, 0.1 - 0.2j + 5e-13
+        stored = DensityMatrix(m).matrix
+        assert np.array_equal(stored, stored.conj().T)
 
     def test_non_hermitian_rejected(self):
         m = np.zeros((4, 4), dtype=complex)
@@ -194,13 +216,13 @@ class TestValidatePhysicality:
         m[0, 0] = 0.25 + 0.01 + 0.25  # keep the trace at one
         m[2, 2] = 0.25
         m[3, 3] = 0.25
-        report = validate_physicality(m)
+        report = validate_physicality(DensityMatrix(m))
         assert report.trace_error < 1e-12
         assert not report.positive_ok
         assert not report.ok
 
     def test_trace_violation_flagged(self):
-        report = validate_physicality(np.eye(4, dtype=complex))
+        report = validate_physicality(DensityMatrix(np.eye(4, dtype=complex)))
         assert not report.trace_ok
 
 

@@ -10,11 +10,9 @@ from victrap import (
     Scenario,
     SystemParams,
     bright_state_overlap,
-    coherence,
     dark_state_overlap,
     dark_state_vector,
     doublet_purity,
-    doublet_purity_normalized,
     initial_metastable,
     integrate,
     maximally_mixed,
@@ -27,8 +25,8 @@ from conftest import random_density_matrix
 PARAMS = SystemParams()
 
 
-def brute_force_block_purity(rho: np.ndarray) -> float:
-    block = rho[1:3, 1:3]
+def brute_force_block_purity(rho: DensityMatrix) -> float:
+    block = rho.matrix[1:3, 1:3]
     return float(np.trace(block @ block).real)
 
 
@@ -42,25 +40,22 @@ class TestPopulationsAndCoherence:
     def test_sum_equals_trace(self):
         rng = np.random.default_rng(30)
         rho = random_density_matrix(rng)
-        assert sum(populations(rho)) == pytest.approx(np.trace(rho).real, abs=1e-12)
+        assert sum(populations(rho)) == pytest.approx(np.trace(rho.matrix).real, abs=1e-12)
 
     def test_diagonal_state_has_no_coherence(self):
+        m = maximally_mixed().matrix
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    assert coherence(maximally_mixed(), i, j) == 0.0
+                    assert m[i, j] == 0.0
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(31)
-        rho = random_density_matrix(rng)
+        m = random_density_matrix(rng).matrix
         for i in range(4):
             for j in range(4):
                 if i != j:
-                    assert coherence(rho, i, j) == coherence(rho, j, i).conjugate()
-
-    def test_same_level_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            coherence(maximally_mixed(), 1, 1)
+                    assert m[i, j] == m[j, i].conjugate()
 
 
 class TestDoubletPurity:
@@ -69,7 +64,7 @@ class TestDoubletPurity:
 
     def test_fully_occupied_dark_state(self):
         v = dark_state_vector(PARAMS)
-        rho = np.outer(v, v.conj())
+        rho = DensityMatrix(np.outer(v, v.conj()))
         assert doublet_purity(rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_brute_force(self):
@@ -91,22 +86,17 @@ class TestDoubletPurity:
         v = np.zeros(4, dtype=complex)
         v[1] = 0.6
         v[2] = 0.8j
-        rho = 0.5 * np.outer(v, v.conj())
-        rho[0, 0] = 0.5
+        m = 0.5 * np.outer(v, v.conj())
+        m[0, 0] = 0.5
+        rho = DensityMatrix(m)
         _, p1, p2, _ = populations(rho)
         assert doublet_purity(rho) == pytest.approx((p1 + p2) ** 2, abs=1e-14)
-
-    def test_normalized_variant(self):
-        rho = maximally_mixed()
-        assert doublet_purity_normalized(rho) == pytest.approx(0.5)
-        with pytest.raises(InvalidParameterError):
-            doublet_purity_normalized(initial_metastable())
 
 
 class TestDarkBrightDecomposition:
     def test_dark_state_overlap_is_one(self):
         v = dark_state_vector(PARAMS)
-        rho = np.outer(v, v.conj())
+        rho = DensityMatrix(np.outer(v, v.conj()))
         assert dark_state_overlap(rho, PARAMS) == pytest.approx(1.0, abs=1e-14)
         assert bright_state_overlap(rho, PARAMS) == pytest.approx(0.0, abs=1e-14)
 
@@ -115,7 +105,7 @@ class TestDarkBrightDecomposition:
         v = np.zeros(4, dtype=complex)
         v[1] = math.sqrt(PARAMS.gamma01 / total)
         v[2] = math.sqrt(PARAMS.gamma02 / total)
-        rho = np.outer(v, v.conj())
+        rho = DensityMatrix(np.outer(v, v.conj()))
         assert dark_state_overlap(rho, PARAMS) == pytest.approx(0.0, abs=1e-14)
         assert bright_state_overlap(rho, PARAMS) == pytest.approx(1.0, abs=1e-14)
 
@@ -186,11 +176,11 @@ class TestDarkStateInvariant:
 class TestObservableRecord:
     def test_fields_consistent(self):
         rng = np.random.default_rng(35)
-        rho = DensityMatrix(random_density_matrix(rng))
+        rho = random_density_matrix(rng)
         rec = observable_record(1.5, rho)
         assert rec.time == 1.5
         assert rec.doublet_population == rec.p1 + rec.p2
-        assert rec.c21 == coherence(rho, 2, 1)
+        assert rec.c21 == rho.matrix[2, 1]
         assert rec.doublet_purity == pytest.approx(doublet_purity(rho), abs=1e-15)
         assert rec.trace_error < 1e-12
         for value in (rec.p0, rec.p1, rec.p2, rec.p3, rec.doublet_purity):

@@ -71,7 +71,7 @@ class TestTrajectoryCsv:
         sink = io.StringIO()
         emit_trajectory_csv(fig2_run.traj, sink)
         last = sink.getvalue().rstrip("\n").split("\n")[-1].split(",")
-        record = fig2_run.traj.final.record
+        record = fig2_run.traj.samples[-1].record
         assert float(last[0]) == record.time
         assert float(last[2]) == record.p1
         assert float(last[9]) == record.c21.real

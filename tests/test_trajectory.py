@@ -77,8 +77,8 @@ class TestSampleView:
         traj = fig2_run.traj
         assert len(traj.samples) == len(traj.columns)
         assert [s.time for s in traj.samples[-3:]] == traj.times[-3:].tolist()
-        assert traj.final.record == traj.samples[-1].record
-        assert traj.final.state == traj.samples[len(traj.samples) - 1].state
+        assert traj.samples[-1].record == traj.samples[len(traj.samples) - 1].record
+        assert traj.samples[-1].state == traj.samples[len(traj.samples) - 1].state
         assert np.array_equal(traj.column("rho33"), traj.columns[:, 4])
 
     def test_columns_are_read_only(self, fig2_run):
@@ -118,7 +118,7 @@ def states_with_min_eig(min_eigs, seed=0):
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         spectrum = np.array((lowest, *(rng.dirichlet((1.0, 1.0, 1.0)) * (1.0 - lowest))))
         rho = (q * spectrum) @ q.conj().T
-        states.append(pack_state((rho + rho.conj().T) / 2))
+        states.append(pack_state(DensityMatrix(rho)))
     return np.array(states)
 
 
