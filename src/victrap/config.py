@@ -15,7 +15,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, InvalidParameterError
 from .experiments import SweepAxis, SweepSpec
@@ -61,8 +61,7 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class OutputOptions:
+class OutputOptions(NamedTuple):
     """Output preferences carried by the [output] section."""
 
     format: str = "csv"

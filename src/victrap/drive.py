@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .model import DriveConfig
 __all__ = ["DriveSample", "DriveLanes", "drive_coefficients", "drive_sample"]
 
 
-@dataclass(frozen=True)
-class DriveSample:
+class DriveSample(NamedTuple):
     """Instantaneous drive values: the two Rabi envelopes and detunings."""
 
     g1: float

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, SimulationError
 from .integrator import SteadySummary, steady_states
@@ -59,6 +60,8 @@ MAX_LANES = 64
 
 @dataclass(frozen=True)
 class SweepAxis:
+    """One swept parameter, one of SWEEPABLE_PARAMETERS, and its finite grid values."""
+
     parameter: str
     values: tuple[float, ...]
 
@@ -91,6 +94,8 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A base scenario and one or two axes naming different parameters; the grid is their product."""
+
     base: Scenario
     axes: tuple[SweepAxis, ...]
 
@@ -114,8 +119,9 @@ class SweepSpec:
         return [(u, v) for u in self.axes[0].values for v in self.axes[1].values]
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """Steady-state values at one grid point; a failed point has NaN values and its error message."""
+
     values: tuple[float, ...]
     doublet_population: float
     doublet_purity: float
@@ -124,8 +130,9 @@ class SweepRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(NamedTuple):
+    """The swept parameter names and one row per grid point, in grid order."""
+
     parameters: tuple[str, ...]
     rows: tuple[SweepRow, ...]
 

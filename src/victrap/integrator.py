@@ -54,6 +54,7 @@ import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,15 +218,17 @@ _DIAGNOSTICS = slice(1 + PACKED_SIZE, len(TRAJECTORY_COLUMNS))
 _BLOCK = 64
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
+    """One recorded row: its time, the state and the observables read off it."""
+
     time: float
     state: DensityMatrix
     record: ObservableRecord
 
 
-@dataclass(frozen=True)
-class IntegrationStats:
+class IntegrationStats(NamedTuple):
+    """Step counts and generator evaluations of a run, and the extremes of its recorded diagnostics."""
+
     steps_accepted: int
     steps_rejected: int
     rhs_evaluations: int
@@ -233,8 +236,7 @@ class IntegrationStats:
     min_eigenvalue: float
 
 
-@dataclass(frozen=True)
-class SteadySummary:
+class SteadySummary(NamedTuple):
     """Late-time values read from the final sample, plus the convergence verdict."""
 
     converged: bool

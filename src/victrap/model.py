@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,8 +151,7 @@ def maximally_mixed() -> DensityMatrix:
     return DensityMatrix(np.eye(DIM, dtype=complex) / DIM)
 
 
-@dataclass(frozen=True)
-class PhysicalityReport:
+class PhysicalityReport(NamedTuple):
     """Diagnostics from :func:`validate_physicality`; callers decide whether to abort."""
 
     trace_error: float
@@ -319,8 +319,7 @@ class Scenario:
             )
 
 
-@dataclass(frozen=True)
-class ObservableRecord:
+class ObservableRecord(NamedTuple):
     """Per-sample observables: populations, coherences, block purity, diagnostics."""
 
     time: float

@@ -6,7 +6,6 @@ with a bare newline; identical inputs always produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import IO
 
@@ -61,6 +60,8 @@ def _null_if_nan(value: float) -> float | None:
 
 def emit_sweep_json(table: SweepTable, sink: IO[str]) -> None:
     """Sweep rows as a JSON object; failed points carry null values and an error."""
+    import json  # loaded only for JSON output, which keeps it off every CSV run's start-up
+
     rows = []
     for row in table.rows:
         entry: dict = dict(zip(table.parameters, (float(v) for v in row.values)))
@@ -77,6 +78,8 @@ def emit_sweep_json(table: SweepTable, sink: IO[str]) -> None:
 
 def emit_summary_json(steady: SteadySummary, sink: IO[str], stats: IntegrationStats) -> None:
     """Flat JSON object with the steady-state observables, convergence flag and integrator statistics."""
+    import json
+
     r = steady.record
     summary = {
         "time": float(steady.time),

@@ -337,5 +337,16 @@ class TestEntryPoint:
         before, after = map(int, child.stdout.split())
         assert before == 0 and after > 0
 
+    def test_json_loads_only_for_json_output(self, tmp_path):
+        out = tmp_path / "fig2.csv"
+        for code in (
+            "import sys, victrap.cli; print('json' in sys.modules)",
+            "import sys; from victrap.cli import main; "
+            f"assert main(['--quiet', 'preset', 'fig2', '--out', {str(out)!r}]) == 0; print('json' in sys.modules)",
+        ):
+            child = run_python("-c", code)
+            assert (child.returncode, child.stdout) == (0, b"False\n"), child.stderr
+        assert out.stat().st_size > 0
+
     def test_console_script_is_the_process_entry(self):
         assert 'victrap = "victrap.cli:run"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
