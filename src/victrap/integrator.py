@@ -577,9 +577,7 @@ class _Lane:
         self.just_rejected = False
         self.prev = _PREV_FLOOR  # last accepted error norm, floored
         self.failure = ""  # why the lane could not go on, when ``propose`` says so
-        # The lane's index among the lanes stepped together, and where its
-        # grid starts in theirs; set by _DenseRows.
-        self.number = self.grid_base = 0
+        self.number = 0  # the lane's index among the lanes stepped together; set by _DenseRows
 
     def propose(self) -> tuple[float, float] | None:
         """The next trial step (t, h) from the current state; None if the lane fails instead, with ``failure`` set."""
@@ -610,7 +608,7 @@ class _Lane:
         An accepted step joins ``lanes.accepted``, and asks the lane set
         for the dense-output rows of the grid times in (t, t_new].  Returns
         None when the lane stops: its step landed on t_stop, or ``propose``
-        found no next step.  ``stop`` then ends the lane, once its rows are
+        found no next step.  ``finish`` then ends the lane, once its rows are
         recorded.
         """
         h_try, t_new = self.h_try, self.t_new
@@ -624,7 +622,7 @@ class _Lane:
         if self.next_time <= t_new:
             grid, pending = self.grid, self.pending
             end = bisect.bisect_right(grid, t_new, pending, min(len(grid), pending + self.span_rows))
-            lanes.asked.append((i, self.number, self.t, h_try, t_new, self.grid_base + pending, end - pending))
+            lanes.asked.append((i, self.number, self.t, h_try, t_new, pending, end - pending))
             lanes.asked_rows += end - pending
             self.pending = end
             self.next_time = grid[end].item() if end < len(grid) else math.inf
@@ -643,17 +641,10 @@ class _Lane:
         self.h = h_try * factor
         return None if t_new == self.t_stop else self.propose()
 
-    def stop(self, y: np.ndarray) -> None:
-        """End the stepping at state y: record the tail if the lane reached t_stop, else store its failure."""
-        if self.recorder.error is None:
-            if self.t == self.t_stop:
-                self.finish(y)
-            else:
-                self.recorder.fail(self.failure)
-
     def finish(self, y: np.ndarray) -> None:
         """Record the grid times after t_stop from y, the state at t_stop, by the exact post-pulse propagator.
 
+        A lane that stopped short of t_stop stores its failure instead.
         With the envelopes left out the generator is L0 + delta1 D1 +
         delta2 D2, and the three commute, so y(t) = exp(L0 (t - t_stop))
         exp(dPhi1 D1 + dPhi2 D2) y, with dPhi_k the integral of delta_k
@@ -661,6 +652,9 @@ class _Lane:
         only (the others stay exactly zero), the second turns each
         coherence.  Every row goes through the recorder.
         """
+        if self.t < self.t_stop:
+            self.recorder.fail(self.failure)
+            return
         times = self.grid[self.pending:]
         if self.recorder.error is not None or not len(times):
             return
@@ -891,32 +885,27 @@ class _DenseRows:
     theta², ...) @ ``weights``, the continuous extension of the lanes'
     method, from the step's start state y and stages K, except that a time
     the step lands on takes the step's own state.  ``add`` keeps copies of
-    y, K and the trial state per step, and ``stop`` the lanes that stopped
-    stepping, with their last states.  ``flush`` forms every row asked for since the last flush,
-    hands each lane its rows in one slice, in time order, and then ends
-    the stopped lanes (their tails or failures).  The steps with m rows
-    form them with the (m, 4) and (m, 7) products one step alone would
-    use, stacked, so a row's bits do not depend on the other steps
-    flushed with it.  A flush costs about 15 numpy calls plus 10 per
-    distinct m, however many rows it forms, so it waits until _DENSE_ROWS
-    are asked for or every lane has stopped.  A lane's rows so reach its
-    recorder in order and before its tail or failure, and its first bad
-    row is the one a per-step recorder finds; a lane whose rows fail
-    leaves after that flush.
+    y, K and the trial state per step.  ``flush`` forms every row asked
+    for since the last flush and hands each lane its rows in one slice, in
+    time order.  The steps with m rows form them with the (m, 4) and
+    (m, 7) products one step alone would use, stacked, so a row's bits do
+    not depend on the other steps flushed with it.  A flush costs about 15
+    numpy calls plus 10 per distinct m, however many rows it forms, so
+    the lockstep loop flushes only when _DENSE_ROWS are asked for or a
+    lane stops.  A lane's rows so reach its recorder in order and before
+    its tail or failure, and its first bad row is the one a per-step
+    recorder finds.  The lanes share one sample grid.
     """
 
     def __init__(self, lanes: list[_Lane], weights: np.ndarray):
         self.lanes = lanes
         self.weights = weights
-        grids = {id(lane.grid): lane.grid for lane in lanes}  # sweep lanes share one
-        self.grid = np.concatenate(list(grids.values())) if len(grids) > 1 else lanes[0].grid
-        bases = dict(zip(grids, np.cumsum([0] + [len(grid) for grid in grids.values()]).tolist()))
+        self.grid = lanes[0].grid
         for number, lane in enumerate(lanes):
-            lane.number, lane.grid_base = number, bases[id(lane.grid)]
+            lane.number = number
         self.requests: list[tuple[int, int, float, float, float, int, int]] = []  # as _LaneSet.asked
         self.blocks: list[np.ndarray] = []  # the steps' stages, start and trial states, as _LaneSet.block
         self.rows = 0
-        self.stopped: list[tuple[_Lane, np.ndarray]] = []
 
     def add(self, requests: list[tuple[int, int, float, float, float, int, int]], block: np.ndarray,
             rows: int) -> None:
@@ -924,19 +913,10 @@ class _DenseRows:
         self.blocks.append(block)
         self.rows += rows
 
-    def stop(self, lanes: list[tuple[_Lane, np.ndarray]]) -> None:
-        """Note lanes that stopped stepping, each with its state at the stop, for the next flush to end."""
-        self.stopped += lanes
-
-    def flush(self) -> bool:
-        """Record the rows asked for and end the stopped lanes; True if a lane's rows failed the physicality check."""
-        failed = bool(self.requests) and self._record()
-        for lane, y in self.stopped:
-            lane.stop(y)
-        self.stopped = []
-        return failed
-
-    def _record(self) -> bool:
+    def flush(self) -> None:
+        """Record the rows asked for since the last flush in their lanes' recorders."""
+        if not self.requests:
+            return
         spec, block = np.array(self.requests), np.concatenate(self.blocks, axis=1)
         self.requests, self.blocks, self.rows = [], [], 0
         stages, y, trial = block[:-2].transpose(1, 0, 2), block[-2], block[-1]
@@ -964,24 +944,21 @@ class _DenseRows:
         order = np.argsort(numbers, kind="stable")
         samples, numbers = samples[order], numbers[order]
         bounds = np.cumsum(np.bincount(numbers, minlength=len(self.lanes))).tolist()
-        failed, start = False, 0
-        for lane, end in zip(self.lanes, bounds):
+        for lane, start, end in zip(self.lanes, [0] + bounds, bounds):
             if end > start:
                 lane.recorder.record(samples[start:end])
-                failed = failed or lane.recorder.error is not None
-                start = end
-        return failed
 
 
 def _run_lanes(lanes: list[_Lane]) -> None:
-    """Step every lane to its t_stop, the lanes of each method as one lockstep group, and let each record its tail."""
+    """Step every lane to its t_stop, in one lockstep group per method and sample grid, and let each record its tail."""
+    groups: dict = {}
     for lane in lanes:
         if lane.t >= lane.t_stop:  # no pulse or a one-row grid: nothing to step
             lane.finish(lane.y0)
-    for stepper in (_DopriLanes, _RadauLanes):
-        group = [lane for lane in lanes if lane.t < lane.t_stop and lane.stepper is stepper]
-        if group:
-            _run_group(stepper, group)
+        else:
+            groups.setdefault((lane.stepper, id(lane.grid)), []).append(lane)
+    for (stepper, _), group in groups.items():
+        _run_group(stepper, group)
 
 
 def _run_group(stepper: type[_LaneSet], lanes: list[_Lane]) -> None:
@@ -989,26 +966,29 @@ def _run_group(stepper: type[_LaneSet], lanes: list[_Lane]) -> None:
 
     Each iteration attempts one step per lane with one stacked generator
     build, and lets each lane accept or reject its own and propose its
-    next.  Lanes that land on t_stop or fail leave the active set; the
-    dense-output rows, and then each stopped lane's tail or failure, are
-    recorded in batches (see _DenseRows).
+    next.  The dense-output rows are recorded in batches (see _DenseRows),
+    and at once when a lane lands on t_stop or cannot go on; after each
+    batch, every lane that stopped or whose rows failed the physicality
+    check records its tail or failure and leaves the active set.
     """
     dense = _DenseRows(lanes, stepper.DENSE)
     active = stepper(lanes, np.stack([lane.column for lane in lanes], axis=1), dense)
     steps = [lane.propose() for lane in lanes]
     while True:
+        if None in steps or dense.rows >= _DENSE_ROWS:
+            dense.flush()
+            steps = [None if lane.recorder.error is not None else step for lane, step in zip(active.lanes, steps)]
         if None in steps:
-            dense.stop([(active.lanes[i], active.y[i].copy()) for i, step in enumerate(steps) if step is None])
+            for lane, y, step in zip(active.lanes, active.y, steps):
+                if step is None:
+                    lane.finish(y)
             staying = [i for i, step in enumerate(steps) if step is not None]
             if not staying:
-                dense.flush()
                 return
             active, steps = active.keep(staying), [steps[i] for i in staying]
         squares = active.step(steps)
         steps = [lane.settle(square, active, i) for i, (lane, square) in enumerate(zip(active.lanes, squares))]
         active.advance()
-        if dense.rows >= _DENSE_ROWS and dense.flush():
-            steps = [None if lane.recorder.error is not None else step for lane, step in zip(active.lanes, steps)]
 
 
 def integrate(scenario: Scenario) -> Trajectory:

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -77,6 +78,40 @@ class TestRun:
         code = main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert code == 1
         assert "absent.cfg" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "random.cfg"
+        path.write_bytes(random.Random(0).randbytes(200))
+        with pytest.raises(UnicodeDecodeError):
+            path.read_bytes().decode("utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("victrap: error: cannot read config")
+        assert "utf-8" in captured.err
+
+    def test_config_over_one_mib_is_a_config_error(self, tmp_path, capsys):
+        # The same invalid config, padded with a comment to 1 MiB and to one
+        # byte more: the first is parsed (and fails on theta), the second is
+        # refused before parsing.
+        head = "[decay]\ntheta = -0.1\n#"
+        for size, message in ((1 << 20, "theta"), ((1 << 20) + 1, "larger than 1 MiB")):
+            path = tmp_path / f"big-{size}.cfg"
+            path.write_text(head + "x" * (size - len(head) - 1) + "\n", encoding="utf-8")
+            assert path.stat().st_size == size
+            assert main(["run", "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("victrap: error:") and message in err
+
+    def test_config_newlines_read_as_in_text_mode(self, tmp_path, capsys):
+        errors = []
+        for name, newline in (("lf.cfg", "\n"), ("crlf.cfg", "\r\n"), ("cr.cfg", "\r")):
+            path = tmp_path / name
+            path.write_bytes(f"[decay]{newline}theta = -0.1{newline}".encode())
+            assert main(["run", "--config", str(path)]) == 1
+            errors.append(capsys.readouterr().err.replace(name, "F"))
+        assert errors[0] == errors[1] == errors[2]
+        assert "theta" in errors[0]
 
     def test_invalid_config_value(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "[decay]\ntheta = -0.1\n")

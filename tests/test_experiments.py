@@ -333,22 +333,36 @@ def summary_bits(outcome):
                  outcome.abs_coherence_21, outcome.converged, outcome.max_delta))
 
 
-@pytest.mark.parametrize("stepper, rates", [
-    (integrator._RadauLanes, lambda k: dict(gamma01=100.0, gamma02=30.0 + 2.0 * k)),
-    (integrator._DopriLanes, lambda k: dict(gamma01=20.0 + k, gamma02=6.0 + k)),
-], ids=["stiff", "explicit"])
-def test_lanes_leaving_at_different_times_leave_the_others_untouched(stepper, rates):
-    # Each lane takes its own number of steps (479 to 580 implicit ones, 699
-    # to 907 explicit ones), so the lanes land on t_stop one by one; every
-    # compaction of the active set must carry the remaining lanes' states
-    # over unchanged, and for Dormand-Prince their first stages too.
+_STIFF_RATES = (integrator._RadauLanes, lambda k: dict(gamma01=100.0, gamma02=30.0 + 2.0 * k))
+_EXPLICIT_RATES = (integrator._DopriLanes, lambda k: dict(gamma01=20.0 + k, gamma02=6.0 + k))
+
+
+@pytest.mark.parametrize("stepper, rates, mixed_windows", [
+    (*_STIFF_RATES, False), (*_EXPLICIT_RATES, False), (*_STIFF_RATES, True), (*_EXPLICIT_RATES, True),
+], ids=["stiff", "explicit", "stiff-mixed-windows", "explicit-mixed-windows"])
+def test_lanes_leaving_at_different_times_leave_the_others_untouched(monkeypatch, stepper, rates, mixed_windows):
+    # Each lane takes its own number of steps, so on a common window the
+    # lanes land on t_stop one by one and the active set is compacted after
+    # each; every compaction must carry the remaining lanes' states over
+    # unchanged, and for Dormand-Prince their first stages too.  Lanes on
+    # different sample grids step as groups of one.
     chirped = preset("fig4")
     scenarios = [
-        replace(chirped, params=replace(chirped.params, **rates(k)), t_end=40.0 + 4.0 * k)
+        replace(chirped, params=replace(chirped.params, **rates(k)), t_end=40.0 + 4.0 * k if mixed_windows else 60.0)
         for k in range(8)
     ]
     assert all(integrator._Lane(sc, integrator.sample_times(sc)).stepper is stepper for sc in scenarios)
+    kept = []
+    keep = integrator._LaneSet.keep
+
+    def counted_keep(self, indices):
+        kept.append(len(indices))
+        return keep(self, indices)
+
+    monkeypatch.setattr(integrator._LaneSet, "keep", counted_keep)
     outcomes = integrator.steady_states(scenarios)
+    monkeypatch.undo()
+    assert kept == ([] if mixed_windows else [7, 6, 5, 4, 3, 2, 1])
     for scenario, outcome in zip(scenarios, outcomes):
         try:
             solo = detect_steady_state(integrate(scenario))
