@@ -88,13 +88,13 @@ def _open_sink(path: str | None):
 
 
 def _read_config(path: str) -> str:
-    """The config's UTF-8 text, newlines as text mode reads them; one over 1 MiB is a config error."""
+    """The config's UTF-8 text less a byte-order mark, newlines as text mode reads them; over 1 MiB is an error."""
     try:
         with open(path, "rb") as handle:
             data = handle.read((1 << 20) + 1)  # two axes of 1,024 values take about 55 KB
         if len(data) > 1 << 20:
             raise ConfigError(f"config {path!r} is larger than 1 MiB")
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 

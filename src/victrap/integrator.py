@@ -321,9 +321,10 @@ class _SampleRecorder:
     """Writes one row per sample, checks physicality for every _BLOCK rows at once, and holds the run's outcome.
 
     A step's rows are written as slices split where a block fills up, so
-    each block is checked before a later row is written.  A violation is
-    stored in ``error`` at its first row, with that sample's time, as a
-    per-sample check would find it, and nothing is written after it.
+    each block is checked before a later row is written.  A violation, or
+    a non-finite state (an IntegrationError), is stored in ``error`` at its
+    first row, with that sample's time, as a per-sample check would find
+    it, and nothing is written after it.
     A stepper that gives up calls ``fail``, which checks the partial block
     first, so a bad sample recorded before that is still the error
     reported.  Rows before ``keep_from`` are dropped once checked, so only
@@ -357,6 +358,11 @@ class _SampleRecorder:
         if self.checked == self.written:
             return
         block = self.rows[self.checked - self.base:self.written - self.base]
+        nonfinite = ~np.isfinite(block[:, _STATE]).all(axis=1)
+        if nonfinite.any():  # the rows before it are checked, and their error comes first
+            first = int(np.argmax(nonfinite))
+            self.error = IntegrationError(f"non-finite state at t={block[first, 0]:g}")
+            block = block[:first]
         dropped = min(max(self.keep_from - self.checked, 0), len(block))
         self.checked = self.written
         sc = self.scenario
@@ -523,9 +529,7 @@ class _Lane:
         self.t_stop = max(t_start, min(t_end, t_off))
         span = self.t_stop - t_start
         # The tail's exponentials need L0 times the window to be finite.
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = bool(np.isfinite(self.decay * (t_end - t_start)).all())
-        if not finite:
+        if not np.isfinite(self.decay * (t_end - t_start)).all():
             raise IntegrationError(
                 f"decay rates too stiff: L0 times the window from t={t_start:g} to t={t_end:g} is not finite"
             )
@@ -607,10 +611,12 @@ class _Lane:
 
         An accepted step joins ``lanes.accepted``, and asks the lane set
         for the dense-output rows of the grid times in (t, t_new].  Returns
-        None when the lane stops: its step landed on t_stop, or ``propose``
-        found no next step.  ``finish`` then ends the lane, once its rows are
-        recorded.
+        None when the lane stops: its step landed on t_stop, or its step or
+        ``propose`` set ``failure``.  ``finish`` then ends the lane, once its
+        rows are recorded.
         """
+        if self.failure:  # the step's system was singular (see _RadauLanes._solve)
+            return None
         h_try, t_new = self.h_try, self.t_new
         norm = math.sqrt(square / PACKED_SIZE)
         if not norm <= 1.0:
@@ -746,30 +752,25 @@ class _LaneSet:
         drive_coefficients(self.times, self.drives, out=self.drive_coefs)
         np.matmul(self.coefs, self.basis, out=self.gens)
         self._attempt(h)
+        squares = self._squares()
         if np.isfinite(self.trial).all():
-            return self._squares(h)
-        with np.errstate(all="ignore"):
-            squares = self._squares(h)
+            return squares
         finite = np.isfinite(self.trial).all(axis=1).tolist()
         return [square if ok else math.inf for square, ok in zip(squares, finite)]
 
     def _attempt(self, h: np.ndarray) -> None:
-        """Form the stages and the trial state from the generators at the stage times."""
+        """From the generators at the stage times, form the stages, the trial state and, in ``err``, its error."""
         raise NotImplementedError
 
-    def _squares(self, h: np.ndarray) -> list[float]:
+    def _squares(self) -> list[float]:
         """The sums of the squared errors, each scaled by atol + rtol * max(|y|, |trial|)."""
-        err, scale = self._error(h), self.scale
+        err, scale = self.err, self.scale
         abs_y, abs_trial = np.abs(self.block[-2:], out=self.abs_states)
         np.maximum(abs_y, abs_trial, out=scale)
         np.multiply(self.rtol, scale, out=scale)
         np.add(self.atol, scale, out=scale)
         np.divide(err, scale, out=err)
         return np.vecdot(err, err).tolist()
-
-    def _error(self, h: np.ndarray) -> np.ndarray:
-        """The error estimate of each lane's trial state, in ``err``."""
-        raise NotImplementedError
 
     def keep(self, indices: list[int]) -> "_LaneSet":
         """The lane set of the lanes at ``indices``, with their columns of ``block`` (states, carried stages)."""
@@ -819,12 +820,8 @@ class _DopriLanes(_LaneSet):
             np.matmul(h_a, stages, out=sums)
             np.add(y, sums, out=y_new)
             np.matmul(gen, column, out=out)
-
-    def _error(self, h: np.ndarray) -> np.ndarray:
-        err = self.err
-        np.matmul(_E, self.stages, out=err)
-        np.multiply(h, err, out=err)
-        return err
+        np.matmul(_E, self.stages, out=self.err)
+        np.multiply(h, self.err, out=self.err)
 
 
 class _RadauLanes(_LaneSet):
@@ -862,19 +859,28 @@ class _RadauLanes(_LaneSet):
         self.system_diagonal += 1.0
         np.matmul(self.node_gens, self.y[:, None, :, None], out=self.node_products)
         np.matmul(_RADAU_A, self.node_products[..., 0], out=self.rhs)
-        self.stages[...] = np.linalg.solve(self.matrix, self.rhs.reshape(n, -1, 1)).reshape(n, 3, PACKED_SIZE)
+        self.stages[...] = self._solve(self.matrix, self.rhs.reshape(n, -1, 1)).reshape(n, 3, PACKED_SIZE)
         np.multiply(h, self.stages[:, 2], out=self.trial)
         np.add(self.y, self.trial, out=self.trial)
-
-    def _error(self, h: np.ndarray) -> np.ndarray:
-        err = self.err
         np.matmul(self.start_gen, self.y[:, :, None], out=self.start_product)
-        np.matmul(_RADAU_DD, self.stages, out=err)
-        np.add(err, self.start_product[..., 0], out=err)
+        np.matmul(_RADAU_DD, self.stages, out=self.err)
+        np.add(self.err, self.start_product[..., 0], out=self.err)
         np.negative(self.start_gen, out=self.estimate)
         self.estimate_diagonal += _RADAU_U1 / h
-        err[...] = np.linalg.solve(self.estimate, err[..., None])[..., 0]
-        return err
+        self.err[...] = self._solve(self.estimate, self.err[..., None])[..., 0]
+
+    def _solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """np.linalg.solve(a, b) per lane; a singular lane gets NaN and a ``failure``, on which ``settle`` stops it."""
+        try:
+            return np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            x = np.full(b.shape, math.nan)
+            for i, lane in enumerate(self.lanes):
+                try:
+                    x[i] = np.linalg.solve(a[i], b[i])
+                except np.linalg.LinAlgError:
+                    lane.failure = f"Radau IIA system singular at t={lane.t:g} (h={lane.h_try:.3e})"
+            return x
 
 
 class _DenseRows:
@@ -1007,15 +1013,17 @@ def integrate(scenario: Scenario) -> Trajectory:
 
     Raises PhysicalityError if a recorded sample violates the scenario's
     trace or positivity tolerances, and IntegrationError on step-size
-    underflow, or when the stepped span needs more than MAX_STEPS attempted
-    steps (checked up front from the tau/10 cap and, for explicit steps,
-    from the spectral radius of L0 on the reachable components, and again
-    in the loop), or when decay rates that stiff would make the exact
-    tail's rounding exceed atol, or L0 times the window is not finite.
+    underflow, a singular Radau IIA system or a non-finite state, or when
+    the stepped span needs more than MAX_STEPS attempted steps (checked up
+    front from the tau/10 cap and, for explicit steps, from the spectral
+    radius of L0 on the reachable components, and again in the loop), or
+    when decay rates that stiff would make the exact tail's rounding
+    exceed atol, or L0 times the window is not finite.
     """
-    lane = _Lane(scenario, sample_times(scenario))
-    _run_lanes([lane])
-    return lane.trajectory()
+    with np.errstate(over="ignore", invalid="ignore"):
+        lane = _Lane(scenario, sample_times(scenario))
+        _run_lanes([lane])
+        return lane.trajectory()
 
 
 def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | SimulationError]:
@@ -1030,22 +1038,23 @@ def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | Simulat
     outcomes: list = [None] * len(scenarios)
     lanes = {}
     shared: dict = {}  # one grid per time window, and the set-up that lanes share (see _Lane)
-    for i, scenario in enumerate(scenarios):
-        window = ("grid", scenario.t_start, scenario.t_end, scenario.sample_interval)
-        grid = _once(shared, window, lambda: sample_times(scenario))
-        # A window error is reported only if the run itself succeeds.
-        try:
-            start, window_error = _steady_window(scenario, grid), None
-        except SimulationError as exc:
-            start, window_error = math.inf, exc
-        try:
-            lanes[i] = (_Lane(scenario, grid, bisect.bisect_left(grid, start), shared), start, window_error)
-        except SimulationError as exc:
-            outcomes[i] = exc
-    _run_lanes([lane for lane, _, _ in lanes.values()])
-    for i, (lane, start, window_error) in lanes.items():
-        rows = lane.recorder.kept()  # checks the last rows, and a lane that took no step its only one
-        outcomes[i] = lane.recorder.error or window_error or _steady_summary(rows, start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, scenario in enumerate(scenarios):
+            window = ("grid", scenario.t_start, scenario.t_end, scenario.sample_interval)
+            grid = _once(shared, window, lambda: sample_times(scenario))
+            # A window error is reported only if the run itself succeeds.
+            try:
+                start, window_error = _steady_window(scenario, grid), None
+            except SimulationError as exc:
+                start, window_error = math.inf, exc
+            try:
+                lanes[i] = (_Lane(scenario, grid, bisect.bisect_left(grid, start), shared), start, window_error)
+            except SimulationError as exc:
+                outcomes[i] = exc
+        _run_lanes([lane for lane, _, _ in lanes.values()])
+        for i, (lane, start, window_error) in lanes.items():
+            rows = lane.recorder.kept()  # checks the last rows, and a lane that took no step its only one
+            outcomes[i] = lane.recorder.error or window_error or _steady_summary(rows, start)
     return outcomes
 
 
@@ -1087,8 +1096,6 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
                 k4 = rhs(end, y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 steps += 1
-        if not np.all(np.isfinite(y)):
-            recorder.fail(f"non-finite state at t={target:g}")
         if recorder.error:
             break
         recorder.record(np.concatenate(((target,), y))[None])

@@ -105,12 +105,12 @@ def drive_generators(ts, drive: DriveConfig) -> np.ndarray:
 def decay_generator(params: SystemParams) -> np.ndarray:
     """Drive-independent part L0 of the generator.
 
-    Finite rates near the float limit overflow to non-finite entries
-    without a warning; the integrator rejects such an L0 as too stiff.
+    Finite rates near the float limit overflow to non-finite entries; the
+    integrator, which runs under its own numpy error scope, rejects such
+    an L0 as too stiff, and direct callers get numpy's default warnings.
     """
     rates = np.array((params.gamma01, params.gamma02, params.gamma03, params.gamma12, params.gamma_coll))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (rates @ _units()[1]).reshape(PACKED_SIZE, PACKED_SIZE)
+    return (rates @ _units()[1]).reshape(PACKED_SIZE, PACKED_SIZE)
 
 
 def generator_basis(decay: np.ndarray) -> np.ndarray:

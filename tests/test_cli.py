@@ -113,6 +113,16 @@ class TestRun:
         assert errors[0] == errors[1] == errors[2]
         assert "theta" in errors[0]
 
+    def test_config_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        outputs = []
+        for name, mark in (("plain.cfg", b""), ("bom.cfg", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(mark + ("[decay]\ngamma01 = 6.0\n" + SHORT_RUN_CFG).encode())
+            code = main(["--quiet", "--format", "json", "run", "--config", str(path)])
+            outputs.append((code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and '"p_doublet"' in outputs[0][1].out
+
     def test_invalid_config_value(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "[decay]\ntheta = -0.1\n")
         code = main(["run", "--config", cfg])
@@ -189,10 +199,22 @@ class TestBoundedGrids:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_decay_rates_are_physics_error_without_warnings(self, tmp_path, capsys):
-        # Finite rates whose L0 overflows: rejected as too stiff, silently.
-        cfg = write(tmp_path, "huge.cfg", "[decay]\ngamma01 = 1e308\ngamma02 = 1e308\n")
-        assert main(["--format", "json", "run", "--config", cfg]) == 2
-        assert "too stiff" in capsys.readouterr().err
+        # Finite rates whose L0 overflows are rejected as too stiff; drives
+        # that overflow in the set-up or in the steps fail there.  Each run
+        # ends in one physics failure line, and numpy's overflow and
+        # invalid-value warnings stay inside the run's error scope.
+        for name, text, message in (
+            ("decay", "[decay]\ngamma01 = 1e308\ngamma02 = 1e308\n", "too stiff"),
+            ("tau", "[drive]\ntau = 1e-300\n", "window too long"),
+            ("g02", "[drive]\ng02 = 1e300\n", "step size underflow"),
+            ("chi1", "[chirp]\nenabled = true\nchi1 = 1e300\n", "step size underflow"),
+            ("g01", "[drive]\ng01 = 1e200\n", "step size underflow"),
+        ):
+            cfg = write(tmp_path, f"{name}.cfg", text)
+            assert main(["--quiet", "--format", "json", "run", "--config", cfg]) == 2, name
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith("victrap: physics failure:"), err
+            assert message in err, err
 
 
 STIFF_RUN_CFG = """\

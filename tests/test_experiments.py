@@ -297,6 +297,24 @@ class TestLaneBatchedSweep:
         assert ok.error is None
         assert row_bits(ok) == solo_bits(spec, (4.0,))
 
+    @pytest.mark.filterwarnings("error")
+    def test_lane_with_singular_implicit_system_is_flagged_and_others_untouched(self):
+        # gamma01 = 1e4 steps with Radau IIA.  At g01 = 1e20, h * g01 swamps
+        # the identity in the stage matrix, which is then singular in floating
+        # point: that lane fails, and the lanes stepped with it keep their bits.
+        base = replace(preset("fig4"), params=replace(preset("fig4").params, gamma01=1e4), sample_interval=0.5)
+        spec = SweepSpec(base=base, axes=(SweepAxis("g01", (0.9, 1e20, 0.5)),))
+        kinds = {integrator._Lane(sc, integrator.sample_times(sc)).stepper
+                 for sc in (point_scenario(spec, values) for values in spec.grid())}
+        assert kinds == {integrator._RadauLanes}
+        first, singular, last = sweep(spec).rows
+        assert singular.error.startswith("Radau IIA system singular at t=")
+        assert math.isnan(singular.doublet_population) and not singular.converged
+        assert solo_bits(spec, (1e20,)) == row_bits(singular)
+        for row, value in ((first, 0.9), (last, 0.5)):
+            assert row.error is None
+            assert row_bits(row) == solo_bits(spec, (value,))
+
     def test_lane_memory_bounded_by_steady_window(self, monkeypatch):
         # 9,601 rows per lane; a lane keeps the rows of its 5-unit steady
         # window (about 500), so the sweep's peak stays below what even one

@@ -230,3 +230,25 @@ def test_bad_sample_reported_before_a_later_stepping_failure(monkeypatch, propag
         propagate(scenario)
     with pytest.raises(PhysicalityError, match=f"at t={good.times[index]:g}$"):
         propagate(replace(scenario, pos_tol=tol))
+
+
+@pytest.mark.parametrize("bad_before", [False, True], ids=["after_good_rows", "after_a_bad_row"])
+def test_non_finite_row_is_an_integration_error_unless_a_bad_row_comes_first(fig2_run, bad_before):
+    # Row 30 is NaN.  The rows before it are checked as usual: after good
+    # rows the NaN row is the error, at its own time; after a row that
+    # breaks the trace, that row stays the error.  No diagnostics are
+    # computed for the NaN row, which would not converge.
+    traj = fig2_run.traj
+    samples = traj.columns[:40, :17].copy()
+    samples[30, 5] = np.nan
+    if bad_before:
+        samples[20, 1] += 1e-3
+    recorder = integrator._SampleRecorder(fig2_run.scenario, len(samples))
+    recorder.record(samples)
+    recorder.check()
+    if bad_before:
+        assert isinstance(recorder.error, PhysicalityError)
+        assert str(recorder.error).endswith(f"at t={traj.times[20]:g}")
+    else:
+        assert isinstance(recorder.error, IntegrationError)
+        assert str(recorder.error) == f"non-finite state at t={traj.times[30]:g}"
