@@ -54,7 +54,7 @@ from .observables import (
     doublet_purity,
     populations,
 )
-from .config import OutputOptions, parse_config, parse_config_full, serialize_config
+from .config import OutputOptions, parse_config, parse_config_full
 from .output import (
     TRAJECTORY_CSV_HEADER,
     emit_summary_json,
@@ -117,7 +117,6 @@ __all__ = [
     "parse_config_full",
     "populations",
     "preset",
-    "serialize_config",
     "sweep",
     "validate_physicality",
     "__version__",

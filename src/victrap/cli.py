@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import gc
 import math
+import os
 import sys
 import time
 from dataclasses import replace
@@ -48,6 +49,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _thread_count(raw: str) -> int:
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer N >= 1, got {raw!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="victrap", description=__doc__.split("\n")[0])
     parser.add_argument("--format", choices=("csv", "json"), default=None,
@@ -65,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p_sweep.add_argument("--config", required=True, metavar="PATH")
-    p_sweep.add_argument("--threads", type=int, default=1, metavar="N",
+    p_sweep.add_argument("--threads", type=_thread_count, default=1, metavar="N",
                          help="accepted for compatibility and ignored: sweep points run as lanes of one stepper")
     p_sweep.add_argument("--out", default=None, metavar="PATH")
 
@@ -152,6 +163,14 @@ def _run_sweep(args, spec: SweepSpec, fmt: str, out_path: str | None) -> int:
 
 
 def _run_job(args, job: Scenario | SweepSpec, fmt: str, out_path: str | None) -> int:
+    if out_path is not None and out_path != "-":
+        # Refused before any stepping; the file itself is opened only to write the result.
+        directory, name = os.path.split(out_path)
+        directory = directory or "."
+        if not name or os.path.isdir(out_path):
+            raise ConfigError(f"output path {out_path!r} is a directory or has no file name")
+        if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+            raise ConfigError(f"output path {out_path!r}: no writable directory {directory!r}")
     return (_run_sweep if isinstance(job, SweepSpec) else _run_single)(args, job, fmt, out_path)
 
 

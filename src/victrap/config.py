@@ -1,4 +1,4 @@
-"""Config-file parsing and serialization.
+"""Config-file parsing.
 
 The format is flat INI: ``key = value`` lines under ``[section]`` headers.
 Sections are [decay], [drive], [chirp], [integration], [sweep], [output];
@@ -13,7 +13,6 @@ a single run.
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from typing import NamedTuple
 
@@ -21,7 +20,6 @@ from .errors import ConfigError, InvalidParameterError
 from .experiments import SweepAxis, SweepSpec
 from .model import (
     CHIRP_BASELINE,
-    DensityMatrix,
     DriveConfig,
     Scenario,
     SystemParams,
@@ -30,7 +28,7 @@ from .model import (
     maximally_mixed,
 )
 
-__all__ = ["OutputOptions", "parse_config", "parse_config_full", "serialize_config"]
+__all__ = ["OutputOptions", "parse_config", "parse_config_full"]
 
 _INITIAL_STATES = {
     "metastable": initial_metastable,
@@ -40,8 +38,7 @@ _INITIAL_STATES = {
 
 # Scenario keys per section: the object a section sets ("params", "drive"
 # or "scenario") and the field behind each key; [chirp] enabled sets no
-# field but switches the amplitudes.  Parsing and serialization both read
-# this table, in this order.
+# field but switches the amplitudes.
 _FIELDS: dict[str, tuple[str, dict[str, str]]] = {
     "decay": ("params", {key: key for key in ("gamma01", "gamma02", "gamma03", "gamma_coll", "theta")}),
     "drive": ("drive", {"g01": "g01", "g02": "g02", "tau": "tau", "t0": "t0", "delta1": "static_delta1",
@@ -219,35 +216,3 @@ def parse_config_full(text: str) -> tuple[Scenario | SweepSpec, OutputOptions]:
             raise ConfigError(f"invalid sweep: {exc}") from exc
     return scenario, output
 
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, DensityMatrix):
-        for name, factory in _INITIAL_STATES.items():
-            if value == factory():
-                return name
-        raise ConfigError(
-            "initial state is not one of the named states "
-            f"({', '.join(_INITIAL_STATES)}) and cannot be serialized"
-        )
-    return repr(value)
-
-
-def serialize_config(job: Scenario | SweepSpec) -> str:
-    """Render a Scenario or SweepSpec as config text; inverse of parse_config."""
-    scenario = job.base if isinstance(job, SweepSpec) else job
-    owners = {"params": scenario.params, "drive": scenario.drive, "scenario": scenario}
-    chirped = scenario.drive.chi1 != 0 or scenario.drive.chi2 != 0
-    out = io.StringIO()
-    for section, (owner, fields) in _FIELDS.items():
-        out.write(f"\n[{section}]\n" if out.tell() else f"[{section}]\n")
-        for key, field in fields.items():
-            value = chirped if field == "enabled" else getattr(owners[owner], field)
-            out.write(f"{key} = {_format_value(value)}\n")
-    if isinstance(job, SweepSpec):
-        out.write("\n[sweep]\n")
-        for axis, suffix in zip(job.axes, ("", "2")):
-            out.write(f"parameter{suffix} = {axis.parameter}\n")
-            out.write(f"values{suffix} = {', '.join(repr(v) for v in axis.values)}\n")
-    return out.getvalue()

@@ -6,6 +6,7 @@ deletion would not fail a test there.  These tests read the harness as
 text (without importing it) and check that everything it names exists.
 """
 
+import ast
 import importlib
 import re
 from dataclasses import replace
@@ -13,12 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from victrap import DensityMatrix, integrate, preset
+from victrap import DensityMatrix, OutputOptions, Scenario, integrate, parse_config_full, preset
 from victrap.experiments import SweepAxis, SweepSpec, sweep
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 LAYERS = (BENCH / "layers.py").read_text(encoding="utf-8")
 CHECKS = (BENCH / "checks.py").read_text(encoding="utf-8")
+SESSION = (BENCH / "session.py").read_text(encoding="utf-8")
 
 
 def api_names() -> list[str]:
@@ -35,6 +37,19 @@ def imported_names() -> list[tuple[str, str]]:
     for module, names in re.findall(r"from (victrap(?:\.\w+)?) import ([\w, ]+)", CHECKS):
         pairs += [(module, name.strip()) for name in names.split(",")]
     return pairs
+
+
+def setup_imports() -> list[tuple[str, str | None]]:
+    """(module, name) for every victrap import in ``session.SETUP_CODE``; name is None for ``import module``."""
+    (code,) = [ast.literal_eval(node.value) for node in ast.parse(SESSION).body
+               if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SETUP_CODE"]]
+    pairs = []
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.Import):
+            pairs += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            pairs += [(node.module, alias.name) for alias in node.names]
+    return [(module, name) for module, name in pairs if module.split(".")[0] == "victrap"]
 
 
 def state_row_fields() -> list[str]:
@@ -76,6 +91,26 @@ def test_sample_view(short_fig2):
         for part in field.split("."):
             value = getattr(value, part)
         assert type(value) is float, field
+
+
+def test_setup_probe_names_were_found():
+    assert ("victrap.cli", None) in setup_imports()
+    assert ("victrap.config", "parse_config_full") in setup_imports()
+
+
+@pytest.mark.parametrize("module, name", setup_imports())
+def test_setup_probe_import_resolves(module, name):
+    imported = importlib.import_module(module)
+    assert name is None or hasattr(imported, name)
+
+
+def test_parse_config_full_returns_the_job_then_its_output_options():
+    # cli_pass unpacks ``job, _ = parse(config_text)`` for both workload kinds.
+    assert len(re.findall(r"job, _ = parse\(config_text\)", LAYERS)) == 2
+    for text, kind in (("", Scenario), ("[sweep]\nparameter = theta\nvalues = 0.0\n", SweepSpec)):
+        job, options = parse_config_full(text)
+        assert type(job) is kind
+        assert type(options) is OutputOptions
 
 
 def test_sweep_accepts_max_workers():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from victrap import TRAJECTORY_CSV_HEADER, experiments, integrate, parse_config
+from victrap import TRAJECTORY_CSV_HEADER, cli, experiments, integrate, parse_config
 from victrap.cli import main
 from victrap.integrator import sample_times
 from victrap.observables import packed_diagnostics
@@ -122,6 +122,17 @@ class TestRun:
             outputs.append((code, capsys.readouterr()))
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == 0 and '"p_doublet"' in outputs[0][1].out
+
+    def test_physics_failure_leaves_the_output_path_alone(self, tmp_path, capsys):
+        cfg = write(tmp_path, "stiff.cfg", "[decay]\ngamma01 = 100000\n")
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"earlier result\n")
+        fresh = tmp_path / "fresh.csv"
+        assert main(["--quiet", "run", "--config", cfg, "--out", str(existing)]) == 2
+        assert main(["--quiet", "run", "--config", cfg, "--out", str(fresh)]) == 2
+        assert existing.read_bytes() == b"earlier result\n"
+        assert not fresh.exists()
+        assert capsys.readouterr().err.count("too stiff") == 2
 
     def test_invalid_config_value(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "[decay]\ntheta = -0.1\n")
@@ -292,6 +303,23 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err.startswith("victrap: error: invalid sweep: both sweep axes name 'theta'")
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, threads):
+        cfg = write(tmp_path, "sweep.cfg", QUIET_SWEEP_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["--quiet", "sweep", "--threads", threads, "--config", cfg])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: victrap sweep")
+        assert f"argument --threads: expected an integer N >= 1, got '{threads}'" in captured.err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_threads_of_one_or_more_run(self, tmp_path, capsys, threads):
+        cfg = write(tmp_path, "sweep.cfg", QUIET_SWEEP_CFG)
+        assert main(["--quiet", "sweep", "--threads", threads, "--config", cfg]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_scenario_config_is_usage_error(self, tmp_path):
         cfg = write(tmp_path, "run.cfg", SHORT_RUN_CFG)
         assert main(["sweep", "--config", cfg]) == 1
@@ -304,6 +332,47 @@ class TestSweep:
         code = main(["--quiet", "sweep", "--config", cfg])
         assert code == 0
         assert out.exists()
+
+
+class TestOutputPath:
+    """A path that cannot take the output is refused before any stepping, and nothing is created."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise AssertionError("stepped before checking the output path")
+
+        monkeypatch.setattr(cli, "sweep", fail)
+        monkeypatch.setattr(cli, "integrate", fail)
+        monkeypatch.chdir(tmp_path)
+
+    def refused(self, capsys, argv, message):
+        before = sorted(Path(".").rglob("*"))
+        assert main(["--quiet", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"victrap: error: {message}\n"
+        assert sorted(Path(".").rglob("*")) == before
+
+    def test_missing_directory(self, capsys):
+        self.refused(capsys, ["preset", "fig6", "--out", "missing/x.csv"],
+                     "output path 'missing/x.csv': no writable directory 'missing'")
+        cfg = write(Path("."), "run.cfg", SHORT_RUN_CFG)
+        self.refused(capsys, ["run", "--config", cfg, "--out", "missing/x.csv"],
+                     "output path 'missing/x.csv': no writable directory 'missing'")
+
+    def test_directory_as_out(self, capsys):
+        Path("results").mkdir()
+        for out in ("results", "results/"):
+            self.refused(capsys, ["preset", "fig2", "--out", out],
+                         f"output path {out!r} is a directory or has no file name")
+
+    def test_missing_directory_in_output_section(self, capsys):
+        cfg = write(Path("."), "sweep.cfg", QUIET_SWEEP_CFG + "\n[output]\npath = missing/x.csv\n")
+        self.refused(capsys, ["sweep", "--config", cfg],
+                     "output path 'missing/x.csv': no writable directory 'missing'")
+        cfg = write(Path("."), "empty.cfg", QUIET_SWEEP_CFG + "\n[output]\npath =\n")
+        self.refused(capsys, ["sweep", "--config", cfg], "output path '' is a directory or has no file name")
 
 
 class TestValidate:

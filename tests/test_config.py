@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,12 +11,13 @@ from victrap import (
     Scenario,
     SweepAxis,
     SweepSpec,
+    SystemParams,
     ground_state,
     parse_config,
     parse_config_full,
     preset,
-    serialize_config,
 )
+from victrap.config import _FIELDS
 
 
 class TestDefaults:
@@ -176,44 +177,83 @@ class TestOutputSection:
             parse_config("[output]\nformat = xml\n")
 
 
+# Every scenario key at its default value, one section after another.
+DEFAULT_TEXT = """\
+[decay]
+gamma01 = 5.8
+gamma02 = 2.2
+gamma03 = 0.1
+gamma_coll = 0.0
+theta = 0.0
+
+[drive]
+g01 = 0.9
+g02 = 0.3
+tau = 4.0
+t0 = 10.0
+delta1 = 0.0
+delta2 = 0.0
+t_origin = 0.0
+
+[chirp]
+enabled = false
+chi1 = 0.0
+chi2 = 0.0
+ramp = 2.0
+
+[integration]
+t_start = -16.0
+t_end = 80.0
+sample_interval = 0.05
+rtol = 1e-08
+atol = 1e-10
+trace_tol = 1e-06
+pos_tol = 1e-07
+initial_state = metastable
+"""
+
+
 class TestRoundTrip:
+    """Config text written by hand for a known scenario or sweep parses back to exactly that object."""
+
     def test_spec_example_key(self):
-        sc = parse_config("[decay]\ngamma01 = 5.8\n")
-        assert parse_config(serialize_config(sc)) == sc
+        assert parse_config("[decay]\ngamma01 = 5.8\n") == Scenario()
 
     def test_default_scenario(self):
-        sc = Scenario()
-        assert parse_config(serialize_config(sc)) == sc
+        assert parse_config(DEFAULT_TEXT) == Scenario()
 
     def test_awkward_floats(self):
         sc = parse_config(
             "[decay]\ngamma01 = 0.30000000000000004\ntheta = 1.2246467991473532e-16\n"
             "[integration]\nrtol = 3e-9\n"
         )
-        assert parse_config(serialize_config(sc)) == sc
+        assert sc == Scenario(params=SystemParams(gamma01=0.1 + 0.2, theta=1.2246467991473532e-16), rtol=3e-9)
 
     def test_chirped_scenario(self):
-        sc = preset("fig4")
-        assert parse_config(serialize_config(sc)) == sc
+        text = DEFAULT_TEXT.replace("enabled = false\nchi1 = 0.0\nchi2 = 0.0\n",
+                                    "enabled = true\nchi1 = 0.3\nchi2 = 0.2\n")
+        assert parse_config(text) == preset("fig4")
 
     def test_chirp_off_scenario(self):
-        sc = preset("fig2")
-        text = serialize_config(sc)
-        assert "[chirp]\nenabled = false\nchi1 = 0.0\nchi2 = 0.0\n" in text
-        assert parse_config(text) == sc
+        assert "[chirp]\nenabled = false\nchi1 = 0.0\nchi2 = 0.0\n" in DEFAULT_TEXT
+        assert parse_config(DEFAULT_TEXT) == preset("fig2")
 
     def test_chirp_with_one_zero_amplitude(self):
-        sc = replace(Scenario(), drive=DriveConfig(chi1=0.3, chi2=0.0))
-        text = serialize_config(sc)
-        assert "[chirp]\nenabled = true\nchi1 = 0.3\nchi2 = 0.0\n" in text
-        assert parse_config(text) == sc
+        sc = parse_config("[chirp]\nenabled = true\nchi1 = 0.3\nchi2 = 0.0\n")
+        assert sc.drive.chi2 == 0.0
+        assert sc == replace(Scenario(), drive=DriveConfig(chi1=0.3, chi2=0.0))
 
     def test_sweep_spec(self):
-        spec = preset("fig6")
-        again = parse_config(serialize_config(spec))
-        assert again == spec
+        text = ("[chirp]\nenabled = true\n"
+                "[sweep]\nparameter = theta\nstart = 0.0\nstop = 1.5707963267948966\npoints = 64\n")
+        assert parse_config(text) == preset("fig6")
 
     def test_two_axis_sweep(self):
+        text = (
+            "[integration]\nt_end = 30.0\n"
+            "[sweep]\nparameter = theta\nvalues = 0.0, 0.7853981633974483\n"
+            "parameter2 = chi1\nvalues2 = 0.1, 0.2, 0.3\n"
+        )
         spec = SweepSpec(
             base=replace(Scenario(), t_end=30.0),
             axes=(
@@ -221,4 +261,29 @@ class TestRoundTrip:
                 SweepAxis(parameter="chi1", values=(0.1, 0.2, 0.3)),
             ),
         )
-        assert parse_config(serialize_config(spec)) == spec
+        assert parse_config(text) == spec
+
+    def test_every_field_has_a_config_key_that_sets_it(self):
+        # _FIELDS is the parser's key table; [chirp] enabled is a switch, not a field.
+        owners = {"params": SystemParams, "drive": DriveConfig, "scenario": Scenario}
+        declared = sorted((owner, f.name) for owner, cls in owners.items() for f in fields(cls) if f.name not in owners)
+        keyed = sorted((owner, field) for owner, keys in _FIELDS.values()
+                       for field in keys.values() if field != "enabled")
+        assert keyed == declared
+        # And back: each key sets its field and nothing else.
+        for section, (owner, keys) in _FIELDS.items():
+            prefix = f"[{section}]\n" + ("enabled = true\n" if section == "chirp" else "")
+            base = parse_config(prefix)
+            for key, field in keys.items():
+                if field == "enabled":
+                    continue
+                if field == "initial_state":
+                    raw, value = "ground", ground_state()
+                else:
+                    value = 1.5 * getattr(base if owner == "scenario" else getattr(base, owner), field) or 0.25
+                    raw = repr(value)
+                if owner == "scenario":
+                    expected = replace(base, **{field: value})
+                else:
+                    expected = replace(base, **{owner: replace(getattr(base, owner), **{field: value})})
+                assert parse_config(prefix + f"{key} = {raw}\n") == expected, key
