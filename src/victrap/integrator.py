@@ -33,9 +33,9 @@ its own time, step size and accept/reject decision; the lanes of each
 method step in their own lockstep group, where one loop iteration
 attempts one step in every active lane, with the generators, stages and
 error norms computed for all lanes at once, and lanes that finish or fail
-leave the active set.  The controller runs per lane
-on Python floats; the dense-output rows of all lanes are formed together,
-a few hundred at a time.  ``integrate`` is the one-lane
+leave the active set.  The controller runs per lane on Python floats;
+the lane set owns the dense-output rows its lanes ask for and forms
+them together, a few hundred at a time.  ``integrate`` is the one-lane
 case, and ``steady_states`` runs many lanes, each keeping only the rows of
 its trailing steady window.  A lane's arithmetic does not depend on the
 other lanes, so its results are the same bits in any batch.
@@ -199,7 +199,7 @@ _EPS = float(np.finfo(float).eps)
 _TAIL_ROWS = 256
 _TAIL_POWERS = 16
 # Dense-output rows that the lockstep stepper lets accumulate before it
-# forms them in one batch; see _DenseRows.
+# forms them in one batch; see _LaneSet.flush.
 _DENSE_ROWS = 256
 
 # Columns of Trajectory.columns, in trajectory-CSV order: the time, the 16
@@ -581,7 +581,6 @@ class _Lane:
         self.just_rejected = False
         self.prev = _PREV_FLOOR  # last accepted error norm, floored
         self.failure = ""  # why the lane could not go on, when ``propose`` says so
-        self.number = 0  # the lane's index among the lanes stepped together; set by _DenseRows
 
     def propose(self) -> tuple[float, float] | None:
         """The next trial step (t, h) from the current state; None if the lane fails instead, with ``failure`` set."""
@@ -628,8 +627,8 @@ class _Lane:
         if self.next_time <= t_new:
             grid, pending = self.grid, self.pending
             end = bisect.bisect_right(grid, t_new, pending, min(len(grid), pending + self.span_rows))
-            lanes.asked.append((i, self.number, self.t, h_try, t_new, pending, end - pending))
-            lanes.asked_rows += end - pending
+            lanes.requests.append((i, self.t, h_try, t_new, pending, end - pending))
+            lanes.rows += end - pending
             self.pending = end
             self.next_time = grid[end].item() if end < len(grid) else math.inf
         self.t = t_new
@@ -694,7 +693,7 @@ class _Lane:
 
 
 class _LaneSet:
-    """The arrays of the active lanes of one method, stepped together.
+    """The arrays of the active lanes of one method, stepped together, and the dense-output rows they ask for.
 
     Built from the lanes' columns and rebuilt, by ``keep``, only when a lane
     stops running: the stacked generator bases and drive parameters, the
@@ -703,8 +702,11 @@ class _LaneSet:
     the stages, the start state and the trial state of each lane, one
     (n, 16) slab each, so that one gather copies a lane's step for the
     dense output.  Over one round of ``_Lane.settle``, ``accepted`` collects
-    the lanes whose step was accepted, and ``asked`` the steps that ask for
-    dense-output rows.
+    the lanes whose step was accepted.  The lane set owns its pending rows:
+    the steps that ask for dense-output rows join ``requests``, ``advance``
+    copies their columns of ``block`` to ``blocks``, ``rows`` counts the
+    rows asked for, and ``flush`` forms and records them.  The lockstep
+    loop flushes before every ``keep``, so no row outlives its lane set.
     """
 
     NODES: np.ndarray  # stage times per step, as fractions of h
@@ -713,14 +715,15 @@ class _LaneSet:
     ALPHA: float  # controller exponents
     BETA: float
 
-    def __init__(self, lanes: list[_Lane], block: np.ndarray, dense: "_DenseRows"):
+    def __init__(self, lanes: list[_Lane], block: np.ndarray):
         n = len(lanes)
         self.lanes = lanes
-        self.dense = dense
         self.accepted: list[int] = []
-        # (i, lane number, t, h, t_new, index of the first grid time, rows) per step
-        self.asked: list[tuple[int, int, float, float, float, int, int]] = []
-        self.asked_rows = 0
+        # (i, t, h, t_new, index of the first grid time, rows) per step; the
+        # first ``gathered`` have their columns of ``block`` in ``blocks``.
+        self.requests: list[tuple[int, float, float, float, int, int]] = []
+        self.blocks: list[np.ndarray] = []
+        self.gathered = self.rows = 0
         self.drives = DriveLanes([lane.scenario.drive for lane in lanes], len(self.NODES))
         self.basis = np.stack([lane.basis for lane in lanes])
         tolerances = np.array([(lane.scenario.rtol, lane.scenario.atol) for lane in lanes])
@@ -774,13 +777,13 @@ class _LaneSet:
 
     def keep(self, indices: list[int]) -> "_LaneSet":
         """The lane set of the lanes at ``indices``, with their columns of ``block`` (states, carried stages)."""
-        return type(self)([self.lanes[i] for i in indices], self.block[:, indices], self.dense)
+        return type(self)([self.lanes[i] for i in indices], self.block[:, indices])
 
     def advance(self) -> None:
-        """Hand the steps that asked for rows to ``dense``; carry the accepted lanes' trial states (and stages) over."""
-        if self.asked:
-            self.dense.add(self.asked, self.block[:, [request[0] for request in self.asked]], self.asked_rows)
-            self.asked, self.asked_rows = [], 0
+        """Copy the new requests' columns of ``block``; carry the accepted lanes' trial states (and stages) over."""
+        if self.gathered < len(self.requests):
+            self.blocks.append(self.block[:, [request[0] for request in self.requests[self.gathered:]]])
+            self.gathered = len(self.requests)
         accepted = self.accepted
         if len(accepted) == len(self.lanes):
             for to, source in self.carry:
@@ -790,14 +793,64 @@ class _LaneSet:
                 to[accepted] = source[accepted]
         accepted.clear()
 
+    def flush(self) -> None:
+        """Form the rows asked for since the last flush and record them in their lanes' recorders.
+
+        A step asks for the grid times t_j in (t, t_new]; the row at t_j is
+        y + h·W(theta) @ K with theta = (t_j - t)/h, from the step's start
+        state y and stages K, except that a time the step lands on takes
+        the step's own state.  Each lane gets its rows in one slice, in
+        time order.  The steps with m rows form them with the (m, 4) and
+        (m, 7) products one step alone would use, stacked, so a row's bits
+        do not depend on the other steps flushed with it.  A flush costs
+        about 15 numpy calls plus 10 per distinct m, however many rows it
+        forms, so the lockstep loop flushes only when _DENSE_ROWS are asked
+        for or a lane stops.  A lane's rows so reach its recorder in order
+        and before its tail or failure, and its first bad row is the one a
+        per-step recorder finds.  The lanes share one sample grid.
+        """
+        if not self.requests:
+            return
+        spec, block = np.array(self.requests), np.concatenate(self.blocks, axis=1)
+        self.requests, self.gathered, self.blocks, self.rows = [], 0, [], 0
+        stages, y, trial = block[:-2].transpose(1, 0, 2), block[-2], block[-1]
+        counts = spec[:, 5].astype(np.intp)
+        ends = np.cumsum(counts)
+        first = np.repeat(spec[:, 4].astype(np.intp) - (ends - counts), counts)
+        times = self.lanes[0].grid[first + np.arange(ends[-1])]
+        t, h = np.repeat(spec[:, 1], counts), np.repeat(spec[:, 2], counts)
+        degree = len(self.DENSE)
+        powers = np.repeat((times - t) / h, degree).reshape(-1, degree)
+        np.cumprod(powers, axis=1, out=powers)
+        samples = np.empty((len(times), 1 + PACKED_SIZE))
+        samples[:, 0] = times
+        # The steps with m rows each form them in (m, degree) @ (degree,
+        # stages) and (m, stages) @ (stages, 16) products, as each would alone.
+        for m in np.flatnonzero(np.bincount(counts)).tolist():
+            steps = np.flatnonzero(counts == m)
+            rows = (ends[steps] - m)[:, None] + np.arange(m)
+            weights = np.matmul(powers[rows], self.DENSE)
+            weights *= h[rows, None]
+            samples[rows, 1:] = y[steps, None] + np.matmul(weights, stages[steps])
+        last = ends - 1
+        landed = times[last] == spec[:, 3]
+        samples[last[landed], _STATE] = trial[landed]
+        owners = np.repeat(spec[:, 0].astype(np.intp), counts)
+        order = np.argsort(owners, kind="stable")
+        samples, owners = samples[order], owners[order]
+        bounds = np.cumsum(np.bincount(owners, minlength=len(self.lanes))).tolist()
+        for lane, start, end in zip(self.lanes, [0] + bounds, bounds):
+            if end > start:
+                lane.recorder.record(samples[start:end])
+
 
 class _DopriLanes(_LaneSet):
     """Dormand-Prince lanes: seven stages, the first carried over from the last of the previous step."""
 
     NODES, STAGES, DENSE, ALPHA, BETA = _C, 7, _P, _ALPHA, _BETA
 
-    def __init__(self, lanes: list[_Lane], block: np.ndarray, dense: "_DenseRows"):
-        super().__init__(lanes, block, dense)
+    def __init__(self, lanes: list[_Lane], block: np.ndarray):
+        super().__init__(lanes, block)
         n = len(lanes)
         self.carry.append((block[0], block[6]))
         self.h_a = np.empty((n,) + _A.shape)
@@ -834,8 +887,8 @@ class _RadauLanes(_LaneSet):
     NODES = np.concatenate(((0.0,), _RADAU_C))
     STAGES, DENSE, ALPHA, BETA = 3, _RADAU_P, _RADAU_ALPHA, _RADAU_BETA
 
-    def __init__(self, lanes: list[_Lane], block: np.ndarray, dense: "_DenseRows"):
-        super().__init__(lanes, block, dense)
+    def __init__(self, lanes: list[_Lane], block: np.ndarray):
+        super().__init__(lanes, block)
         n, size = len(lanes), PACKED_SIZE
         gens = self.gens.reshape(n, len(self.NODES), size, size)
         self.start_gen = gens[:, 0]  # L(t)
@@ -883,78 +936,6 @@ class _RadauLanes(_LaneSet):
             return x
 
 
-class _DenseRows:
-    """The dense-output rows that accepted steps ask for, formed in batches and handed to the lanes' recorders.
-
-    A step asks for the grid times t_j in (t, t_new]; the row at t_j is
-    y + h·W(theta) @ K with theta = (t_j - t)/h and W(theta) = (theta,
-    theta², ...) @ ``weights``, the continuous extension of the lanes'
-    method, from the step's start state y and stages K, except that a time
-    the step lands on takes the step's own state.  ``add`` keeps copies of
-    y, K and the trial state per step.  ``flush`` forms every row asked
-    for since the last flush and hands each lane its rows in one slice, in
-    time order.  The steps with m rows form them with the (m, 4) and
-    (m, 7) products one step alone would use, stacked, so a row's bits do
-    not depend on the other steps flushed with it.  A flush costs about 15
-    numpy calls plus 10 per distinct m, however many rows it forms, so
-    the lockstep loop flushes only when _DENSE_ROWS are asked for or a
-    lane stops.  A lane's rows so reach its recorder in order and before
-    its tail or failure, and its first bad row is the one a per-step
-    recorder finds.  The lanes share one sample grid.
-    """
-
-    def __init__(self, lanes: list[_Lane], weights: np.ndarray):
-        self.lanes = lanes
-        self.weights = weights
-        self.grid = lanes[0].grid
-        for number, lane in enumerate(lanes):
-            lane.number = number
-        self.requests: list[tuple[int, int, float, float, float, int, int]] = []  # as _LaneSet.asked
-        self.blocks: list[np.ndarray] = []  # the steps' stages, start and trial states, as _LaneSet.block
-        self.rows = 0
-
-    def add(self, requests: list[tuple[int, int, float, float, float, int, int]], block: np.ndarray,
-            rows: int) -> None:
-        self.requests += requests
-        self.blocks.append(block)
-        self.rows += rows
-
-    def flush(self) -> None:
-        """Record the rows asked for since the last flush in their lanes' recorders."""
-        if not self.requests:
-            return
-        spec, block = np.array(self.requests), np.concatenate(self.blocks, axis=1)
-        self.requests, self.blocks, self.rows = [], [], 0
-        stages, y, trial = block[:-2].transpose(1, 0, 2), block[-2], block[-1]
-        counts = spec[:, 6].astype(np.intp)
-        ends = np.cumsum(counts)
-        times = self.grid[np.repeat(spec[:, 5].astype(np.intp) - (ends - counts), counts) + np.arange(ends[-1])]
-        t, h = np.repeat(spec[:, 2], counts), np.repeat(spec[:, 3], counts)
-        degree = len(self.weights)
-        powers = np.repeat((times - t) / h, degree).reshape(-1, degree)
-        np.cumprod(powers, axis=1, out=powers)
-        samples = np.empty((len(times), 1 + PACKED_SIZE))
-        samples[:, 0] = times
-        # The steps with m rows each form them in (m, degree) @ (degree,
-        # stages) and (m, stages) @ (stages, 16) products, as each would alone.
-        for m in np.flatnonzero(np.bincount(counts)).tolist():
-            steps = np.flatnonzero(counts == m)
-            rows = (ends[steps] - m)[:, None] + np.arange(m)
-            weights = np.matmul(powers[rows], self.weights)
-            weights *= h[rows, None]
-            samples[rows, 1:] = y[steps, None] + np.matmul(weights, stages[steps])
-        last = ends - 1
-        landed = times[last] == spec[:, 4]
-        samples[last[landed], _STATE] = trial[landed]
-        numbers = np.repeat(spec[:, 1].astype(np.intp), counts)
-        order = np.argsort(numbers, kind="stable")
-        samples, numbers = samples[order], numbers[order]
-        bounds = np.cumsum(np.bincount(numbers, minlength=len(self.lanes))).tolist()
-        for lane, start, end in zip(self.lanes, [0] + bounds, bounds):
-            if end > start:
-                lane.recorder.record(samples[start:end])
-
-
 def _run_lanes(lanes: list[_Lane]) -> None:
     """Step every lane to its t_stop, in one lockstep group per method and sample grid, and let each record its tail."""
     groups: dict = {}
@@ -972,17 +953,18 @@ def _run_group(stepper: type[_LaneSet], lanes: list[_Lane]) -> None:
 
     Each iteration attempts one step per lane with one stacked generator
     build, and lets each lane accept or reject its own and propose its
-    next.  The dense-output rows are recorded in batches (see _DenseRows),
-    and at once when a lane lands on t_stop or cannot go on; after each
-    batch, every lane that stopped or whose rows failed the physicality
-    check records its tail or failure and leaves the active set.
+    next.  The dense-output rows are recorded in batches (see
+    _LaneSet.flush), and at once when a lane lands on t_stop or cannot go
+    on; after each batch, every lane that stopped or whose rows failed the
+    physicality check records its tail or failure and leaves the active
+    set.  So the lane set flushes before every shrink, and ``keep`` starts
+    the smaller one with no rows pending.
     """
-    dense = _DenseRows(lanes, stepper.DENSE)
-    active = stepper(lanes, np.stack([lane.column for lane in lanes], axis=1), dense)
+    active = stepper(lanes, np.stack([lane.column for lane in lanes], axis=1))
     steps = [lane.propose() for lane in lanes]
     while True:
-        if None in steps or dense.rows >= _DENSE_ROWS:
-            dense.flush()
+        if None in steps or active.rows >= _DENSE_ROWS:
+            active.flush()
             steps = [None if lane.recorder.error is not None else step for lane, step in zip(active.lanes, steps)]
         if None in steps:
             for lane, y, step in zip(active.lanes, active.y, steps):

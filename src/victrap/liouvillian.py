@@ -123,17 +123,9 @@ def generator_basis(decay: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _detuning_rates() -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rotation rates of the coherences under D1 and D2, and the column of each coherence.
-
-    A coherence's rate is D_k[im, re] of its pair.  The six coherences turn
-    at four distinct rates, shape (2, 4): rho10 and rho20 share one, and so
-    do rho31 and rho32.
-    """
-    rates = _units()[0][2:].reshape(2, PACKED_SIZE, PACKED_SIZE)[:, DIM + 1::2, DIM::2].diagonal(axis1=1, axis2=2)
-    keys = [column.tobytes() for column in rates.T]
-    distinct = list(dict.fromkeys(keys))
-    return rates[:, [keys.index(key) for key in distinct]], np.array([distinct.index(key) for key in keys])
+def _detuning_rates() -> np.ndarray:
+    """The rotation rate of each coherence under D1 and D2, shape (2, 6): D_k[im, re] of its pair."""
+    return _units()[0][2:].reshape(2, PACKED_SIZE, PACKED_SIZE)[:, DIM + 1::2, DIM::2].diagonal(axis1=1, axis2=2)
 
 
 def rotate_coherences(states: np.ndarray, phases: np.ndarray) -> None:
@@ -141,12 +133,11 @@ def rotate_coherences(states: np.ndarray, phases: np.ndarray) -> None:
 
     ``phases`` holds one (Phi1, Phi2) row per state.  The detuning
     Hamiltonian is diagonal, so D1 and D2 leave the populations alone and
-    turn each coherence re + i im by exp(i Phi @ rates).  Each distinct
-    rate gets one exponential, which the coherences turning at it share.
+    turn each coherence re + i im by exp(i Phi @ rates), one exponential
+    per coherence.
     """
-    rates, column = _detuning_rates()
     coherences = states[:, DIM:].view(complex)
-    coherences *= np.exp(1j * (phases @ rates))[:, column]
+    coherences *= np.exp(1j * (phases @ _detuning_rates()))
 
 
 def master_rhs(t: float, rho: DensityMatrix, params: SystemParams, drive: DriveConfig) -> np.ndarray:

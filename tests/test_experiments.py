@@ -374,6 +374,9 @@ def test_lanes_leaving_at_different_times_leave_the_others_untouched(monkeypatch
     keep = integrator._LaneSet.keep
 
     def counted_keep(self, indices):
+        # The lane set's pending rows are routed by active-set index, so
+        # they must all be flushed before the set shrinks.
+        assert not self.requests and not self.blocks and self.rows == 0
         kept.append(len(indices))
         return keep(self, indices)
 
