@@ -61,8 +61,8 @@ import numpy as np
 from .drive import DriveLanes, detuning_phases, drive_coefficients, pulses_over
 from .errors import IntegrationError, InsufficientDataError, InvalidParameterError, PhysicalityError, SimulationError
 from .liouvillian import (
-    PACKED_SIZE, decay_generator, drive_generators, drive_norms, generator_basis, pack_state, rotate_coherences,
-    unpack_state,
+    PACKED_SIZE, decay_blocks, decay_generator, drive_generators, drive_norms, generator_basis, pack_state,
+    rotate_coherences, unpack_state,
 )
 from .model import DensityMatrix, ObservableRecord, Scenario
 from .observables import packed_diagnostics, packed_verdict
@@ -425,6 +425,52 @@ def _reachable(scenario: Scenario, decay: np.ndarray, grid: np.ndarray) -> np.nd
     return reach
 
 
+def _spectral_radius(decay: np.ndarray, reach: np.ndarray) -> float:
+    """rho(L0) on the reachable components, from the eigenvalues of L0's blocks in closed form.
+
+    ``reach`` is closed under the couplings of L0, as ``_reachable`` makes
+    it, so the doublet block is reachable whole or has no couplings.  The
+    blocks (see liouvillian.decay_blocks) keep only their entries between
+    reachable components, which adds zero eigenvalues and changes no
+    other, and each is scaled by its largest entry, so that no product
+    overflows.  Each pair of couplings has a nonnegative product, so the
+    eigenvalues are real.  A 2x2 block [[a, u], [v, d]] has the eigenvalues
+    (a + d)/2 +- sqrt(((a - d)/2)**2 + uv).  The doublet block's three come
+    from the invariants J2 and J3 of its traceless part by the
+    trigonometric formula, with the discriminant 4 J2**3 - 27 J3**2 summed
+    from nonnegative terms, so that close eigenvalues lose no accuracy
+    (Harari & Albocher 2023).
+    """
+    blocks, entries = decay_blocks()
+    values = np.where((reach[:, None] & reach).take(entries), decay.take(entries), 0.0).tolist()
+    radius = 0.0
+    start = 0
+    for block in blocks:
+        size = len(block)
+        block_values = values[start:start + size * size]
+        start += size * size
+        scale = max(map(abs, block_values))
+        if not scale or size == 1:
+            radius = max(radius, scale)
+            continue
+        if size == 2:
+            a, u, v, d = (value / scale for value in block_values)
+            half = (a - d) / 2.0
+            largest = abs(a + d) / 2.0 + math.sqrt(half * half + u * v)
+        else:
+            a, _, u, _, b, _, v, _, d = (value / scale for value in block_values)
+            x, y, z, w = a - d, b - d, a - b, u * v
+            j2 = (x * x + y * y + z * z) / 6.0 + 2.0 * w
+            j3 = -(2.0 * x - y) * (2.0 * y - x) * (x + y) / 27.0 - w * (x + y) / 3.0
+            discriminant = (32.0 * w ** 3 + w * w * (11.0 * z * z + 2.0 * (x * x + y * y))
+                            + w * z * z * (3.0 * (x * x + y * y) + (x + y) ** 2) + (x * y * z) ** 2)
+            angle = math.atan2(math.sqrt(discriminant), math.sqrt(27.0) * j3) / 3.0
+            mean, spread = (a + b + d) / 3.0, 2.0 * math.sqrt(j2 / 3.0)
+            largest = max(abs(mean + spread * math.cos(angle)), abs(mean + spread * math.cos(angle + math.tau / 3.0)))
+        radius = max(radius, largest * scale)
+    return radius
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a) by Padé-13 scaling and squaring (Higham 2005).
 
@@ -533,7 +579,7 @@ class _Lane:
             raise IntegrationError(
                 f"decay rates too stiff: L0 times the window from t={t_start:g} to t={t_end:g} is not finite"
             )
-        radius = _once(self.shared, ("radius", self.key), lambda: float(np.max(np.abs(np.linalg.eigvals(self.decay)))))
+        radius = _once(self.shared, ("radius", self.key), lambda: _spectral_radius(decay, self.reach))
         self.max_step = drive.tau / 10.0
         self.stepper = _RadauLanes if radius * self.max_step > STIFF_RATIO * _STABILITY_LIMIT else _DopriLanes
         needed = span * radius / _STABILITY_LIMIT

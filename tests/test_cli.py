@@ -213,9 +213,17 @@ class TestBoundedGrids:
         # Finite rates whose L0 overflows are rejected as too stiff; drives
         # that overflow in the set-up or in the steps fail there.  Each run
         # ends in one physics failure line, and numpy's overflow and
-        # invalid-value warnings stay inside the run's error scope.
+        # invalid-value warnings stay inside the run's error scope.  Huge
+        # but finite rates reach the closed-form spectral radius, which
+        # scales each block first, and fail on the tail's rounding.
+        tail = "decay rates too stiff: the exact tail from t=31.3262 to t=80 could lose {} to rounding, more than atol = 1e-10"
         for name, text, message in (
             ("decay", "[decay]\ngamma01 = 1e308\ngamma02 = 1e308\n", "too stiff"),
+            ("gamma01", "[decay]\ngamma01 = 1e100\n", tail.format("4.02e+85")),
+            ("gamma03", "[decay]\ngamma03 = 1e150\n", tail.format("4.02e+135")),
+            ("gamma01_gamma02", "[decay]\ngamma01 = 1e300\ngamma02 = 1e300\n",
+             "decay rates too stiff: L0 times the window from t=-16 to t=80 is not finite"),
+            ("gamma_coll", "[decay]\ngamma_coll = 1e200\n", tail.format("2.01e+185")),
             ("tau", "[drive]\ntau = 1e-300\n", "window too long"),
             ("g02", "[drive]\ng02 = 1e300\n", "step size underflow"),
             ("chi1", "[chirp]\nenabled = true\nchi1 = 1e300\n", "step size underflow"),

@@ -441,21 +441,21 @@ def test_lanes_with_equal_decay_rates_share_their_set_up(monkeypatch, spec, dist
     # and exp(L0 * offset), every lane's tail starting at the same offset)
     # per distinct SystemParams, not per lane; each row keeps its solo bits.
     solo = [solo_bits(spec, values) for values in spec.grid()]
-    calls = {"eigvals": 0, "expm": 0}
-    eigvals, expm = np.linalg.eigvals, integrator._expm
+    calls = {"radius": 0, "expm": 0}
+    radius, expm = integrator._spectral_radius, integrator._expm
 
-    def counted_eigvals(a):
-        calls["eigvals"] += 1
-        return eigvals(a)
+    def counted_radius(decay, reach):
+        calls["radius"] += 1
+        return radius(decay, reach)
 
     def counted_expm(a):
         calls["expm"] += 1
         return expm(a)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(integrator, "_spectral_radius", counted_radius)
     monkeypatch.setattr(integrator, "_expm", counted_expm)
     rows = sweep(spec).rows
-    assert calls == {"eigvals": distinct, "expm": 2 * distinct}
+    assert calls == {"radius": distinct, "expm": 2 * distinct}
     assert [row_bits(row) for row in rows] == solo
 
 

@@ -24,11 +24,13 @@ from victrap import (
     integrate_fixed_step,
     parse_config,
     preset,
+    sweep,
 )
-from victrap import integrator
+from victrap import integrator, liouvillian
 from victrap.drive import drive_coefficients
+from victrap.experiments import PRESET_NAMES, apply_parameter
 from victrap.integrator import sample_times
-from victrap.liouvillian import decay_generator, generator_basis
+from victrap.liouvillian import decay_blocks, decay_generator, generator_basis
 
 QUIET_DRIVE = DriveConfig(g01=0.0, g02=0.0)
 
@@ -446,6 +448,74 @@ class TestStepperSelection:
             solo = detect_steady_state(integrate(replace(sc, t_end=60.0)))
             assert outcome.state.matrix.tobytes() == solo.state.matrix.tobytes()
             assert outcome.max_delta == solo.max_delta
+
+
+class TestSpectralRadius:
+    """rho(L0) comes from L0's blocks in closed form; np.linalg.eigvals is the oracle."""
+
+    def test_blocks_are_at_most_3x3_and_the_doublet_block_is_an_arrowhead(self):
+        blocks, entries = decay_blocks()
+        assert sorted(k for block in blocks for k in block) == list(range(16))
+        assert max(map(len, blocks)) == 3
+        assert entries.tolist() == [16 * i + j for block in blocks for i in block for j in block]
+        units = liouvillian._units()[1].reshape(5, 16, 16)
+        for block in blocks:
+            # For nonnegative rates every pair of couplings has a nonnegative
+            # product, so every eigenvalue is real.
+            for i in block:
+                for j in block:
+                    assert (np.outer(units[:, i, j], units[:, j, i]) >= 0).all()
+            if len(block) == 3:
+                p1, p2, hub = block
+                assert not units[:, p1, p2].any() and not units[:, p2, p1].any()
+                assert (units[:, p1, hub] == units[:, p2, hub]).all() and (units[:, hub, p1] == units[:, hub, p2]).all()
+
+    def test_closed_form_matches_eigvals(self):
+        # Every zero/nonzero pattern of the five rates, gamma12 included on
+        # its own, so that patterns no angle reaches are covered too; three
+        # sets of values: the defaults, all rates equal, and gamma_coll =
+        # (gamma01 - gamma02)/2, where p1 decays as fast as Re rho21 and two
+        # eigenvalues coincide or, with gamma12 tiny, all but coincide (the
+        # textbook discriminant 4 J2**3 - 27 J3**2 loses 1e-9 there); and the
+        # reachable components of each preset's drive and initial state.
+        units = liouvillian._units()[1]
+        scenarios = [getattr(spec, "base", spec) for spec in map(preset, PRESET_NAMES)]
+        cut = 0
+        for pattern in np.ndindex(*(2,) * 5):
+            support = (np.array(pattern, dtype=float) @ units).reshape(16, 16)
+            masks = {reach.tobytes(): reach for reach in
+                     (integrator._reachable(sc, support, sample_times(sc)) for sc in scenarios)}
+            for theta in (0.0, 1e-8, 0.3, math.pi / 4, math.pi / 2):
+                for g01, g02, g03, g_coll in ((5.8, 2.2, 0.1, 0.7), (1.0, 1.0, 1.0, 1.0), (5.8, 2.2, 0.1, 1.8)):
+                    base = np.array((g01, g02, g03, math.sqrt(g01 * g02) * math.cos(theta), g_coll)) * pattern
+                    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12, 1e25, 1e50, 1e100, 1e150):
+                        decay = (scale * base @ units).reshape(16, 16)
+                        for reach in masks.values():
+                            expected = float(np.max(np.abs(np.linalg.eigvals(decay[np.ix_(reach, reach)]))))
+                            assert abs(integrator._spectral_radius(decay, reach) - expected) <= 1e-13 * expected, (
+                                pattern, theta, g01, scale, reach)
+                            cut += not reach.all()
+        assert cut
+
+    def test_no_run_calls_eigvals(self, monkeypatch):
+        # Each preset's lanes, each of fig6's points and the stiff scenarios
+        # pick the stepper that the eigvals-based stability ratio predicts;
+        # then the runs go through with np.linalg.eigvals refused.
+        fig6 = preset("fig6")
+        scenarios = [spec for spec in map(preset, PRESET_NAMES) if isinstance(spec, Scenario)] + [STIFF, EDGE]
+        scenarios += [apply_parameter(fig6.base, fig6.parameters[0], value) for (value,) in fig6.grid()]
+        predicted = [integrator._RadauLanes if stability_ratio(sc) > integrator.STIFF_RATIO else integrator._DopriLanes
+                     for sc in scenarios]
+        assert integrator._RadauLanes in predicted and integrator._DopriLanes in predicted
+
+        def refused(a):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        assert [stepper(sc) for sc in scenarios] == predicted
+        for sc in (preset("fig2"), preset("fig4"), STIFF):
+            integrate(sc)
+        assert len(sweep(fig6).rows) == 64
 
 
 class TestExactTail:
