@@ -61,8 +61,8 @@ import numpy as np
 from .drive import DriveLanes, detuning_phases, drive_coefficients, pulses_over
 from .errors import IntegrationError, InsufficientDataError, InvalidParameterError, PhysicalityError, SimulationError
 from .liouvillian import (
-    PACKED_SIZE, decay_blocks, decay_generator, drive_generators, drive_norms, generator_basis, pack_state,
-    rotate_coherences, unpack_state,
+    PACKED_SIZE, coupling_closure, decay_blocks, decay_generator, drive_generators, drive_norms, generator_basis,
+    pack_state, rotate_coherences, unpack_state,
 )
 from .model import DensityMatrix, ObservableRecord, Scenario
 from .observables import packed_diagnostics, packed_verdict
@@ -416,40 +416,32 @@ def _reachable(scenario: Scenario, decay: np.ndarray, grid: np.ndarray) -> np.nd
     drive = scenario.drive
     times = np.clip((grid[0], grid[-1], drive.center1, drive.center2), grid[0], grid[-1])
     couples = (decay != 0) | np.any(drive_generators(times, drive) != 0, axis=0)
-    reach = pack_state(scenario.initial_state) != 0
-    for _ in range(PACKED_SIZE):
-        grown = reach | couples[:, reach].any(axis=1)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    return reach
+    return coupling_closure(couples)[:, pack_state(scenario.initial_state) != 0].any(axis=1)
 
 
 def _spectral_radius(decay: np.ndarray, reach: np.ndarray) -> float:
     """rho(L0) on the reachable components, from the eigenvalues of L0's blocks in closed form.
 
     ``reach`` is closed under the couplings of L0, as ``_reachable`` makes
-    it, so the doublet block is reachable whole or has no couplings.  The
-    blocks (see liouvillian.decay_blocks) keep only their entries between
-    reachable components, which adds zero eigenvalues and changes no
-    other, and each is scaled by its largest entry, so that no product
-    overflows.  Each pair of couplings has a nonnegative product, so the
-    eigenvalues are real.  A 2x2 block [[a, u], [v, d]] has the eigenvalues
-    (a + d)/2 +- sqrt(((a - d)/2)**2 + uv).  The doublet block's three come
-    from the invariants J2 and J3 of its traceless part by the
-    trigonometric formula, with the discriminant 4 J2**3 - 27 J3**2 summed
-    from nonnegative terms, so that close eigenvalues lose no accuracy
-    (Harari & Albocher 2023).
+    it, so the doublet block is reachable whole or has no couplings.  Each
+    block (see liouvillian.decay_blocks) is cut to its reachable members:
+    the reachable principal submatrix is block triangular in the cut
+    blocks, so their eigenvalues are its own.  Each is scaled by its
+    largest entry, so that no product overflows.  Each pair of couplings
+    has a nonnegative product, so the eigenvalues are real.  A 2x2 block
+    [[a, u], [v, d]] has the eigenvalues (a + d)/2 +- sqrt(((a - d)/2)**2 +
+    uv).  The doublet block's three come from the invariants J2 and J3 of
+    its traceless part by the trigonometric formula, with the discriminant
+    4 J2**3 - 27 J3**2 summed from nonnegative terms, so that close
+    eigenvalues lose no accuracy (Harari & Albocher 2023).
     """
-    blocks, entries = decay_blocks()
-    values = np.where((reach[:, None] & reach).take(entries), decay.take(entries), 0.0).tolist()
+    entries, reached = decay.tolist(), reach.tolist()
     radius = 0.0
-    start = 0
-    for block in blocks:
-        size = len(block)
-        block_values = values[start:start + size * size]
-        start += size * size
-        scale = max(map(abs, block_values))
+    for block in decay_blocks():
+        members = [k for k in block if reached[k]]
+        size = len(members)
+        block_values = [entries[i][j] for i in members for j in members]
+        scale = max(map(abs, block_values), default=0.0)
         if not scale or size == 1:
             radius = max(radius, scale)
             continue
@@ -598,7 +590,8 @@ class _Lane:
             )
         # A step spans at most this many grid times: it bounds the search for them.
         self.span_rows = int(self.max_step / scenario.sample_interval) + 2
-        capped = span / self.max_step
+        # A tau/10 that underflows to 0 allows no step, so any span to step is too long.
+        capped = span / self.max_step if self.max_step else math.inf if span else 0.0
         if capped > MAX_STEPS:
             raise IntegrationError(
                 f"window too long: in steps of at most tau/10 = {self.max_step:g}, stepping from t={t_start:g} "
@@ -1138,7 +1131,7 @@ def _steady_window(scenario: Scenario, grid: np.ndarray) -> float:
         raise InsufficientDataError(
             f"window {STEADY_WINDOW:g} exceeds trajectory span {last - first:g}"
         )
-    pulses_off = scenario.drive.pulses_off_after(1e-6)
+    pulses_off = scenario.drive.pulses_off_after()
     if last - STEADY_WINDOW < pulses_off:
         raise InsufficientDataError(
             f"trajectory ends at t={last:g}, but needs to reach t={pulses_off + STEADY_WINDOW:g} "

@@ -91,24 +91,26 @@ def _units() -> tuple[np.ndarray, np.ndarray]:
     return np.array([packed(op) for op in commutators]), np.array([packed(op) for op in decays])
 
 
-@functools.cache
-def decay_blocks() -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The strongly connected blocks of L0's sparsity pattern, and the flat indices of their entries in L0.
-
-    Each block is a sorted tuple of packed indices; the entries follow
-    block by block, row-major.  L0, and any principal submatrix of it, is
-    block triangular in these blocks, so its eigenvalues are theirs; a
-    zero rate can only split a block.  They are 1x1 or 2x2, except the
-    doublet block (p1, p2, Re rho21), an arrowhead: p1 and p2 do not
-    couple, and each couples to Re rho21 with the same product of
-    entries, gamma12**2 / 2.
-    """
-    n = PACKED_SIZE
-    paths = (_units()[1] != 0).any(axis=0).reshape(n, n) | np.eye(n, dtype=bool)
-    for _ in range(n.bit_length()):  # doubling the path length each time
+def coupling_closure(couples: np.ndarray) -> np.ndarray:
+    """The reflexive transitive closure of a square boolean pattern: (i, j) is true when j reaches i."""
+    paths = couples | np.eye(len(couples), dtype=bool)
+    for _ in range(len(couples).bit_length()):  # doubling the path length each time
         paths = paths @ paths
-    blocks = tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in paths & paths.T}))
-    return blocks, np.array([n * i + j for block in blocks for i in block for j in block])
+    return paths
+
+
+@functools.cache
+def decay_blocks() -> tuple[tuple[int, ...], ...]:
+    """The strongly connected blocks of L0's sparsity pattern, each a sorted tuple of packed indices.
+
+    L0, and any principal submatrix of it, is block triangular in these
+    blocks, so its eigenvalues are theirs; a zero rate can only split a
+    block.  They are 1x1 or 2x2, except the doublet block (p1, p2, Re
+    rho21), an arrowhead: p1 and p2 do not couple, and each couples to Re
+    rho21 with the same product of entries, gamma12**2 / 2.
+    """
+    paths = coupling_closure((_units()[1] != 0).any(axis=0).reshape(PACKED_SIZE, PACKED_SIZE))
+    return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in paths & paths.T}))
 
 
 @functools.cache

@@ -50,6 +50,8 @@ MAX_SAMPLE_ROWS = 100_000
 # file's [chirp] section switched on without amplitudes.
 CHIRP_BASELINE = (0.3, 0.2)
 
+_PULSE_OFF_FRACTION = 1e-6  # below this fraction of its peak an envelope counts as off
+
 
 def cross_damping(gamma01: float, gamma02: float, theta: float) -> float:
     """Interference cross-damping rate sqrt(g01*g02)*cos(theta).
@@ -258,8 +260,8 @@ class DriveConfig:
         """Center of pulse 2 (and of its chirp ramp)."""
         return self.t_origin + self.t0
 
-    def pulses_off_after(self, fraction: float = 1e-6) -> float:
-        """Time after which both envelopes stay below `fraction` of their peaks.
+    def pulses_off_after(self) -> float:
+        """Time after which both envelopes stay below _PULSE_OFF_FRACTION of their peaks.
 
         Zero-amplitude pulses never constrain this; with both amplitudes
         zero the result is -inf (there is no pulse to wait out).
@@ -271,7 +273,7 @@ class DriveConfig:
             centers.append(self.center2)
         if not centers:
             return -math.inf
-        half_width = self.tau * math.sqrt(math.log(1.0 / fraction))
+        half_width = self.tau * math.sqrt(math.log(1.0 / _PULSE_OFF_FRACTION))
         return max(centers) + half_width
 
 

@@ -74,13 +74,9 @@ def dark_state_overlap(rho: DensityMatrix, params: SystemParams) -> float:
 
 
 def bright_state_overlap(rho: DensityMatrix, params: SystemParams) -> float:
-    """<B|rho|B> for the orthogonal (fast-decaying) doublet superposition."""
-    total = params.gamma01 + params.gamma02
-    if total <= 0.0:
-        raise InvalidParameterError("bright state undefined: both doublet decay rates are zero")
-    v = np.zeros(4, dtype=complex)
-    v[1] = math.sqrt(params.gamma01 / total)
-    v[2] = math.sqrt(params.gamma02 / total)
+    """<B|rho|B> for the orthogonal (fast-decaying) doublet superposition, (-dark[2], dark[1]) in the doublet."""
+    dark = dark_state_vector(params)
+    v = np.array((0.0, -dark[2].real, dark[1].real, 0.0), dtype=complex)
     return float((v.conj() @ rho.matrix @ v).real)
 
 

@@ -225,6 +225,7 @@ class TestBoundedGrids:
              "decay rates too stiff: L0 times the window from t=-16 to t=80 is not finite"),
             ("gamma_coll", "[decay]\ngamma_coll = 1e200\n", tail.format("2.01e+185")),
             ("tau", "[drive]\ntau = 1e-300\n", "window too long"),
+            ("tau_underflow", "[drive]\ntau = 5e-324\n", "window too long"),
             ("g02", "[drive]\ng02 = 1e300\n", "step size underflow"),
             ("chi1", "[chirp]\nenabled = true\nchi1 = 1e300\n", "step size underflow"),
             ("g01", "[drive]\ng01 = 1e200\n", "step size underflow"),

@@ -286,14 +286,15 @@ class TestLaneBatchedSweep:
     def test_window_too_long_for_the_step_cap_is_flagged(self, monkeypatch):
         # With a budget of 1,000 steps, tau = 0.2 caps steps at 0.02 and the
         # 27 units up to the end of its pulses need at least 1,350: that point
-        # is flagged before stepping, while tau = 4 (about 425 attempts) runs
-        # as it does alone.
+        # is flagged before stepping, as is tau = 5e-324, whose cap underflows
+        # to 0, while tau = 4 (about 425 attempts) runs as it does alone.
         monkeypatch.setattr(integrator, "MAX_STEPS", 1_000)
-        spec = SweepSpec(base=preset("fig4"), axes=(SweepAxis("tau", (4.0, 0.2)),))
-        ok, long = sweep(spec).rows
-        assert "window too long" in long.error
-        assert not long.converged
-        assert math.isnan(long.doublet_population)
+        spec = SweepSpec(base=preset("fig4"), axes=(SweepAxis("tau", (4.0, 0.2, 5e-324)),))
+        ok, *long = sweep(spec).rows
+        for row in long:
+            assert "window too long" in row.error
+            assert not row.converged
+            assert math.isnan(row.doublet_population)
         assert ok.error is None
         assert row_bits(ok) == solo_bits(spec, (4.0,))
 

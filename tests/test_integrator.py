@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -450,14 +451,53 @@ class TestStepperSelection:
             assert outcome.max_delta == solo.max_delta
 
 
+def grown_reach(couples: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Oracle for the reach: grow the support along the couplings until it stops changing."""
+    reach = support
+    for _ in range(16):
+        grown = reach | couples[:, reach].any(axis=1)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    return reach
+
+
+class TestReachable:
+    """The reach is the closure of the initial support under the couplings of L(t)."""
+
+    def test_random_patterns_match_growing_the_support(self):
+        # A quiet drive has no couplings, so L0's pattern is all there is;
+        # _reachable reads only the scenario's drive and initial state.  The
+        # chain from component 0 takes the longest path, 15 couplings.
+        rng = np.random.default_rng(29)
+        grid = np.array([0.0, 1.0])
+        cases = [(rng.random((16, 16)) < density, np.where(rng.random(16) < 0.15, rng.random(16), 0.0))
+                 for density in (0.02, 0.05, 0.1, 0.2) for _ in range(50)]
+        cases.append((np.eye(16, k=-1, dtype=bool), np.eye(16)[0]))
+        for couples, y in cases:
+            scenario = SimpleNamespace(drive=QUIET_DRIVE, initial_state=DensityMatrix(liouvillian.unpack_state(y)))
+            reach = integrator._reachable(scenario, couples.astype(float), grid)
+            assert reach.tolist() == grown_reach(couples, y != 0).tolist(), (couples, y)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_match_growing_the_support(self, name):
+        # The oracle reads the drive's couplings at every grid time.
+        sc = getattr(preset(name), "base", preset(name))
+        grid = sample_times(sc)
+        decay = decay_generator(sc.params)
+        couples = (decay != 0) | np.any(liouvillian.drive_generators(grid, sc.drive) != 0, axis=0)
+        support = liouvillian.pack_state(sc.initial_state) != 0
+        assert integrator._reachable(sc, decay, grid).tolist() == grown_reach(couples, support).tolist()
+
+
 class TestSpectralRadius:
     """rho(L0) comes from L0's blocks in closed form; np.linalg.eigvals is the oracle."""
 
     def test_blocks_are_at_most_3x3_and_the_doublet_block_is_an_arrowhead(self):
-        blocks, entries = decay_blocks()
+        blocks = decay_blocks()
+        assert blocks == ((0,), (1, 2, 8), (3,), (4, 6), (5, 7), (9,), (10,), (11,), (12, 14), (13, 15))
         assert sorted(k for block in blocks for k in block) == list(range(16))
         assert max(map(len, blocks)) == 3
-        assert entries.tolist() == [16 * i + j for block in blocks for i in block for j in block]
         units = liouvillian._units()[1].reshape(5, 16, 16)
         for block in blocks:
             # For nonnegative rates every pair of couplings has a nonnegative
@@ -533,7 +573,8 @@ class TestExactTail:
         # From the first row after the envelopes fall below 1e-10 of their
         # peaks: that row is still stepped, so the hand-over is covered too.
         traj = integrate(scenario)
-        rows = traj.columns[traj.times >= scenario.drive.pulses_off_after(1e-10)]
+        drive = scenario.drive
+        rows = traj.columns[traj.times >= max(drive.center1, drive.center2) + drive.tau * math.sqrt(math.log(1e10))]
         assert len(rows) > 500
         assert np.max(np.abs(rows[:, 1:17] - exact_tail(scenario, rows))) <= 1e-7
 
@@ -567,6 +608,15 @@ class TestExactTail:
         fixed = integrate_fixed_step(sc, 0.01)
         assert np.max(np.abs(fixed.columns[:, 1:18] - traj.columns[:, 1:18])) <= 1e-5
 
+    def test_no_pulse_lane_with_a_zero_step_cap_takes_no_step(self):
+        # tau = 5e-324 makes the tau/10 cap 0, but a lane without a pulse
+        # steps nothing, so the cap bounds nothing: the run is the same closed
+        # form as at the default tau.
+        sc = quiet_scenario(initial_state=DensityMatrix.pure(1))
+        traj = integrate(replace(sc, drive=replace(QUIET_DRIVE, tau=5e-324)))
+        assert (traj.stats.steps_accepted, traj.stats.steps_rejected) == (0, 0)
+        assert traj.columns.tobytes() == integrate(sc).columns.tobytes()
+
     @pytest.mark.parametrize("gamma03, rejected", [(1e4, False), (1e8, True), (1e10, True), (1e12, True)])
     def test_no_pulse_stiff_decay_is_within_atol_or_rejected(self, gamma03, rejected):
         # From |3> without a pulse the population falls to |0> at once, so p0
@@ -598,7 +648,8 @@ class TestExactTail:
         head = traj.columns[:len(fixed.columns)]
         assert head[:, 0].tobytes() == fixed.times.tobytes()
         assert np.max(np.abs(head[:, 1:18] - fixed.columns[:, 1:18])) <= 1e-5
-        rows = traj.columns[traj.times >= sc.drive.pulses_off_after(1e-10)]
+        drive = sc.drive
+        rows = traj.columns[traj.times >= max(drive.center1, drive.center2) + drive.tau * math.sqrt(math.log(1e10))]
         assert np.max(np.abs(rows[:, 1:17] - exact_tail(sc, rows))) <= 1e-7
 
 

@@ -161,7 +161,7 @@ class TestDarkStateInvariant:
 
     def test_dark_population_constant_after_pulses(self, run, request):
         result = request.getfixturevalue(run)
-        off = result.scenario.drive.pulses_off_after(1e-6)
+        off = result.scenario.drive.pulses_off_after()
         tail = [s for s in result.traj.samples if s.time >= off]
         assert len(tail) > 1000
         darks = [dark_state_overlap(s.state, PARAMS) for s in tail]
