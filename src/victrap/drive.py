@@ -129,9 +129,15 @@ def detuning_phases(ts, drive: DriveConfig) -> np.ndarray:
 
     Phi = chi * r * log cosh((t - c)/r) + static * t, with r the chirp
     ramp.  log cosh x is evaluated as |x| + log1p(exp(-2|x|)) - log 2, which
-    does not overflow.  Only differences of the phases are meaningful.
+    does not overflow.  A zero chirp amplitude's term is exactly 0 and is
+    not evaluated, so a ramp small enough to overflow x forms no 0 * inf.
+    Only differences of the phases are meaningful.
     """
     t = np.asarray(ts, dtype=float).reshape(-1, 1)
-    chi, static = np.array(((drive.chi1, drive.chi2), (drive.static_delta1, drive.static_delta2)))
-    x = np.abs(t - np.array((drive.center1, drive.center2))) / drive.chirp_ramp
-    return chi * drive.chirp_ramp * (x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0)) + static * t
+    chi, static, center = np.array(((drive.chi1, drive.chi2), (drive.static_delta1, drive.static_delta2),
+                                    (drive.center1, drive.center2)))
+    chirped = chi != 0
+    x = np.abs(t - center[chirped]) / drive.chirp_ramp
+    chirp = np.zeros((len(t), 2))
+    chirp[:, chirped] = chi[chirped] * drive.chirp_ramp * (x + np.log1p(np.exp(-2.0 * x)) - math.log(2.0))
+    return chirp + static * t

@@ -71,8 +71,14 @@ def _units() -> tuple[np.ndarray, np.ndarray]:
     delta2) in the rotating-frame Hamiltonian; decay rows belong to the
     rates (gamma01, gamma02, gamma03, gamma12, gamma_coll).  Column j is
     the packed image of basis state j; each operator maps all 16 at once.
+
+    Every operator is real, so each maps the real and the imaginary part
+    of the basis separately, and the commutator's -i is applied once, where
+    the two parts are recombined.  A complex matrix product here would be
+    the only one in a run and would page BLAS's complex kernels (zgemm)
+    into every process; the real products give the same bits.
     """
-    ket = np.eye(DIM, dtype=complex)
+    ket = np.eye(DIM)
     kb = [[np.outer(ket[i], ket[j]) for j in range(DIM)] for i in range(DIM)]  # kb[i][j] = |i><j|
     hamiltonians = (-(kb[1][0] + kb[2][0] + kb[0][1] + kb[0][2]), -(kb[3][0] + kb[0][3]),
                     -(kb[1][1] + kb[2][2]), -kb[3][3])
@@ -82,13 +88,19 @@ def _units() -> tuple[np.ndarray, np.ndarray]:
     a1, a2, a3 = kb[0][1:]
     decays = (_lindblad((a1, a1)), _lindblad((a2, a2)), _lindblad((a3, a3)),
               _lindblad((a1, a2), (a2, a1)), lambda rho: np.where(np.eye(DIM, dtype=bool), rho, 0) - rho)
-    commutators = [lambda rho, h=h: -1j * (h @ rho - rho @ h) for h in hamiltonians]
+    commutators = [lambda rho, h=h: h @ rho - rho @ h for h in hamiltonians]
     basis = unpack_state(np.eye(PACKED_SIZE))
+    parts = basis.real, basis.imag
 
-    def packed(op):
-        return np.ascontiguousarray(op(basis)).view(float).reshape(PACKED_SIZE, -1)[:, _PACK].T.ravel()
+    def image(op):
+        out = np.empty(basis.shape, dtype=complex)
+        out.real, out.imag = (op(part) for part in parts)
+        return out
 
-    return np.array([packed(op) for op in commutators]), np.array([packed(op) for op in decays])
+    def packed(images):
+        return images.view(float).reshape(PACKED_SIZE, -1)[:, _PACK].T.ravel()
+
+    return np.array([packed(-1j * image(op)) for op in commutators]), np.array([packed(image(op)) for op in decays])
 
 
 def coupling_closure(couples: np.ndarray) -> np.ndarray:

@@ -236,6 +236,16 @@ class TestBoundedGrids:
             assert len(err.splitlines()) == 1 and err.startswith("victrap: physics failure:"), err
             assert message in err, err
 
+    def test_chirp_off_ignores_an_underflowing_ramp(self, tmp_path, capsys):
+        # With the chirp off the amplitudes are 0, so the ramp plays no part:
+        # even a subnormal one gives the default run's bytes.
+        outputs = []
+        for name, text in (("ramp", "[chirp]\nramp = 5e-324\n"), ("empty", "")):
+            cfg = write(tmp_path, f"{name}.cfg", text)
+            assert main(["--quiet", "--format", "json", "run", "--config", cfg]) == 0, name
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 STIFF_RUN_CFG = """\
 [decay]

@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from victrap import DriveConfig, drive_sample
-from victrap.drive import drive_coefficients
+from victrap.drive import detuning_phases, drive_coefficients
 
 times = st.floats(min_value=-40.0, max_value=80.0, allow_nan=False)
 
@@ -102,6 +103,23 @@ class TestChirp:
         fast = DriveConfig(chi1=0.3, chi2=0.2, chirp_ramp=1.0)
         assert detunings(2.0, slow)[0] == pytest.approx(0.3 * math.tanh(0.5))
         assert detunings(2.0, fast)[0] == pytest.approx(0.3 * math.tanh(2.0))
+
+
+class TestDetuningPhases:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ramp", [5e-324, 1e-300, 2.0, 1e300])
+    def test_chirp_off_is_static_for_any_ramp(self, ramp):
+        # A zero amplitude's term is exactly 0: no 0 * inf, however far a
+        # tiny ramp pushes the log cosh argument.
+        drive = DriveConfig(chi1=0.0, chi2=0.0, static_delta1=0.7, static_delta2=-0.25, chirp_ramp=ramp)
+        ts = np.array([-40.0, -1.5, 0.0, 3.5, 31.35, 80.0])
+        assert np.array_equal(detuning_phases(ts, drive), np.array([0.7, -0.25]) * ts[:, None])
+
+    def test_derivative_is_the_detuning(self):
+        drive = DriveConfig(chi1=0.3, chi2=-0.2, static_delta1=0.1, static_delta2=0.05)
+        ts, h = np.linspace(-10.0, 20.0, 31), 1e-5
+        slope = (detuning_phases(ts + h, drive) - detuning_phases(ts - h, drive)) / (2.0 * h)
+        assert np.allclose(slope, drive_coefficients(ts, drive)[:, 2:], atol=1e-8)
 
 
 class TestDriveSample:

@@ -291,6 +291,33 @@ class TestPackedRepresentation:
         assert np.array_equal(liouvillian._units()[0], np.array(drive))
         assert np.array_equal(liouvillian._units()[1], np.array(decay))
 
+    def test_unit_generators_match_complex_products_bit_for_bit(self):
+        # _units() multiplies real arrays only; the reference applies the
+        # same operators as complex matrices to the complex basis.  Every
+        # bit agrees, signed zeros included.
+        ket = np.eye(4, dtype=complex)
+        kb = [[np.outer(ket[i], ket[j]) for j in range(4)] for i in range(4)]  # kb[i][j] = |i><j|
+        hamiltonians = (-(kb[1][0] + kb[2][0] + kb[0][1] + kb[0][2]), -(kb[3][0] + kb[0][3]),
+                        -(kb[1][1] + kb[2][2]), -kb[3][3])
+        a1, a2, a3 = kb[0][1:]
+
+        def lindblad(*pairs):
+            return lambda rho: sum(a @ rho @ b.T - 0.5 * (b.T @ a @ rho + rho @ b.T @ a) for a, b in pairs)
+
+        decays = (lindblad((a1, a1)), lindblad((a2, a2)), lindblad((a3, a3)),
+                  lindblad((a1, a2), (a2, a1)), lambda rho: np.where(np.eye(4, dtype=bool), rho, 0) - rho)
+        commutators = [lambda rho, h=h: -1j * (h @ rho - rho @ h) for h in hamiltonians]
+        basis = unpack_state(np.eye(16))
+
+        def packed(op):
+            return np.ascontiguousarray(op(basis)).view(float).reshape(16, -1)[:, liouvillian._PACK].T.ravel()
+
+        drive, decay = liouvillian._units()
+        assert drive.dtype == decay.dtype == np.float64
+        assert np.array_equal(drive.view(np.int64), np.array([packed(op) for op in commutators]).view(np.int64))
+        assert np.array_equal(decay.view(np.int64), np.array([packed(op) for op in decays]).view(np.int64))
+        assert np.signbit(drive[drive == 0]).any()  # the comparison covers signed zeros
+
 
 class TestRotateCoherences:
     @staticmethod
