@@ -51,8 +51,9 @@ public API are built from the rows only when read.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -65,7 +66,7 @@ from .liouvillian import (
     pack_state, rotate_coherences, unpack_state,
 )
 from .model import DensityMatrix, ObservableRecord, Scenario
-from .observables import packed_diagnostics, packed_verdict
+from .observables import packed_diagnostics, packed_purity, packed_verdict
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
@@ -237,7 +238,13 @@ class IntegrationStats(NamedTuple):
 
 
 class SteadySummary(NamedTuple):
-    """Late-time values read from the final sample, plus the convergence verdict."""
+    """Late-time values read from the final sample, plus the convergence verdict.
+
+    In a summary from ``steady_states``, ``record.min_eigenvalue`` is NaN
+    where the final row's block passed the Cholesky certificate of
+    ``observables.packed_verdict``; ``detect_steady_state`` always gives
+    the eigenvalue.
+    """
 
     converged: bool
     time: float
@@ -330,13 +337,16 @@ class _SampleRecorder:
     reported.  Rows before ``keep_from`` are dropped once checked, so only
     the rows from ``keep_from`` on (and at most one block) are ever held.
     Being dropped unread, they get only the verdict of
-    ``observables.packed_verdict``, which spares their eigenvalues.
+    ``observables.packed_verdict``, which spares their eigenvalues; the
+    kept rows get the columns ``diagnose`` gives.
     """
 
-    def __init__(self, scenario: Scenario, n_rows: int, keep_from: int = 0):
+    def __init__(self, scenario: Scenario, n_rows: int, keep_from: int = 0,
+                 diagnose: Callable[[np.ndarray], np.ndarray] = packed_diagnostics):
         self.scenario = scenario
         self.rows = np.empty((max(min(_BLOCK, n_rows), n_rows - keep_from), len(TRAJECTORY_COLUMNS)))
         self.keep_from = keep_from
+        self.diagnose = diagnose
         self.base = 0  # index of the sample held in rows[0]
         self.written = 0
         self.checked = 0
@@ -369,7 +379,7 @@ class _SampleRecorder:
         if dropped:
             block[:dropped, _DIAGNOSTICS] = packed_verdict(block[:dropped, _STATE], sc.pos_tol)
         if dropped < len(block):
-            block[dropped:, _DIAGNOSTICS] = packed_diagnostics(block[dropped:, _STATE])
+            block[dropped:, _DIAGNOSTICS] = self.diagnose(block[dropped:, _STATE])
         bad = (block[:, -2] > sc.trace_tol) | (block[:, -1] < -sc.pos_tol)
         if bad.any():
             t, trace_error, min_eig = block[int(np.argmax(bad)), [0, -2, -1]].tolist()
@@ -553,7 +563,8 @@ class _Lane:
     tail's rounding could exceed atol.
     """
 
-    def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0, shared: dict | None = None):
+    def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0, shared: dict | None = None,
+                 diagnose: Callable[[np.ndarray], np.ndarray] = packed_diagnostics):
         drive, params = scenario.drive, scenario.params
         self.shared = {} if shared is None else shared
         self.basis = _once(self.shared, params, lambda: generator_basis(decay_generator(params)))
@@ -599,7 +610,7 @@ class _Lane:
             )
         self.scenario = scenario
         self.grid = grid
-        self.recorder = _SampleRecorder(scenario, len(grid), keep_from)
+        self.recorder = _SampleRecorder(scenario, len(grid), keep_from, diagnose)
         # The lane's column of its lane set's block at the start: y0 and, for
         # Dormand-Prince, the first stage L(t_start) y0, which each accepted
         # step then carries over from its last.
@@ -1047,14 +1058,27 @@ def integrate(scenario: Scenario) -> Trajectory:
         return lane.trajectory()
 
 
+def _window_diagnostics(states: np.ndarray, pos_tol: float) -> np.ndarray:
+    """A sweep lane's kept rows: the purity, with ``observables.packed_verdict``'s trace error and verdict.
+
+    No output reads a sweep row's minimum eigenvalue, so it is NaN where
+    the Cholesky certificate passes.
+    """
+    diagnostics = packed_verdict(states, pos_tol)
+    diagnostics[:, 0] = packed_purity(states)
+    return diagnostics
+
+
 def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | SimulationError]:
     """Integrate the scenarios as lanes of one lockstep run and summarise each one's steady state.
 
     Entry i is what ``detect_steady_state(integrate(scenarios[i]))``
     returns, bit for bit, or the error it raises: a lane that fails
-    to start, to step or to summarise leaves the others untouched.  Each
-    lane checks every sample but keeps only the rows of its trailing
-    window, so memory does not grow with the sample grid.
+    to start, to step or to summarise leaves the others untouched, except
+    that ``record.min_eigenvalue`` is NaN where the Cholesky certificate
+    passed: each lane checks every sample with the verdict of
+    ``observables.packed_verdict`` only, and keeps only the rows of its
+    trailing window, so memory does not grow with the sample grid.
     """
     outcomes: list = [None] * len(scenarios)
     lanes = {}
@@ -1069,7 +1093,9 @@ def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | Simulat
             except SimulationError as exc:
                 start, window_error = math.inf, exc
             try:
-                lanes[i] = (_Lane(scenario, grid, bisect.bisect_left(grid, start), shared), start, window_error)
+                diagnose = functools.partial(_window_diagnostics, pos_tol=scenario.pos_tol)
+                lane = _Lane(scenario, grid, bisect.bisect_left(grid, start), shared, diagnose)
+                lanes[i] = (lane, start, window_error)
             except SimulationError as exc:
                 outcomes[i] = exc
         _run_lanes([lane for lane, _, _ in lanes.values()])

@@ -312,8 +312,14 @@ class Scenario:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise InvalidParameterError(f"{name} must be positive, got {value!r}")
-        report = validate_physicality(self.initial_state, self.trace_tol, self.pos_tol)
-        if not report.ok:
+        # The Cholesky verdict decides; validate_physicality only words the error.
+        # Imported here because liouvillian and observables import this module.
+        from .liouvillian import pack_state
+        from .observables import packed_verdict
+
+        trace_error, min_eig = packed_verdict(pack_state(self.initial_state)[None], self.pos_tol)[0, 1:].tolist()
+        if trace_error > self.trace_tol or min_eig < -self.pos_tol:
+            report = validate_physicality(self.initial_state, self.trace_tol, self.pos_tol)
             raise InvalidParameterError(
                 "initial state is unphysical: "
                 f"trace_error={report.trace_error:.3e}, "

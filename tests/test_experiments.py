@@ -237,6 +237,32 @@ class TestLaneBatchedSweep:
         converged = [row.converged for row in table.rows]
         assert not all(converged) and any(converged)
 
+    def test_sweep_calls_no_eigensolver(self, monkeypatch, solo_rows):
+        # Every row of a sweep lane, dropped or kept, and each point's initial
+        # state take the Cholesky verdict (observables.packed_verdict), a real
+        # factorisation; no minimum eigenvalue is computed unless it fails.
+        # Radau IIA lanes (gamma01 = 100) record through the same path.
+        stiff = SweepSpec(base=replace(preset("fig4"), params=replace(preset("fig4").params, gamma01=100.0)),
+                          axes=(SweepAxis("theta", (0.0, 0.8)),))
+        assert {integrator._Lane(sc, integrator.sample_times(sc)).stepper
+                for sc in (point_scenario(stiff, values) for values in stiff.grid())} == {integrator._RadauLanes}
+        stiff_rows = [solo_bits(stiff, values) for values in stiff.grid()]
+        cholesky = np.linalg.cholesky
+        factored = []
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        def real_cholesky(a):
+            factored.append(a.dtype)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        monkeypatch.setattr(np.linalg, "cholesky", real_cholesky)
+        assert [row_bits(row) for row in sweep(THETA_CHI1).rows] == solo_rows
+        assert [row_bits(row) for row in sweep(stiff).rows] == stiff_rows
+        assert factored and set(factored) == {np.dtype(float)}
+
     def test_chirp_amplitude_axis_on_a_chirp_off_base_chirps(self):
         # chi1 = 0 is the chirp off, so the first row is fig2's; the others
         # chirp pulse 1 and move every observable.
@@ -406,31 +432,56 @@ def test_physicality_failure_in_one_lane_leaves_the_others_untouched():
         assert summary_bits(outcomes[i]) == summary_bits(detect_steady_state(integrate(scenarios[i])))
 
 
+def dent_at(monkeypatch, scenario, time):
+    """Record the scenario's sample at ``time`` with p3 + 1e-8 of population moved from |3> to |0>.
+
+    p3 becomes -1e-8, so the dented sample's smallest eigenvalue lies at
+    or below -1e-8, while its trace stays 1.
+    """
+    record = integrator._SampleRecorder.record
+
+    def dented(self, samples):
+        if self.scenario is scenario and time in samples[:, 0]:
+            samples = samples.copy()
+            row = samples[samples[:, 0] == time][0]
+            row[[1, 4]] += (row[4] + 1e-8, -(row[4] + 1e-8))
+            samples[samples[:, 0] == time] = row
+        record(self, samples)
+
+    monkeypatch.setattr(integrator._SampleRecorder, "record", dented)
+
+
 def test_physicality_failure_first_in_a_dropped_row_is_the_lane_outcome(monkeypatch):
     # Loose tolerances let fig4 dip below -1e-9 at t = -9.5, long before the
     # steady window: the row is dropped unread, so the Cholesky verdict checks
     # it, finds it cannot certify the block, and falls back to eigvalsh.  The
-    # outcome is the solo run's error; the neighbours keep their bits.
-    failing = replace(preset("fig4"), rtol=1e-4, atol=1e-6, pos_tol=1e-9)
-    with pytest.raises(PhysicalityError) as solo:
-        integrate(failing)
-    assert str(solo.value).endswith("at t=-9.5")
-    uncertified = []
-    real = integrator.packed_verdict
+    # outcome is the solo run's error; the neighbours keep their bits.  The
+    # rows a lane keeps take the same verdict: in the second case fig4's
+    # first bad row is one dented inside the steady window, at t = 77.5.
+    loose = replace(preset("fig4"), rtol=1e-4, atol=1e-6, pos_tol=1e-9)
+    dented = replace(preset("fig4"), pos_tol=1e-9)
+    for failing, at in ((loose, -9.5), (dented, 77.5)):
+        if failing is dented:
+            dent_at(monkeypatch, dented, at)
+        with pytest.raises(PhysicalityError) as solo:
+            integrate(failing)
+        assert str(solo.value).endswith(f"at t={at:g}")
+        uncertified = []
+        real = integrator.packed_verdict
 
-    def verdict(states, pos_tol):
-        columns = real(states, pos_tol)
-        uncertified.append(pos_tol == failing.pos_tol and not np.isnan(columns[:, 2]).any())
-        return columns
+        def verdict(states, pos_tol):
+            columns = real(states, pos_tol)
+            uncertified.append(pos_tol == failing.pos_tol and not np.isnan(columns[:, 2]).any())
+            return columns
 
-    monkeypatch.setattr(integrator, "packed_verdict", verdict)
-    scenarios = [preset("fig4"), failing, apply_parameter(preset("fig4"), "theta", 0.8)]
-    outcomes = integrator.steady_states(scenarios)
-    assert summary_bits(outcomes[1]) == summary_bits(solo.value)
-    assert any(uncertified)
-    monkeypatch.undo()
-    for i in (0, 2):
-        assert summary_bits(outcomes[i]) == summary_bits(detect_steady_state(integrate(scenarios[i])))
+        monkeypatch.setattr(integrator, "packed_verdict", verdict)
+        scenarios = [preset("fig4"), failing, apply_parameter(preset("fig4"), "theta", 0.8)]
+        outcomes = integrator.steady_states(scenarios)
+        assert summary_bits(outcomes[1]) == summary_bits(solo.value)
+        assert any(uncertified)
+        monkeypatch.undo()
+        for i in (0, 2):
+            assert summary_bits(outcomes[i]) == summary_bits(detect_steady_state(integrate(scenarios[i])))
 
 
 @pytest.mark.parametrize("spec, distinct", [

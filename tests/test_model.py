@@ -260,3 +260,20 @@ class TestScenario:
         state = DensityMatrix(m)
         with pytest.raises(InvalidParameterError):
             Scenario(initial_state=state)
+        # The Cholesky verdict decides, also for a pos_tol below its margin
+        # (where it falls back to eigvalsh); the message quotes
+        # validate_physicality's figures.
+        for pos_tol in (1e-7, 1e-13):
+            for dip, ok in ((0.9, True), (1.1, False)):
+                state = DensityMatrix(np.diag((1.0 + dip * pos_tol, -dip * pos_tol, 0.0, 0.0)).astype(complex))
+                if ok:
+                    Scenario(initial_state=state, pos_tol=pos_tol)
+                    continue
+                with pytest.raises(InvalidParameterError) as exc:
+                    Scenario(initial_state=state, pos_tol=pos_tol)
+                report = validate_physicality(state, 1e-6, pos_tol)
+                assert str(exc.value) == ("initial state is unphysical: "
+                                          f"trace_error={report.trace_error:.3e}, "
+                                          f"min_eigenvalue={report.min_eigenvalue:.3e}")
+        with pytest.raises(InvalidParameterError, match="trace_error=1.000e-01, min_eigenvalue=0.000e"):
+            Scenario(initial_state=DensityMatrix(np.diag((1.1, 0.0, 0.0, 0.0)).astype(complex)))

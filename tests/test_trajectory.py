@@ -1,11 +1,13 @@
 """The column store of a trajectory against the scalar observable API."""
 
+import functools
 import io
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from victrap import (
     TRAJECTORY_CSV_HEADER,
@@ -18,7 +20,7 @@ from victrap import (
     integrate_fixed_step,
     preset,
 )
-from victrap import integrator
+from victrap import integrator, observables
 from victrap.integrator import TRAJECTORY_COLUMNS
 from victrap.liouvillian import pack_state, unpack_state
 from victrap.observables import observable_record, packed_diagnostics, packed_verdict
@@ -125,11 +127,11 @@ def states_with_min_eig(min_eigs, seed=0):
 @pytest.mark.parametrize("pos_tol", [1e-7, 1e-12], ids=["default", "smallest_served"])
 @pytest.mark.parametrize("edge", [-(1 + 1e-6), -(1 - 1e-6), -0.5, 0.0], ids=["below", "just_above", "half", "zero"])
 def test_dropped_rows_get_the_eigenvalue_verdict(pos_tol, edge):
-    # Rows before keep_from are checked by a Cholesky factorisation of
-    # rho + (pos_tol/2) I (observables.packed_verdict).  It certifies
-    # lambda_min > -pos_tol with a margin of pos_tol/2, at least 50 times its
-    # rounding bound of about 1e-14 ||rho|| for pos_tol >= 1e-12; a block it
-    # cannot certify falls back to eigvalsh.  Row 20 sits at edge * pos_tol,
+    # A sweep lane's rows, dropped or kept, are checked by a Cholesky
+    # factorisation of rho + (pos_tol/2) I (observables.packed_verdict).  It
+    # certifies lambda_min > -pos_tol with a margin of pos_tol/2, at least 50
+    # times its rounding bound of about 8e-15 ||rho|| for pos_tol >= 1e-12; a
+    # block it cannot certify falls back to eigvalsh.  Row 20 sits at edge * pos_tol,
     # row 40 below -pos_tol: the first bad row, its time and the message are
     # those the eigvalsh check of kept rows gives.
     lowest = np.full(64, 0.01)
@@ -142,13 +144,15 @@ def test_dropped_rows_get_the_eigenvalue_verdict(pos_tol, edge):
     assert np.array_equal(verdict[:, 1], exact[:, 1])
     assert np.array_equal(verdict[:, 2] < -pos_tol, exact[:, 2] < -pos_tol)
     outcomes = []
-    for keep_from in (0, 64):  # every row kept, every row dropped
-        recorder = integrator._SampleRecorder(Scenario(pos_tol=pos_tol), 64, keep_from)
+    window = functools.partial(integrator._window_diagnostics, pos_tol=pos_tol)
+    # A trajectory's rows, a sweep lane's kept rows, its dropped rows.
+    for keep_from, diagnose in ((0, packed_diagnostics), (0, window), (64, window)):
+        recorder = integrator._SampleRecorder(Scenario(pos_tol=pos_tol), 64, keep_from, diagnose)
         recorder.record(samples)
         recorder.check()
         assert isinstance(recorder.error, PhysicalityError)
         outcomes.append((str(recorder.error), recorder.written))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
     # At pos_tol = 1e-12, 1e-6 of it is below eigvalsh's rounding: row 20
     # "just above" may then read below -pos_tol; both paths say the same.
     first = int(np.argmax(exact[:, 2] < -pos_tol))
@@ -165,6 +169,42 @@ def test_verdict_certifies_physical_blocks_without_eigenvalues():
     assert np.isnan(verdict[:, [0, 2]]).all()
     assert np.array_equal(verdict[:, 1], packed_diagnostics(states)[:, 1])
     assert np.array_equal(packed_verdict(states, 1e-13), packed_diagnostics(states))
+
+
+@st.composite
+def states_near_the_margin(draw):
+    """A pos_tol and 1-3 packed unit-trace states whose smallest eigenvalues lie within 3 pos_tol of -pos_tol/2."""
+    pos_tol = draw(st.sampled_from((1e-12, 1e-9, 1e-7)))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    states = []
+    for _ in range(draw(st.integers(1, 3))):
+        z = np.array(draw(st.lists(entries, min_size=32, max_size=32))).view(complex).reshape(4, 4)
+        q, r = np.linalg.qr(z + 2.0 * np.eye(4))  # the shift keeps z + 2 I far from singular
+        lowest = (draw(st.floats(-3.0, 3.0)) - 0.5) * pos_tol
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3)))
+        spectrum = np.array((lowest, *(weights / weights.sum() * (1.0 - lowest))))
+        states.append(pack_state(DensityMatrix((q * spectrum) @ q.conj().T)))
+    return pos_tol, np.array(states)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=states_near_the_margin())
+def test_cholesky_certificate_property(case):
+    # The gathered embedding is [[Re, -Im], [Im, Re]] of the unpacked
+    # matrices exactly (signed zeros aside); a certificate implies that
+    # eigvalsh finds no minimum eigenvalue below -pos_tol; and the verdict
+    # agrees with packed_diagnostics' on every row.
+    pos_tol, states = case
+    rho = unpack_state(states)
+    embedding = np.block([[rho.real, -rho.imag], [rho.imag, rho.real]])
+    assert np.array_equal(observables._real_embedding(states), embedding)
+    exact = packed_diagnostics(states)
+    verdict = packed_verdict(states, pos_tol)
+    if np.isnan(verdict[:, 2]).all():
+        assert (exact[:, 2] >= -pos_tol).all()
+    else:
+        assert np.array_equal(verdict, exact)
+    assert np.array_equal(verdict[:, 2] < -pos_tol, exact[:, 2] < -pos_tol)
 
 
 def first_in_block(values, limit, above):
@@ -252,3 +292,21 @@ def test_non_finite_row_is_an_integration_error_unless_a_bad_row_comes_first(fig
     else:
         assert isinstance(recorder.error, IntegrationError)
         assert str(recorder.error) == f"non-finite state at t={traj.times[30]:g}"
+
+
+@pytest.mark.parametrize("keep_from", [0, 64, 100], ids=["all_kept", "block_dropped", "all_dropped"])
+@pytest.mark.parametrize("nan_row", [0, 64], ids=["first_row", "block_start"])
+def test_non_finite_block_start_in_a_sweep_lane_is_an_integration_error(fig2_run, keep_from, nan_row):
+    # A NaN in the first row of a block leaves no row of it to check: the
+    # error is the non-finite state, as for a trajectory, whichever rows a
+    # sweep lane keeps.
+    traj = fig2_run.traj
+    samples = traj.columns[:100, :17].copy()
+    samples[nan_row, 5] = np.nan
+    window = functools.partial(integrator._window_diagnostics, pos_tol=fig2_run.scenario.pos_tol)
+    recorder = integrator._SampleRecorder(fig2_run.scenario, len(samples), keep_from, window)
+    recorder.record(samples)
+    recorder.fail("not reached")
+    assert isinstance(recorder.error, IntegrationError)
+    assert str(recorder.error) == f"non-finite state at t={traj.times[nan_row]:g}"
+    assert recorder.written == min(nan_row + BLOCK, len(samples))  # nothing after the NaN row's block
