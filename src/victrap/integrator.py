@@ -217,6 +217,11 @@ _SAMPLE = slice(0, 1 + PACKED_SIZE)  # what the steppers write: the time and the
 _DIAGNOSTICS = slice(1 + PACKED_SIZE, len(TRAJECTORY_COLUMNS))
 # Rows whose diagnostics are derived and checked together.
 _BLOCK = 64
+# Rows of a finished trajectory whose purity and minimum eigenvalues are
+# formed in one batch.  A call to the Jacobi kernel costs about 0.5 ms
+# however few rows it gets, and about 600 bytes of temporaries a row: 256
+# rows keep those to a few per cent of a long run's trajectory array.
+_FINISH_ROWS = 256
 
 
 class TrajectorySample(NamedTuple):
@@ -336,17 +341,20 @@ class _SampleRecorder:
     first, so a bad sample recorded before that is still the error
     reported.  Rows before ``keep_from`` are dropped once checked, so only
     the rows from ``keep_from`` on (and at most one block) are ever held.
-    Being dropped unread, they get only the verdict of
-    ``observables.packed_verdict``, which spares their eigenvalues; the
-    kept rows get the columns ``diagnose`` gives.
+    Each block is checked by the verdict of ``observables.packed_verdict``,
+    which spares the eigenvalues of the blocks it certifies; the kept rows
+    get the columns ``diagnose`` gives, by default that verdict too.  A
+    finished trajectory gets its full diagnostics at the end (see
+    ``trajectory``).
     """
 
     def __init__(self, scenario: Scenario, n_rows: int, keep_from: int = 0,
-                 diagnose: Callable[[np.ndarray], np.ndarray] = packed_diagnostics):
+                 diagnose: Callable[[np.ndarray], np.ndarray] | None = None):
         self.scenario = scenario
         self.rows = np.empty((max(min(_BLOCK, n_rows), n_rows - keep_from), len(TRAJECTORY_COLUMNS)))
         self.keep_from = keep_from
-        self.diagnose = diagnose
+        self.verdict = functools.partial(packed_verdict, pos_tol=scenario.pos_tol)
+        self.diagnose = diagnose or self.verdict
         self.base = 0  # index of the sample held in rows[0]
         self.written = 0
         self.checked = 0
@@ -377,7 +385,7 @@ class _SampleRecorder:
         self.checked = self.written
         sc = self.scenario
         if dropped:
-            block[:dropped, _DIAGNOSTICS] = packed_verdict(block[:dropped, _STATE], sc.pos_tol)
+            block[:dropped, _DIAGNOSTICS] = self.verdict(block[:dropped, _STATE])
         if dropped < len(block):
             block[dropped:, _DIAGNOSTICS] = self.diagnose(block[dropped:, _STATE])
         bad = (block[:, -2] > sc.trace_tol) | (block[:, -1] < -sc.pos_tol)
@@ -404,10 +412,18 @@ class _SampleRecorder:
         return self.rows[:self.written - self.base]
 
     def trajectory(self, accepted: int, rejected: int, evaluations: int) -> Trajectory:
-        """The recorded run, with the extremes of its diagnostic columns; raises the run's error if it has one."""
+        """The recorded run, with the extremes of its diagnostic columns; raises the run's error if it has one.
+
+        Its rows get the columns of ``observables.packed_diagnostics`` here,
+        _FINISH_ROWS at a time: the checks have passed, so only the purity
+        and minimum eigenvalues the certificate left out change.
+        """
         rows = self.kept()
         if self.error is not None:
             raise self.error
+        for start in range(0, len(rows), _FINISH_ROWS):
+            chunk = rows[start:start + _FINISH_ROWS]
+            chunk[:, _DIAGNOSTICS] = packed_diagnostics(chunk[:, _STATE])
         rows.flags.writeable = False
         extremes = float(rows[:, -2].max()), float(rows[:, -1].min())
         return Trajectory(self.scenario, rows, IntegrationStats(accepted, rejected, evaluations, *extremes))
@@ -564,7 +580,7 @@ class _Lane:
     """
 
     def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0, shared: dict | None = None,
-                 diagnose: Callable[[np.ndarray], np.ndarray] = packed_diagnostics):
+                 diagnose: Callable[[np.ndarray], np.ndarray] | None = None):
         drive, params = scenario.drive, scenario.params
         self.shared = {} if shared is None else shared
         self.basis = _once(self.shared, params, lambda: generator_basis(decay_generator(params)))

@@ -171,10 +171,18 @@ def validate_physicality(
     trace_tol: float = 1e-6,
     pos_tol: float = 1e-7,
 ) -> PhysicalityReport:
-    """Measure trace error and minimum eigenvalue; a DensityMatrix is exactly Hermitian by construction."""
+    """Measure trace error and minimum eigenvalue; a DensityMatrix is exactly Hermitian by construction.
+
+    The minimum eigenvalue is ``observables.packed_min_eigenvalues``' (see
+    there for its error bound).
+    """
+    # Imported here because liouvillian and observables import this module.
+    from .liouvillian import pack_state
+    from .observables import packed_min_eigenvalues
+
     m = rho.matrix
     trace_error = abs(float(np.trace(m).real) - 1.0)
-    min_eig = float(np.linalg.eigvalsh(m)[0])
+    min_eig = float(packed_min_eigenvalues(pack_state(rho)[None])[0])
     return PhysicalityReport(
         trace_error=trace_error,
         min_eigenvalue=min_eig,

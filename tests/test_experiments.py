@@ -454,8 +454,9 @@ def dent_at(monkeypatch, scenario, time):
 def test_physicality_failure_first_in_a_dropped_row_is_the_lane_outcome(monkeypatch):
     # Loose tolerances let fig4 dip below -1e-9 at t = -9.5, long before the
     # steady window: the row is dropped unread, so the Cholesky verdict checks
-    # it, finds it cannot certify the block, and falls back to eigvalsh.  The
-    # outcome is the solo run's error; the neighbours keep their bits.  The
+    # it, finds it cannot certify the block, and falls back to the exact
+    # diagnostics (packed_diagnostics).  The outcome is the solo run's error;
+    # the neighbours keep their bits.  The
     # rows a lane keeps take the same verdict: in the second case fig4's
     # first bad row is one dented inside the steady window, at t = 77.5.
     loose = replace(preset("fig4"), rtol=1e-4, atol=1e-6, pos_tol=1e-9)

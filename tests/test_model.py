@@ -261,7 +261,7 @@ class TestScenario:
         with pytest.raises(InvalidParameterError):
             Scenario(initial_state=state)
         # The Cholesky verdict decides, also for a pos_tol below its margin
-        # (where it falls back to eigvalsh); the message quotes
+        # (where it falls back to packed_diagnostics); the message quotes
         # validate_physicality's figures.
         for pos_tol in (1e-7, 1e-13):
             for dip, ok in ((0.9, True), (1.1, False)):

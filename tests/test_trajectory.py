@@ -131,9 +131,9 @@ def test_dropped_rows_get_the_eigenvalue_verdict(pos_tol, edge):
     # factorisation of rho + (pos_tol/2) I (observables.packed_verdict).  It
     # certifies lambda_min > -pos_tol with a margin of pos_tol/2, at least 50
     # times its rounding bound of about 8e-15 ||rho|| for pos_tol >= 1e-12; a
-    # block it cannot certify falls back to eigvalsh.  Row 20 sits at edge * pos_tol,
-    # row 40 below -pos_tol: the first bad row, its time and the message are
-    # those the eigvalsh check of kept rows gives.
+    # block it cannot certify falls back to packed_diagnostics.  Row 20 sits
+    # at edge * pos_tol, row 40 below -pos_tol: the first bad row, its time
+    # and the message are those the exact check of kept rows gives.
     lowest = np.full(64, 0.01)
     lowest[20], lowest[40] = edge * pos_tol, -(1 + 1e-6) * pos_tol
     states = states_with_min_eig(lowest)
@@ -146,17 +146,19 @@ def test_dropped_rows_get_the_eigenvalue_verdict(pos_tol, edge):
     outcomes = []
     window = functools.partial(integrator._window_diagnostics, pos_tol=pos_tol)
     # A trajectory's rows, a sweep lane's kept rows, its dropped rows.
-    for keep_from, diagnose in ((0, packed_diagnostics), (0, window), (64, window)):
+    for keep_from, diagnose in ((0, None), (0, window), (64, window)):
         recorder = integrator._SampleRecorder(Scenario(pos_tol=pos_tol), 64, keep_from, diagnose)
         recorder.record(samples)
         recorder.check()
         assert isinstance(recorder.error, PhysicalityError)
         outcomes.append((str(recorder.error), recorder.written))
     assert outcomes[0] == outcomes[1] == outcomes[2]
-    # At pos_tol = 1e-12, 1e-6 of it is below eigvalsh's rounding: row 20
-    # "just above" may then read below -pos_tol; both paths say the same.
+    # At pos_tol = 1e-12, 1e-6 of it is below the rounding of the minimum
+    # eigenvalue (a few eps): row 20 "below" or "just above" may then read on
+    # either side of -pos_tol; all paths say the same.
     first = int(np.argmax(exact[:, 2] < -pos_tol))
-    assert first in ({20} if edge < -1 else {20, 40} if edge == -(1 - 1e-6) and pos_tol == 1e-12 else {40})
+    near = pos_tol == 1e-12 and edge in (-(1 + 1e-6), -(1 - 1e-6))
+    assert first in ({20, 40} if near else {20} if edge < -1 else {40})
     assert outcomes[0][0] == f"minimum eigenvalue {exact[first, 2]:.3e} below -{pos_tol:.1e} at t={0.5 * first:g}"
 
 
@@ -192,8 +194,8 @@ def states_near_the_margin(draw):
 def test_cholesky_certificate_property(case):
     # The gathered embedding is [[Re, -Im], [Im, Re]] of the unpacked
     # matrices exactly (signed zeros aside); a certificate implies that
-    # eigvalsh finds no minimum eigenvalue below -pos_tol; and the verdict
-    # agrees with packed_diagnostics' on every row.
+    # packed_diagnostics finds no minimum eigenvalue below -pos_tol; and the
+    # verdict agrees with packed_diagnostics' on every row.
     pos_tol, states = case
     rho = unpack_state(states)
     embedding = np.block([[rho.real, -rho.imag], [rho.imag, rho.real]])
@@ -247,12 +249,14 @@ def test_bad_sample_reported_before_a_later_stepping_failure(monkeypatch, propag
     # fixed-step run steps sample by sample (its cutoff stays two samples on).
     # ``drive_values`` is the integrator's source of drive values at the
     # stage times: coefficients for the lane stepper, generators for RK4.
+    # The bad sample breaks a tiny trace_tol: the fixed-step rows have no
+    # minimum eigenvalue below 0 for a tiny pos_tol to catch.
     scenario = replace(preset("fig2"), t_end=-16.0 + 0.05 * 3 * BLOCK)
     good = propagate(scenario)
-    values = good.column("min_eig")
+    values = good.column("trace_error")
     room = math.ceil(reach / scenario.sample_interval) + 1
     for tol in (1e-18, 1e-17, 3e-17, 1e-16):
-        index = first_in_block(values, tol, above=False)
+        index = first_in_block(values, tol, above=True)
         if index is not None and index % BLOCK < BLOCK - room:
             break
     else:
@@ -269,7 +273,7 @@ def test_bad_sample_reported_before_a_later_stepping_failure(monkeypatch, propag
     with pytest.raises(IntegrationError):
         propagate(scenario)
     with pytest.raises(PhysicalityError, match=f"at t={good.times[index]:g}$"):
-        propagate(replace(scenario, pos_tol=tol))
+        propagate(replace(scenario, trace_tol=tol))
 
 
 @pytest.mark.parametrize("bad_before", [False, True], ids=["after_good_rows", "after_a_bad_row"])
