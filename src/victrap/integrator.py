@@ -199,9 +199,10 @@ _EPS = float(np.finfo(float).eps)
 # powers of exp(L0 * sample_interval) that it keeps to build them.
 _TAIL_ROWS = 256
 _TAIL_POWERS = 16
-# Dense-output rows that the lockstep stepper lets accumulate before it
-# forms them in one batch; see _LaneSet.flush.
-_DENSE_ROWS = 256
+# Dense-output rows per lane that the lockstep stepper lets accumulate
+# before it forms them in one batch, at least _BLOCK in all; see
+# _LaneSet.flush.
+_ROWS_PER_LANE = 4
 
 # Columns of Trajectory.columns, in trajectory-CSV order: the time, the 16
 # packed reals (populations, then re/im of rho10, rho20, rho21, rho30,
@@ -758,6 +759,28 @@ class _Lane:
         return self.recorder.trajectory(self.accepted, self.rejected, evaluations)
 
 
+class _FlushScratch:
+    """The (rows,) work arrays of _LaneSet.flush, kept from one flush to the next and grown in steps of _BLOCK rows.
+
+    numpy keeps freed arrays of under 1 kB for reuse, up to seven of each
+    byte size, so flushes of under 128 rows that made their (rows,) arrays
+    afresh would leave some behind for each row count they met: the
+    96,001-row chirped trajectory, one lane that flushes at every step,
+    peaked about 0.3 MB higher so.
+    """
+
+    capacity = 0
+
+    def reserve(self, n: int) -> "_FlushScratch":
+        """This scratch, with room for at least n rows."""
+        if n > self.capacity:
+            self.capacity = capacity = -(-n // _BLOCK) * _BLOCK
+            self.index, self.step = np.empty((2, capacity), np.intp)
+            self.times, self.theta = np.empty((2, capacity))
+            self.span = np.arange(capacity)
+        return self
+
+
 class _LaneSet:
     """The arrays of the active lanes of one method, stepped together, and the dense-output rows they ask for.
 
@@ -771,8 +794,9 @@ class _LaneSet:
     the lanes whose step was accepted.  The lane set owns its pending rows:
     the steps that ask for dense-output rows join ``requests``, ``advance``
     copies their columns of ``block`` to ``blocks``, ``rows`` counts the
-    rows asked for, and ``flush`` forms and records them.  The lockstep
-    loop flushes before every ``keep``, so no row outlives its lane set.
+    rows asked for, and ``flush`` forms and records them, in the work
+    arrays of ``scratch``, which ``keep`` hands on.  The lockstep loop
+    flushes before every ``keep``, so no row outlives its lane set.
     """
 
     NODES: np.ndarray  # stage times per step, as fractions of h
@@ -790,6 +814,7 @@ class _LaneSet:
         self.requests: list[tuple[int, float, float, float, int, int]] = []
         self.blocks: list[np.ndarray] = []
         self.gathered = self.rows = 0
+        self.scratch = _FlushScratch()
         self.drives = DriveLanes([lane.scenario.drive for lane in lanes], len(self.NODES))
         self.basis = np.stack([lane.basis for lane in lanes])
         tolerances = np.array([(lane.scenario.rtol, lane.scenario.atol) for lane in lanes])
@@ -843,7 +868,9 @@ class _LaneSet:
 
     def keep(self, indices: list[int]) -> "_LaneSet":
         """The lane set of the lanes at ``indices``, with their columns of ``block`` (states, carried stages)."""
-        return type(self)([self.lanes[i] for i in indices], self.block[:, indices])
+        kept = type(self)([self.lanes[i] for i in indices], self.block[:, indices])
+        kept.scratch = self.scratch
+        return kept
 
     def advance(self) -> None:
         """Copy the new requests' columns of ``block``; carry the accepted lanes' trial states (and stages) over."""
@@ -869,42 +896,56 @@ class _LaneSet:
         time order.  The steps with m rows form them with the (m, 4) and
         (m, 7) products one step alone would use, stacked, so a row's bits
         do not depend on the other steps flushed with it.  A flush costs
-        about 15 numpy calls plus 10 per distinct m, however many rows it
-        forms, so the lockstep loop flushes only when _DENSE_ROWS are asked
-        for or a lane stops.  A lane's rows so reach its recorder in order
-        and before its tail or failure, and its first bad row is the one a
-        per-step recorder finds.  The lanes share one sample grid.
+        about 40 numpy calls plus 10 per distinct m and one ``record`` call
+        per lane, however many rows it forms, so the lockstep loop flushes
+        only when _ROWS_PER_LANE rows per lane, and at least _BLOCK rows,
+        are asked for, or a lane stops: a full 64-lane chunk flushes at 256
+        rows, a narrow sweep or a one-lane run at one recorder block.  A
+        lane's rows so reach its recorder in order and before its tail or
+        failure, and its first bad row is the one a per-step recorder finds.
+        The lanes share one sample grid.
         """
         if not self.requests:
             return
+        n = self.rows
         spec, block = np.array(self.requests), np.concatenate(self.blocks, axis=1)
+        scratch = self.scratch.reserve(n)
         self.requests, self.gathered, self.blocks, self.rows = [], 0, [], 0
         stages, y, trial = block[:-2].transpose(1, 0, 2), block[-2], block[-1]
-        counts = spec[:, 5].astype(np.intp)
-        ends = np.cumsum(counts)
-        first = np.repeat(spec[:, 4].astype(np.intp) - (ends - counts), counts)
-        times = self.lanes[0].grid[first + np.arange(ends[-1])]
-        t, h = np.repeat(spec[:, 1], counts), np.repeat(spec[:, 2], counts)
-        degree = len(self.DENSE)
-        powers = np.repeat((times - t) / h, degree).reshape(-1, degree)
-        np.cumprod(powers, axis=1, out=powers)
-        samples = np.empty((len(times), 1 + PACKED_SIZE))
+        owners, first, counts = spec[:, [0, 4, 5]].astype(np.intp).T
+        t, h, grid, span = spec[:, 1], spec[:, 2], self.lanes[0].grid, scratch.span
+        # Each lane's rows take one slice of ``samples``, in time order: step
+        # s's rows start at row starts[s], and row r is one of step[r]'s.
+        order = np.argsort(owners, kind="stable")
+        ends = np.cumsum(counts[order])
+        starts = np.empty_like(counts)
+        starts[order] = ends - counts[order]
+        index, step, times, theta = scratch.index[:n], scratch.step[:n], scratch.times[:n], scratch.theta[:n]
+        index[:] = 0
+        index[ends[:-1]] = 1
+        # Every index is in range; mode="clip" lets np.take write to ``out`` directly.
+        np.take(order, np.cumsum(index, out=index), out=step, mode="clip")
+        np.take(first - starts, step, out=index, mode="clip")
+        np.take(grid, np.add(index, span[:n], out=index), out=times, mode="clip")
+        samples = np.empty((n, 1 + PACKED_SIZE))
         samples[:, 0] = times
+        # theta = (times - t) / h per row; ``times`` takes each row's h once copied.
+        np.subtract(times, np.take(t, step, out=theta, mode="clip"), out=theta)
+        np.divide(theta, np.take(h, step, out=times, mode="clip"), out=theta)
+        degree = len(self.DENSE)
+        powers = np.repeat(theta, degree).reshape(-1, degree)
+        np.cumprod(powers, axis=1, out=powers)
         # The steps with m rows each form them in (m, degree) @ (degree,
         # stages) and (m, stages) @ (stages, 16) products, as each would alone.
         for m in np.flatnonzero(np.bincount(counts)).tolist():
             steps = np.flatnonzero(counts == m)
-            rows = (ends[steps] - m)[:, None] + np.arange(m)
+            rows = np.add(starts[steps, None], span[:m], out=scratch.index[:len(steps) * m].reshape(-1, m))
             weights = np.matmul(powers[rows], self.DENSE)
-            weights *= h[rows, None]
+            weights *= h[steps, None, None]
             samples[rows, 1:] = y[steps, None] + np.matmul(weights, stages[steps])
-        last = ends - 1
-        landed = times[last] == spec[:, 3]
-        samples[last[landed], _STATE] = trial[landed]
-        owners = np.repeat(spec[:, 0].astype(np.intp), counts)
-        order = np.argsort(owners, kind="stable")
-        samples, owners = samples[order], owners[order]
-        bounds = np.cumsum(np.bincount(owners, minlength=len(self.lanes))).tolist()
+        landed = grid[first + counts - 1] == spec[:, 3]
+        samples[(starts + counts - 1)[landed], _STATE] = trial[landed]
+        bounds = np.cumsum(np.bincount(owners, counts, len(self.lanes))).astype(np.intp).tolist()
         for lane, start, end in zip(self.lanes, [0] + bounds, bounds):
             if end > start:
                 lane.recorder.record(samples[start:end])
@@ -1019,7 +1060,8 @@ def _run_group(stepper: type[_LaneSet], lanes: list[_Lane]) -> None:
 
     Each iteration attempts one step per lane with one stacked generator
     build, and lets each lane accept or reject its own and propose its
-    next.  The dense-output rows are recorded in batches (see
+    next.  The dense-output rows are recorded in batches of
+    _ROWS_PER_LANE rows per lane, and at least _BLOCK rows (see
     _LaneSet.flush), and at once when a lane lands on t_stop or cannot go
     on; after each batch, every lane that stopped or whose rows failed the
     physicality check records its tail or failure and leaves the active
@@ -1029,7 +1071,7 @@ def _run_group(stepper: type[_LaneSet], lanes: list[_Lane]) -> None:
     active = stepper(lanes, np.stack([lane.column for lane in lanes], axis=1))
     steps = [lane.propose() for lane in lanes]
     while True:
-        if None in steps or active.rows >= _DENSE_ROWS:
+        if None in steps or active.rows >= max(_BLOCK, _ROWS_PER_LANE * len(active.lanes)):
             active.flush()
             steps = [None if lane.recorder.error is not None else step for lane, step in zip(active.lanes, steps)]
         if None in steps:

@@ -20,6 +20,7 @@ from victrap import (
     experiments,
     integrate,
     integrator,
+    parse_config,
     preset,
     sweep,
 )
@@ -370,6 +371,30 @@ class TestLaneBatchedSweep:
         assert max(held) <= STEADY_WINDOW / base.sample_interval + 2
         assert peak < rows * len(integrator.TRAJECTORY_COLUMNS) * 8
 
+    def test_narrow_sweep_holds_one_recorder_block_of_pending_rows(self):
+        # The bench's sweep_2d spec at seed 0: 8 lanes of 161 rows each, at
+        # about one row per lane and step.  Its pending dense-output rows are
+        # flushed at 64, not 256, so the copies of each step's stages they
+        # hold stay small.  Traced peak: 540 kB (1,026 kB when a flush waited
+        # for 256 rows); the bound leaves a margin of 30% over 540 kB.
+        spec = parse_config(
+            "[drive]\ng01 = 0.9\ng02 = 0.3\n"
+            "[chirp]\nenabled = true\nchi2 = 0.2\n"
+            "[integration]\nsample_interval = 0.5\n"
+            "[sweep]\nparameter = theta\nvalues = 0.0, 0.1, 0.8, 1.5\n"
+            "parameter2 = chi1\nvalues2 = 0.15, 0.45\n"
+        )
+        assert len(spec.grid()) == 8
+        sweep(spec)  # warm caches
+        tracemalloc.start()
+        try:
+            table = sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(row.error is None for row in table.rows)
+        assert peak < 700 * 1024
+
 
 def summary_bits(outcome):
     if isinstance(outcome, SimulationError):
@@ -417,6 +442,55 @@ def test_lanes_leaving_at_different_times_leave_the_others_untouched(monkeypatch
         except SimulationError as exc:
             solo = exc
         assert summary_bits(outcome) == summary_bits(solo)
+
+
+def flush_threshold(lanes: int) -> int:
+    """The pending rows at which the lockstep loop flushes a lane set of ``lanes`` lanes."""
+    return max(integrator._BLOCK, integrator._ROWS_PER_LANE * lanes)
+
+
+def watch_flushes(monkeypatch) -> list[tuple[int, int]]:
+    """The (pending rows, lanes) of every flush to come; each step asserts that no full batch waits."""
+    flushes = []
+    step, flush = integrator._LaneSet.step, integrator._LaneSet.flush
+
+    def checked_step(self, steps):
+        assert self.rows < flush_threshold(len(self.lanes))
+        return step(self, steps)
+
+    def counted_flush(self):
+        flushes.append((self.rows, len(self.lanes)))
+        flush(self)
+
+    monkeypatch.setattr(integrator._LaneSet, "step", checked_step)
+    monkeypatch.setattr(integrator._LaneSet, "flush", counted_flush)
+    return flushes
+
+
+def test_flush_batch_is_sized_by_the_lanes_that_share_it(monkeypatch):
+    # fig6's chunk of 64 lanes flushes at 256 rows, its narrowing tail at
+    # 64: 181 flushes in all, as when every batch waited for 256 rows.  An
+    # iteration adds at most span_rows rows per lane, so no flush holds more
+    # than its threshold plus that.
+    spec = preset("fig6")
+    span_rows = integrator._Lane(spec.base, integrator.sample_times(spec.base)).span_rows
+    flushes = watch_flushes(monkeypatch)
+    sweep(spec)
+    assert 0 < len(flushes) <= 181
+    assert max(lanes for _, lanes in flushes) == experiments.MAX_LANES
+    assert all(rows < flush_threshold(lanes) + lanes * span_rows for rows, lanes in flushes)
+
+
+def test_one_lane_flushes_at_one_recorder_block(monkeypatch):
+    # fig2 at a fifth of its interval: 9,601 rows, about 40 a step.  Every
+    # flush but the last, when the lane lands, comes once 64 rows wait.
+    scenario = replace(preset("fig2"), sample_interval=0.01)
+    span_rows = integrator._Lane(scenario, integrator.sample_times(scenario)).span_rows
+    flushes = watch_flushes(monkeypatch)
+    integrate(scenario)
+    assert len(flushes) > 50
+    assert all(lanes == 1 for _, lanes in flushes)
+    assert all(integrator._BLOCK <= rows < integrator._BLOCK + span_rows for rows, _ in flushes[:-1])
 
 
 def test_physicality_failure_in_one_lane_leaves_the_others_untouched():
