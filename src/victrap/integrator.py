@@ -51,9 +51,8 @@ public API are built from the rows only when read.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -248,8 +247,8 @@ class SteadySummary(NamedTuple):
 
     In a summary from ``steady_states``, ``record.min_eigenvalue`` is NaN
     where the final row's block passed the Cholesky certificate of
-    ``observables.packed_verdict``; ``detect_steady_state`` always gives
-    the eigenvalue.
+    ``observables.packed_verdict``: the lane forms its window's purity
+    only.  ``detect_steady_state`` always gives the eigenvalue.
     """
 
     converged: bool
@@ -342,20 +341,16 @@ class _SampleRecorder:
     first, so a bad sample recorded before that is still the error
     reported.  Rows before ``keep_from`` are dropped once checked, so only
     the rows from ``keep_from`` on (and at most one block) are ever held.
-    Each block is checked by the verdict of ``observables.packed_verdict``,
-    which spares the eigenvalues of the blocks it certifies; the kept rows
-    get the columns ``diagnose`` gives, by default that verdict too.  A
-    finished trajectory gets its full diagnostics at the end (see
-    ``trajectory``).
+    Each block gets the columns of one ``observables.packed_verdict`` call,
+    which spares the purity and eigenvalues of the blocks it certifies;
+    each caller forms the columns it reads (see ``trajectory`` and
+    ``steady_states``).
     """
 
-    def __init__(self, scenario: Scenario, n_rows: int, keep_from: int = 0,
-                 diagnose: Callable[[np.ndarray], np.ndarray] | None = None):
+    def __init__(self, scenario: Scenario, n_rows: int, keep_from: int = 0):
         self.scenario = scenario
         self.rows = np.empty((max(min(_BLOCK, n_rows), n_rows - keep_from), len(TRAJECTORY_COLUMNS)))
         self.keep_from = keep_from
-        self.verdict = functools.partial(packed_verdict, pos_tol=scenario.pos_tol)
-        self.diagnose = diagnose or self.verdict
         self.base = 0  # index of the sample held in rows[0]
         self.written = 0
         self.checked = 0
@@ -382,13 +377,9 @@ class _SampleRecorder:
             first = int(np.argmax(nonfinite))
             self.error = IntegrationError(f"non-finite state at t={block[first, 0]:g}")
             block = block[:first]
-        dropped = min(max(self.keep_from - self.checked, 0), len(block))
         self.checked = self.written
         sc = self.scenario
-        if dropped:
-            block[:dropped, _DIAGNOSTICS] = self.verdict(block[:dropped, _STATE])
-        if dropped < len(block):
-            block[dropped:, _DIAGNOSTICS] = self.diagnose(block[dropped:, _STATE])
+        block[:, _DIAGNOSTICS] = packed_verdict(block[:, _STATE], sc.pos_tol)
         bad = (block[:, -2] > sc.trace_tol) | (block[:, -1] < -sc.pos_tol)
         if bad.any():
             t, trace_error, min_eig = block[int(np.argmax(bad)), [0, -2, -1]].tolist()
@@ -580,8 +571,7 @@ class _Lane:
     tail's rounding could exceed atol.
     """
 
-    def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0, shared: dict | None = None,
-                 diagnose: Callable[[np.ndarray], np.ndarray] | None = None):
+    def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0, shared: dict | None = None):
         drive, params = scenario.drive, scenario.params
         self.shared = {} if shared is None else shared
         self.basis = _once(self.shared, params, lambda: generator_basis(decay_generator(params)))
@@ -627,7 +617,7 @@ class _Lane:
             )
         self.scenario = scenario
         self.grid = grid
-        self.recorder = _SampleRecorder(scenario, len(grid), keep_from, diagnose)
+        self.recorder = _SampleRecorder(scenario, len(grid), keep_from)
         # The lane's column of its lane set's block at the start: y0 and, for
         # Dormand-Prince, the first stage L(t_start) y0, which each accepted
         # step then carries over from its last.
@@ -1116,17 +1106,6 @@ def integrate(scenario: Scenario) -> Trajectory:
         return lane.trajectory()
 
 
-def _window_diagnostics(states: np.ndarray, pos_tol: float) -> np.ndarray:
-    """A sweep lane's kept rows: the purity, with ``observables.packed_verdict``'s trace error and verdict.
-
-    No output reads a sweep row's minimum eigenvalue, so it is NaN where
-    the Cholesky certificate passes.
-    """
-    diagnostics = packed_verdict(states, pos_tol)
-    diagnostics[:, 0] = packed_purity(states)
-    return diagnostics
-
-
 def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | SimulationError]:
     """Integrate the scenarios as lanes of one lockstep run and summarise each one's steady state.
 
@@ -1134,9 +1113,10 @@ def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | Simulat
     returns, bit for bit, or the error it raises: a lane that fails
     to start, to step or to summarise leaves the others untouched, except
     that ``record.min_eigenvalue`` is NaN where the Cholesky certificate
-    passed: each lane checks every sample with the verdict of
-    ``observables.packed_verdict`` only, and keeps only the rows of its
-    trailing window, so memory does not grow with the sample grid.
+    passed.  Each lane checks every sample with the verdict of
+    ``observables.packed_verdict`` and keeps only the rows of its trailing
+    window, so memory does not grow with the sample grid; a lane that ends
+    without error then forms their purity column.
     """
     outcomes: list = [None] * len(scenarios)
     lanes = {}
@@ -1151,15 +1131,17 @@ def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | Simulat
             except SimulationError as exc:
                 start, window_error = math.inf, exc
             try:
-                diagnose = functools.partial(_window_diagnostics, pos_tol=scenario.pos_tol)
-                lane = _Lane(scenario, grid, bisect.bisect_left(grid, start), shared, diagnose)
+                lane = _Lane(scenario, grid, bisect.bisect_left(grid, start), shared)
                 lanes[i] = (lane, start, window_error)
             except SimulationError as exc:
                 outcomes[i] = exc
         _run_lanes([lane for lane, _, _ in lanes.values()])
         for i, (lane, start, window_error) in lanes.items():
             rows = lane.recorder.kept()  # checks the last rows, and a lane that took no step its only one
-            outcomes[i] = lane.recorder.error or window_error or _steady_summary(rows, start)
+            outcomes[i] = lane.recorder.error or window_error
+            if outcomes[i] is None:
+                rows[:, -3] = packed_purity(rows[:, _STATE])  # the purity column, left out by the verdict
+                outcomes[i] = _steady_summary(rows, start)
     return outcomes
 
 

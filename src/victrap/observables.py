@@ -105,7 +105,15 @@ def doublet_purity(rho: DensityMatrix) -> float:
     m = rho.matrix
     p1 = float(m[1, 1].real)
     p2 = float(m[2, 2].real)
-    return p1 * p1 + p2 * p2 + 2.0 * abs(complex(m[2, 1])) ** 2
+    return p1 * p1 + p2 * p2 + 2.0 * _square(abs(complex(m[2, 1])))
+
+
+def _square(v: float) -> float:
+    """v ** 2 by Python's float power (libm ``pow``), or inf where that overflows, above about 1.34e154."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
 
 
 def dark_state_vector(params: SystemParams) -> np.ndarray:
@@ -256,10 +264,11 @@ def packed_purity(states: np.ndarray) -> np.ndarray:
     """Doublet purity of k packed states, bit for bit ``doublet_purity``.
 
     |rho21|^2 is ``hypot(re, im) ** 2`` through Python's float power (libm
-    ``pow``, which can differ from ``x * x`` in the last bit).
+    ``pow``, which can differ from ``x * x`` in the last bit), and inf
+    where that power overflows.
     """
     p1, p2 = states[:, 1:3].T
-    abs21_sq = [v ** 2 for v in np.hypot(states[:, 8], states[:, 9]).tolist()]
+    abs21_sq = list(map(_square, np.hypot(states[:, 8], states[:, 9]).tolist()))
     return p1 * p1 + p2 * p2 + 2.0 * np.array(abs21_sq)
 
 

@@ -236,6 +236,19 @@ class TestBoundedGrids:
             assert len(err.splitlines()) == 1 and err.startswith("victrap: physics failure:"), err
             assert message in err, err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("interval, message", [
+        ("1", "minimum eigenvalue -1.760e+00 below -1.0e-07 at t=-14"),
+        ("0.5", "minimum eigenvalue -3.356e-04 below -1.0e-07 at t=-14.5"),
+    ], ids=["interval_1", "interval_0.5"])
+    def test_overflowing_purity_is_physics_error(self, tmp_path, capsys, interval, message):
+        # rtol = 1e300 lets gamma01 = 30 step past its stability edge: a block
+        # that fails the Cholesky certificate holds a |rho21| whose square
+        # overflows a float, and its exact diagnostics take inf for the purity.
+        cfg = write(tmp_path, "unstable.cfg", UNSTABLE_CFG.format(interval=interval))
+        assert main(["--quiet", "--format", "json", "run", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"victrap: physics failure: {message}\n"
+
     def test_chirp_off_ignores_an_underflowing_ramp(self, tmp_path, capsys):
         # With the chirp off the amplitudes are 0, so the ramp plays no part:
         # even a subnormal one gives the default run's bytes.
@@ -246,6 +259,15 @@ class TestBoundedGrids:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+
+UNSTABLE_CFG = """\
+[decay]
+gamma01 = 30
+
+[integration]
+rtol = 1e300
+sample_interval = {interval}
+"""
 
 STIFF_RUN_CFG = """\
 [decay]
@@ -313,6 +335,25 @@ class TestSweep:
         rows = json.loads(out.read_text())["rows"]
         assert len(rows) == 2
         assert all("holds one sample" in row["error"] and not row["converged"] for row in rows)
+
+    @pytest.mark.filterwarnings("error")
+    def test_points_with_an_overflowing_purity_are_flagged_with_their_solo_errors(self, tmp_path, capsys):
+        # Both points step past their stability edge (see
+        # test_overflowing_purity_is_physics_error): gamma01 = 30's first
+        # block holds a |rho21| whose square overflows.  Each row is flagged
+        # with the message of its solo run; no row is lost.
+        base = UNSTABLE_CFG.format(interval="1").split("[integration]")[1]
+        cfg = write(tmp_path, "sweep.cfg", f"[integration]{base}\n[sweep]\nparameter = gamma01\nvalues = 5.8, 30\n")
+        out = tmp_path / "table.json"
+        assert main(["--quiet", "--format", "json", "sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ""
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["gamma01"] for row in rows] == [5.8, 30.0]
+        for row in rows:
+            solo = write(tmp_path, "solo.cfg", f"[decay]\ngamma01 = {row['gamma01']!r}\n\n[integration]{base}")
+            assert main(["--quiet", "--format", "json", "run", "--config", solo]) == 2
+            assert capsys.readouterr().err == f"victrap: physics failure: {row['error']}\n"
+            assert not row["converged"] and row["p_doublet"] is None
 
     def test_axes_naming_one_parameter_are_a_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "sweep.cfg", "[sweep]\nparameter = theta\nvalues = 0.1\n"

@@ -239,10 +239,12 @@ class TestLaneBatchedSweep:
         assert not all(converged) and any(converged)
 
     def test_sweep_calls_no_eigensolver(self, monkeypatch, solo_rows):
-        # Every row of a sweep lane, dropped or kept, and each point's initial
-        # state take the Cholesky verdict (observables.packed_verdict), a real
-        # factorisation; no minimum eigenvalue is computed unless it fails.
-        # Radau IIA lanes (gamma01 = 100) record through the same path.
+        # Every row of a sweep lane, dropped or kept, takes the Cholesky
+        # verdict (observables.packed_verdict), a real factorisation; no
+        # minimum eigenvalue is computed unless it fails.  Each point's
+        # initial state takes validate_physicality, whose minimum eigenvalue
+        # comes from the Jacobi kernel, not from LAPACK.  Radau IIA lanes
+        # (gamma01 = 100) record through the same path.
         stiff = SweepSpec(base=replace(preset("fig4"), params=replace(preset("fig4").params, gamma01=100.0)),
                           axes=(SweepAxis("theta", (0.0, 0.8)),))
         assert {integrator._Lane(sc, integrator.sample_times(sc)).stepper

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from victrap import (
     maximally_mixed,
     populations,
 )
-from victrap.observables import observable_record
+from victrap import observables
+from victrap.liouvillian import pack_state
+from victrap.observables import observable_record, packed_purity
 
 from conftest import random_density_matrix
 
@@ -91,6 +94,27 @@ class TestDoubletPurity:
         rho = DensityMatrix(m)
         _, p1, p2, _ = populations(rho)
         assert doublet_purity(rho) == pytest.approx((p1 + p2) ** 2, abs=1e-14)
+
+    def test_squared_coherence_past_the_float_range_is_inf(self):
+        # Python's float power raises OverflowError past the largest |rho21|
+        # whose square is finite, sqrt(max float); both purities take inf
+        # there, keep every other bit, and stay equal to each other.
+        largest = math.sqrt(sys.float_info.max)
+        beyond = math.nextafter(largest, math.inf)
+        assert math.isfinite(largest ** 2)
+        with pytest.raises(OverflowError):
+            beyond ** 2
+        assert observables._square(largest) == largest ** 2
+        assert observables._square(beyond) == math.inf
+        for value, expected in ((0.5 * largest, 0.5 + 2.0 * (0.5 * largest) ** 2), (largest, math.inf),
+                                (beyond, math.inf)):
+            m = np.diag([0.0, 0.5, 0.5, 0.0]).astype(complex)
+            m[2, 1] = m[1, 2] = value
+            rho = DensityMatrix(m)
+            assert doublet_purity(rho) == expected
+            # numpy warns where 2 |rho21|^2 overflows, at ``largest``; Python's float product does not.
+            with np.errstate(over="ignore"):
+                assert packed_purity(pack_state(rho)[None]).tolist() == [expected]
 
 
 class TestDarkBrightDecomposition:

@@ -1,6 +1,5 @@
 """The column store of a trajectory against the scalar observable API."""
 
-import functools
 import io
 import math
 from dataclasses import replace
@@ -126,14 +125,15 @@ def states_with_min_eig(min_eigs, seed=0):
 
 @pytest.mark.parametrize("pos_tol", [1e-7, 1e-12], ids=["default", "smallest_served"])
 @pytest.mark.parametrize("edge", [-(1 + 1e-6), -(1 - 1e-6), -0.5, 0.0], ids=["below", "just_above", "half", "zero"])
-def test_dropped_rows_get_the_eigenvalue_verdict(pos_tol, edge):
-    # A sweep lane's rows, dropped or kept, are checked by a Cholesky
-    # factorisation of rho + (pos_tol/2) I (observables.packed_verdict).  It
-    # certifies lambda_min > -pos_tol with a margin of pos_tol/2, at least 50
-    # times its rounding bound of about 8e-15 ||rho|| for pos_tol >= 1e-12; a
-    # block it cannot certify falls back to packed_diagnostics.  Row 20 sits
-    # at edge * pos_tol, row 40 below -pos_tol: the first bad row, its time
-    # and the message are those the exact check of kept rows gives.
+def test_dropped_rows_get_the_eigenvalue_verdict(monkeypatch, pos_tol, edge):
+    # Every row, dropped or kept, is checked by a Cholesky factorisation of
+    # rho + (pos_tol/2) I (observables.packed_verdict), one call per 64-row
+    # block.  It certifies lambda_min > -pos_tol with a margin of pos_tol/2,
+    # at least 50 times its rounding bound of about 8e-15 ||rho|| for
+    # pos_tol >= 1e-12; a block it cannot certify falls back to
+    # packed_diagnostics.  Row 20 sits at edge * pos_tol, row 40 below
+    # -pos_tol: the first bad row, its time and the message are those the
+    # exact diagnostics give, wherever a sweep lane's window starts.
     lowest = np.full(64, 0.01)
     lowest[20], lowest[40] = edge * pos_tol, -(1 + 1e-6) * pos_tol
     states = states_with_min_eig(lowest)
@@ -143,16 +143,23 @@ def test_dropped_rows_get_the_eigenvalue_verdict(pos_tol, edge):
     verdict = packed_verdict(states, pos_tol)
     assert np.array_equal(verdict[:, 1], exact[:, 1])
     assert np.array_equal(verdict[:, 2] < -pos_tol, exact[:, 2] < -pos_tol)
-    outcomes = []
-    window = functools.partial(integrator._window_diagnostics, pos_tol=pos_tol)
-    # A trajectory's rows, a sweep lane's kept rows, its dropped rows.
-    for keep_from, diagnose in ((0, None), (0, window), (64, window)):
-        recorder = integrator._SampleRecorder(Scenario(pos_tol=pos_tol), 64, keep_from, diagnose)
+    outcomes, calls = [], []
+
+    def counted(states, tol):
+        calls.append(len(states))
+        return packed_verdict(states, tol)
+
+    monkeypatch.setattr(integrator, "packed_verdict", counted)
+    # Every row kept (a trajectory), a window starting between the two bad
+    # rows, every row dropped.
+    for keep_from in (0, 30, 64):
+        recorder = integrator._SampleRecorder(Scenario(pos_tol=pos_tol), 64, keep_from)
         recorder.record(samples)
         recorder.check()
         assert isinstance(recorder.error, PhysicalityError)
         outcomes.append((str(recorder.error), recorder.written))
     assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert calls == [64, 64, 64]  # one call per recorder, however its rows split at keep_from
     # At pos_tol = 1e-12, 1e-6 of it is below the rounding of the minimum
     # eigenvalue (a few eps): row 20 "below" or "just above" may then read on
     # either side of -pos_tol; all paths say the same.
@@ -307,8 +314,7 @@ def test_non_finite_block_start_in_a_sweep_lane_is_an_integration_error(fig2_run
     traj = fig2_run.traj
     samples = traj.columns[:100, :17].copy()
     samples[nan_row, 5] = np.nan
-    window = functools.partial(integrator._window_diagnostics, pos_tol=fig2_run.scenario.pos_tol)
-    recorder = integrator._SampleRecorder(fig2_run.scenario, len(samples), keep_from, window)
+    recorder = integrator._SampleRecorder(fig2_run.scenario, len(samples), keep_from)
     recorder.record(samples)
     recorder.fail("not reached")
     assert isinstance(recorder.error, IntegrationError)

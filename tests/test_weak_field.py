@@ -13,14 +13,18 @@ order is smaller by a factor of order g01^2.
 
 The limit holds at any decay rates, so it checks both steppers: the
 baseline rates step with Dormand-Prince, and rates two to three orders of
-magnitude larger with Radau IIA.
+magnitude larger with Radau IIA.  It checks sweeps too, whose lanes keep
+only their steady windows.
 """
 
 import math
 
 import pytest
 
-from victrap import DriveConfig, Scenario, SystemParams, ground_state, integrate, integrator
+from victrap import (
+    DriveConfig, Scenario, SweepAxis, SweepSpec, SystemParams, detect_steady_state, ground_state, integrate,
+    integrator, sweep,
+)
 
 # Relative error over g01^2: 2.78 at g01 = 1e-2 and 2.80 at 1e-3; the bound
 # leaves a margin of 25% over the larger.
@@ -36,20 +40,30 @@ STIFF = [
 ]
 
 
+def weak_pulse(g01: float, rates: tuple[float, float] = (5.8, 2.2)) -> Scenario:
+    """A weak pulse 1 from |0>, theta = 0, no pulse 2 and no chirp."""
+    gamma01, gamma02 = rates
+    return Scenario(params=SystemParams(gamma01=gamma01, gamma02=gamma02, theta=0.0),
+                    drive=DriveConfig(g01=g01, g02=0.0), initial_state=ground_state())
+
+
+def first_order(scenario: Scenario) -> float:
+    """The first-order trapped population p1 + p2 of a ``weak_pulse`` scenario."""
+    params, drive = scenario.params, scenario.drive
+    dark = (math.sqrt(params.gamma01) - math.sqrt(params.gamma02)) ** 2 / (params.gamma01 + params.gamma02)
+    return math.pi * drive.g01 ** 2 * drive.tau ** 2 * dark
+
+
 def trapped(g01: float, rates: tuple[float, float] = (5.8, 2.2),
             stepper: type = integrator._DopriLanes) -> tuple[float, float]:
-    """The final p1 + p2 of a weak pulse 1 from |0>, theta = 0, no pulse 2 and no chirp, and its first-order value.
+    """The final p1 + p2 of ``weak_pulse(g01, rates)``, and its first-order value.
 
     Asserts that the run steps with ``stepper``.
     """
-    gamma01, gamma02 = rates
-    scenario = Scenario(params=SystemParams(gamma01=gamma01, gamma02=gamma02, theta=0.0),
-                        drive=DriveConfig(g01=g01, g02=0.0), initial_state=ground_state())
+    scenario = weak_pulse(g01, rates)
     assert integrator._Lane(scenario, integrator.sample_times(scenario)).stepper is stepper
     final = integrate(scenario).samples[-1].record
-    tau = scenario.drive.tau
-    dark = (math.sqrt(gamma01) - math.sqrt(gamma02)) ** 2 / (gamma01 + gamma02)
-    return final.p1 + final.p2, math.pi * g01 ** 2 * tau ** 2 * dark
+    return final.p1 + final.p2, first_order(scenario)
 
 
 def relative_errors(rates: tuple[float, float] = (5.8, 2.2), stepper: type = integrator._DopriLanes) -> list[float]:
@@ -82,3 +96,20 @@ def test_radau_lanes_error_shrinks_with_the_square_of_the_field(rates, bound):
     # 99x at both rate pairs here.
     errors = relative_errors(rates, integrator._RadauLanes)
     assert errors[0] >= 50.0 * errors[1]
+
+
+@pytest.mark.parametrize("rates, bound", [pytest.param((5.8, 2.2), C, id="5.8-2.2"), *STIFF])
+def test_sweep_rows_trap_the_first_order_population_in_the_dark_state(rates, bound):
+    # Both amplitudes run as lanes of one sweep.  Each row is its solo run's
+    # bits and within the first-order bound.  The trapped population sits in
+    # the dark state alone, so the doublet block is rank one and its purity
+    # is p_doublet^2 (to 3.3e-16 relative here).
+    spec = SweepSpec(base=weak_pulse(1e-2, rates), axes=(SweepAxis("g01", (1e-2, 1e-3)),))
+    for row in sweep(spec).rows:
+        scenario = weak_pulse(row.values[0], rates)
+        solo = detect_steady_state(integrate(scenario))
+        assert repr(tuple(row)) == repr((row.values, solo.doublet_population, solo.doublet_purity,
+                                         solo.abs_coherence_21, solo.converged, None))
+        predicted, g01 = first_order(scenario), scenario.drive.g01
+        assert abs(row.doublet_population - predicted) <= bound * g01 ** 2 * predicted
+        assert abs(row.doublet_purity - row.doublet_population ** 2) <= 1e-12 * row.doublet_population ** 2
