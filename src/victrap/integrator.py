@@ -65,7 +65,7 @@ from .liouvillian import (
     pack_state, rotate_coherences, unpack_state,
 )
 from .model import DensityMatrix, ObservableRecord, Scenario
-from .observables import packed_diagnostics, packed_purity, packed_verdict
+from .observables import _row_record, packed_diagnostics, packed_purity, packed_verdict
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
@@ -184,6 +184,8 @@ _STABILITY_LIMIT = 3.3
 STIFF_RATIO = 5.0
 # Substeps of the fixed-step reference whose drive parts are built at once.
 _RK4_BATCH = 256
+# Substeps a fixed-step reference may take in all; dt = 1e-4 over the default window takes 960,000.
+_RK4_BUDGET = 10 * MAX_STEPS
 # The stepping ends once the drive still to come, integrated and weighted by
 # the generator norms, is at most this fraction of atol.
 _DRIVE_LEFT = 1e-3
@@ -262,11 +264,8 @@ class SteadySummary(NamedTuple):
 
 
 def _sample(row: np.ndarray) -> TrajectorySample:
-    values = row.tolist()
-    t, re_im = values[0], values[5:17]
-    coherences = [complex(re, im) for re, im in zip(re_im[::2], re_im[1::2])]
-    record = ObservableRecord(t, *values[1:5], *coherences, *values[17:])
-    return TrajectorySample(time=t, state=DensityMatrix(unpack_state(row[_STATE])), record=record)
+    record = _row_record(row)
+    return TrajectorySample(time=record.time, state=DensityMatrix(unpack_state(row[_STATE])), record=record)
 
 
 class _Samples(Sequence):
@@ -319,14 +318,8 @@ class Trajectory:
 
 
 def sample_times(scenario: Scenario) -> np.ndarray:
-    """Uniform recording grid t_start + k*sample_interval, as a float64 array.
-
-    The row count is floor(span/interval) + 1; the small guard keeps an
-    integer quotient from being truncated by floating-point division.
-    """
-    span = scenario.t_end - scenario.t_start
-    n = int(math.floor(span / scenario.sample_interval + 1e-9))
-    return scenario.t_start + np.arange(n + 1) * scenario.sample_interval
+    """Uniform recording grid t_start + k*sample_interval, as a float64 array of ``scenario.sample_rows()`` rows."""
+    return scenario.t_start + np.arange(scenario.sample_rows()) * scenario.sample_interval
 
 
 class _SampleRecorder:
@@ -1148,7 +1141,8 @@ def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | Simulat
 def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
     """Classical fourth-order propagation with uniform steps; test cross-check.
 
-    Requires dt <= tau/40 so the pulses stay well resolved.
+    Requires dt <= tau/40 so the pulses stay well resolved, and at most
+    _RK4_BUDGET substeps in all.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise InvalidParameterError(f"dt must be positive, got {dt!r}")
@@ -1157,9 +1151,15 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
             f"dt={dt!r} too coarse: fixed-step runs require dt <= tau/40 = {scenario.drive.tau / 40.0:g}"
         )
 
+    grid = sample_times(scenario)
+    quotient = scenario.sample_interval / dt - 1e-9
+    n_sub = max(1, math.ceil(quotient)) if math.isfinite(quotient) else math.inf
+    substeps = (len(grid) - 1) * n_sub
+    if not substeps <= _RK4_BUDGET:
+        raise InvalidParameterError(f"dt={dt!r} too fine: {substeps:.3g} substeps; the budget is {_RK4_BUDGET}")
+
     drive = scenario.drive
     decay = decay_generator(scenario.params)
-    grid = sample_times(scenario)
     recorder = _SampleRecorder(scenario, len(grid))
 
     y = pack_state(scenario.initial_state)
@@ -1168,7 +1168,6 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
     def rhs(coherent: np.ndarray, y: np.ndarray) -> np.ndarray:
         return coherent @ y + decay @ y
 
-    n_sub = max(1, math.ceil(scenario.sample_interval / dt - 1e-9))
     steps = 0
     for prev, target in zip(grid, grid[1:]):
         h = (target - prev) / n_sub

@@ -42,7 +42,7 @@ DIM = 4
 # (trace_tol, pos_tol) are per-scenario knobs.
 HERMITICITY_TOL = 1e-12
 
-# Cap on the recording grid, floor(span/sample_interval) + 1 rows, checked
+# Cap on the rows of the recording grid (Scenario.sample_rows), checked
 # before anything is allocated; the presets use at most 1,921 rows.
 MAX_SAMPLE_ROWS = 100_000
 
@@ -173,16 +173,16 @@ def validate_physicality(
 ) -> PhysicalityReport:
     """Measure trace error and minimum eigenvalue; a DensityMatrix is exactly Hermitian by construction.
 
-    The minimum eigenvalue is ``observables.packed_min_eigenvalues``' (see
-    there for its error bound).
+    Both are the packed kernels' values for the one state (see
+    ``observables.packed_min_eigenvalues`` for the eigenvalue's error bound).
     """
     # Imported here because liouvillian and observables import this module.
     from .liouvillian import pack_state
-    from .observables import packed_min_eigenvalues
+    from .observables import _trace_errors, packed_min_eigenvalues
 
-    m = rho.matrix
-    trace_error = abs(float(np.trace(m).real) - 1.0)
-    min_eig = float(packed_min_eigenvalues(pack_state(rho)[None])[0])
+    state = pack_state(rho)[None]
+    trace_error = float(_trace_errors(state)[0])
+    min_eig = float(packed_min_eigenvalues(state)[0])
     return PhysicalityReport(
         trace_error=trace_error,
         min_eigenvalue=min_eig,
@@ -309,13 +309,7 @@ class Scenario:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise InvalidParameterError(f"{name} must be positive, got {value!r}")
-        # rows = floor(quotient + 1e-9) + 1, as in integrator.sample_times.
-        quotient = (self.t_end - self.t_start) / self.sample_interval
-        if not quotient + 1e-9 < MAX_SAMPLE_ROWS:
-            raise InvalidParameterError(
-                f"sample grid of {quotient:.3g} intervals exceeds the cap of {MAX_SAMPLE_ROWS} rows; "
-                "raise sample_interval or shorten the window"
-            )
+        self.sample_rows()  # refuses a grid of more than MAX_SAMPLE_ROWS rows
         for name in ("trace_tol", "pos_tol"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
@@ -327,6 +321,19 @@ class Scenario:
                 f"trace_error={report.trace_error:.3e}, "
                 f"min_eigenvalue={report.min_eigenvalue:.3e}"
             )
+
+    def sample_rows(self) -> int:
+        """Rows of the grid t_start + k*sample_interval, floor(span/sample_interval) + 1, at most MAX_SAMPLE_ROWS.
+
+        The 1e-9 keeps an integer quotient from being truncated by floating-point division.
+        """
+        quotient = (self.t_end - self.t_start) / self.sample_interval
+        if not quotient + 1e-9 < MAX_SAMPLE_ROWS:
+            raise InvalidParameterError(
+                f"sample grid of {quotient:.3g} intervals exceeds the cap of {MAX_SAMPLE_ROWS} rows; "
+                "raise sample_interval or shorten the window"
+            )
+        return math.floor(quotient + 1e-9) + 1
 
 
 class ObservableRecord(NamedTuple):

@@ -2,6 +2,8 @@
 
 The doublet-block purity is Tr(B^2) of the *unnormalized* 2x2 block over
 {|1>, |2>}, so it tends to zero when the doublet empties.
+Each quantity has one formula, in the packed kernels that take k packed
+states; the functions on one state apply them to a one-row stack.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError
-from .liouvillian import PACKED_SIZE, unpack_state
-from .model import DIM, DensityMatrix, ObservableRecord, SystemParams, validate_physicality
+from .liouvillian import PACKED_SIZE, pack_state, unpack_state
+from .model import DIM, DensityMatrix, ObservableRecord, SystemParams
 
 __all__ = [
     "populations",
@@ -86,26 +88,17 @@ _JACOBI_RELABEL, _JACOBI_SIGNS = _relabelling((0, 2, 3, 1))
 
 
 def populations(rho: DensityMatrix) -> tuple[float, float, float, float]:
-    """Real diagonal (p0, p1, p2, p3)."""
-    m = rho.matrix
-    return (
-        float(m[0, 0].real),
-        float(m[1, 1].real),
-        float(m[2, 2].real),
-        float(m[3, 3].real),
-    )
+    """Real diagonal (p0, p1, p2, p3): the first four packed reals."""
+    return tuple(pack_state(rho)[:DIM].tolist())
 
 
 def doublet_purity(rho: DensityMatrix) -> float:
-    """Tr(B^2) of the unnormalized doublet block B = rho[1:3, 1:3].
+    """Tr(B^2) of the unnormalized doublet block B = rho[1:3, 1:3], by ``packed_purity``.
 
     Equals p1^2 + p2^2 + 2|rho21|^2, bounded by (p1 + p2)^2 with equality
     iff the block is rank one.
     """
-    m = rho.matrix
-    p1 = float(m[1, 1].real)
-    p2 = float(m[2, 2].real)
-    return p1 * p1 + p2 * p2 + 2.0 * _square(abs(complex(m[2, 1])))
+    return float(packed_purity(pack_state(rho)[None])[0])
 
 
 def _square(v: float) -> float:
@@ -149,37 +142,26 @@ def observable_record(
     trace_tol: float = 1e-6,
     pos_tol: float = 1e-7,
 ) -> ObservableRecord:
-    """Snapshot every plotted/emitted quantity plus physicality diagnostics."""
-    m = rho.matrix
-    p0, p1, p2, p3 = populations(rho)
-    report = validate_physicality(rho, trace_tol, pos_tol)
-    record = ObservableRecord(
-        time=time,
-        p0=p0,
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        c10=complex(m[1, 0]),
-        c20=complex(m[2, 0]),
-        c21=complex(m[2, 1]),
-        c30=complex(m[3, 0]),
-        c31=complex(m[3, 1]),
-        c32=complex(m[3, 2]),
-        doublet_purity=doublet_purity(rho),
-        trace_error=report.trace_error,
-        min_eigenvalue=report.min_eigenvalue,
-    )
-    return record
+    """Snapshot every plotted/emitted quantity plus physicality diagnostics, as a run records them.
+
+    ``trace_tol`` and ``pos_tol`` do not enter the record.
+    """
+    state = pack_state(rho)
+    return _row_record(np.concatenate(((time,), state, packed_diagnostics(state[None])[0])))
+
+
+def _row_record(row: np.ndarray) -> ObservableRecord:
+    """The record of a (20,) row: the time, the 16 packed reals, purity, trace error and minimum eigenvalue."""
+    values = row.tolist()
+    re_im = values[1 + DIM:1 + PACKED_SIZE]
+    coherences = [complex(re, im) for re, im in zip(re_im[::2], re_im[1::2])]
+    return ObservableRecord(values[0], *values[1:1 + DIM], *coherences, *values[1 + PACKED_SIZE:])
 
 
 def packed_diagnostics(states: np.ndarray) -> np.ndarray:
     """Doublet purity, trace error and minimum eigenvalue of k packed states, shape (k, 3).
 
-    Bit for bit the values ``observable_record`` gives for each state: the
-    purity is ``packed_purity``'s, the trace is summed as (p0 + p1) +
-    (p2 + p3), as ``np.trace`` sums four entries, and the minimum
-    eigenvalue is ``packed_min_eigenvalues``', whose result for a state
-    does not depend on the others.
+    Each row is the same bits in any batch, as ``packed_min_eigenvalues``' result is.
     """
     return np.column_stack((packed_purity(states), _trace_errors(states), packed_min_eigenvalues(states)))
 
@@ -261,15 +243,16 @@ def _jacobi_round(z: np.ndarray, threshold: np.ndarray) -> None:
 
 
 def packed_purity(states: np.ndarray) -> np.ndarray:
-    """Doublet purity of k packed states, bit for bit ``doublet_purity``.
+    """Doublet purity of k packed states, p1^2 + p2^2 + 2|rho21|^2.
 
     |rho21|^2 is ``hypot(re, im) ** 2`` through Python's float power (libm
     ``pow``, which can differ from ``x * x`` in the last bit), and inf
-    where that power overflows.
+    where that power overflows; an overflowing sum is inf too, without a warning.
     """
     p1, p2 = states[:, 1:3].T
     abs21_sq = list(map(_square, np.hypot(states[:, 8], states[:, 9]).tolist()))
-    return p1 * p1 + p2 * p2 + 2.0 * np.array(abs21_sq)
+    with np.errstate(over="ignore"):
+        return p1 * p1 + p2 * p2 + 2.0 * np.array(abs21_sq)
 
 
 def packed_verdict(states: np.ndarray, pos_tol: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -674,6 +675,15 @@ class TestFixedStep:
     def test_nonpositive_step_rejected(self):
         with pytest.raises(InvalidParameterError):
             integrate_fixed_step(quiet_scenario(), 0.0)
+
+    @pytest.mark.parametrize("dt", [1e-300, 5e-324])
+    def test_step_too_fine_for_the_budget_rejected_at_once(self, dt):
+        # 1e-300 asked for about 1e301 substeps and never returned; 5e-324
+        # overflowed the substep count to inf.
+        start = time.perf_counter()
+        with pytest.raises(InvalidParameterError, match="substeps; the budget is 2000000"):
+            integrate_fixed_step(preset("fig2"), dt)
+        assert time.perf_counter() - start < 1.0
 
     def test_matches_adaptive_on_decay(self):
         sc = quiet_scenario(initial_state=initial_metastable(), t_end=10.0)

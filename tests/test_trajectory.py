@@ -60,6 +60,15 @@ class TestColumnsMatchScalarPath:
             assert sample.record == rec
             assert sample.time == rec.time
 
+    def test_trace_error_and_purity_match_the_matrix_formulas(self, run):
+        # Independent of the packed kernels: the trace by np.trace of the
+        # unpacked matrix, and the purity in Python floats.
+        for row in run.columns:
+            m = unpack_state(row[1:17])
+            p1, p2 = float(m[1, 1].real), float(m[2, 2].real)
+            assert row[-2] == abs(np.trace(m).real - 1.0)
+            assert row[-3] == p1 * p1 + p2 * p2 + 2.0 * abs(complex(m[2, 1])) ** 2
+
     def test_stats_are_the_scalar_extremes(self, run):
         records = scalar_records(run)
         assert run.stats.max_trace_error == max(r.trace_error for r in records)
