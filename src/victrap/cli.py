@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import gc
 import math
 import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import replace
 
@@ -31,9 +34,9 @@ from .errors import (
     SimulationError,
 )
 from .experiments import PRESET_NAMES, SweepSpec, preset, sweep
-from .integrator import detect_steady_state, integrate
+from .integrator import integrate, stream_trajectory
 from .model import DensityMatrix, DriveConfig, Scenario, SystemParams, coherence_decay_rate, initial_metastable
-from .output import emit_summary_json, emit_sweep_csv, emit_sweep_json, emit_trajectory_csv
+from .output import TRAJECTORY_CSV_HEADER, emit_summary_json, emit_sweep_csv, emit_sweep_json, emit_trajectory_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,26 +114,39 @@ def _read_config(path: str) -> str:
 
 
 def _run_single(args, scenario: Scenario, fmt: str, out_path: str | None) -> int:
-    """Integrate, attach the steady state when the run is long enough for one, and emit."""
-    traj = integrate(scenario)
-    try:
-        traj = traj.with_steady(detect_steady_state(traj))
-    except InsufficientDataError as exc:
-        if fmt == "json":  # a summary needs a verdict
-            raise
-        # The exit code says only that there is no verdict; say why, under --quiet too.
-        print(f"steady-state detection skipped: {exc}", file=sys.stderr)
-    steady = traj.steady
-    if steady is not None:
-        _say(args, f"steady state at t={steady.time:g}: p1+p2={steady.doublet_population:.6f}, "
-                   f"purity={steady.doublet_purity:.6f}, |rho21|={steady.abs_coherence_21:.6f}, "
-                   f"converged={steady.converged}")
-    if fmt == "json":
+    """Integrate, keeping only the steady window, and emit once the run has succeeded.
+
+    A CSV run writes its rows as they leave the recorder to a spool, an
+    unnamed temporary file made before any stepping, in the --out directory
+    or, for stdout, the temp directory; only a run that succeeds copies it
+    to its destination, so a failed one writes nothing there.
+    """
+    with contextlib.ExitStack() as stack:
+        if fmt == "json":
+            steady, stats = stream_trajectory(scenario)
+        else:
+            directory = None if out_path is None or out_path == "-" else os.path.dirname(out_path) or "."
+            spool = stack.enter_context(
+                tempfile.TemporaryFile(mode="w+", encoding="utf-8", newline="", dir=directory)
+            )
+            spool.write(TRAJECTORY_CSV_HEADER + "\n")
+            steady, stats = stream_trajectory(scenario, functools.partial(emit_trajectory_rows, sink=spool))
+        if isinstance(steady, InsufficientDataError):
+            if fmt == "json":  # a summary needs a verdict
+                raise steady
+            # The exit code says only that there is no verdict; say why, under --quiet too.
+            print(f"steady-state detection skipped: {steady}", file=sys.stderr)
+            steady = None
+        else:
+            _say(args, f"steady state at t={steady.time:g}: p1+p2={steady.doublet_population:.6f}, "
+                       f"purity={steady.doublet_purity:.6f}, |rho21|={steady.abs_coherence_21:.6f}, "
+                       f"converged={steady.converged}")
         with _open_sink(out_path) as sink:
-            emit_summary_json(steady, sink, traj.stats)
-    else:
-        with _open_sink(out_path) as sink:
-            emit_trajectory_csv(traj, sink)
+            if fmt == "json":
+                emit_summary_json(steady, sink, stats)
+            else:
+                spool.seek(0)
+                shutil.copyfileobj(spool, sink)
     if steady is None or not steady.converged:
         return EXIT_PHYSICS
     return EXIT_OK

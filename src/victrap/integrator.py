@@ -43,16 +43,19 @@ other lanes, so its results are the same bits in any batch.
 A classical fixed-step fourth-order method with an identical sampling
 contract is provided as an independent cross-check.
 
-Both write each sample as one row of a preallocated array and derive the
-diagnostic columns for blocks of rows at once; the sample objects of the
-public API are built from the rows only when read.
+Both write each sample as one row of a recorder's buffer, which checks
+blocks of rows at once and then forms their diagnostic columns a few
+hundred at a time: ``integrate`` keeps every row as the trajectory's
+array, and ``stream_trajectory`` hands the rows to a caller's sink as it
+goes, holding only the steady window.  The sample objects of the public
+API are built from the rows only when read.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -76,6 +79,7 @@ __all__ = [
     "integrate",
     "integrate_fixed_step",
     "steady_states",
+    "stream_trajectory",
     "detect_steady_state",
     "sample_times",
     "STEADY_WINDOW",
@@ -219,10 +223,10 @@ _SAMPLE = slice(0, 1 + PACKED_SIZE)  # what the steppers write: the time and the
 _DIAGNOSTICS = slice(1 + PACKED_SIZE, len(TRAJECTORY_COLUMNS))
 # Rows whose diagnostics are derived and checked together.
 _BLOCK = 64
-# Rows of a finished trajectory whose purity and minimum eigenvalues are
-# formed in one batch.  A call to the Jacobi kernel costs about 0.5 ms
-# however few rows it gets, and about 600 bytes of temporaries a row: 256
-# rows keep those to a few per cent of a long run's trajectory array.
+# Rows whose purity and minimum eigenvalues are formed in one batch before
+# they leave a recorder for its sink.  A call to the Jacobi kernel costs
+# about 0.5 ms however few rows it gets, and about 600 bytes of temporaries
+# a row: 256 rows keep both small next to a run's fixed overhead.
 _FINISH_ROWS = 256
 
 
@@ -317,6 +321,10 @@ class Trajectory:
         return replace(self, steady=steady)
 
 
+def _discard(rows: np.ndarray) -> None:
+    """The sink of a run that reads none of the rows it sends: ``integrate`` keeps them all, a summary its window."""
+
+
 def sample_times(scenario: Scenario) -> np.ndarray:
     """Uniform recording grid t_start + k*sample_interval, as a float64 array of ``scenario.sample_rows()`` rows."""
     return scenario.t_start + np.arange(scenario.sample_rows()) * scenario.sample_interval
@@ -332,22 +340,33 @@ class _SampleRecorder:
     it, and nothing is written after it.
     A stepper that gives up calls ``fail``, which checks the partial block
     first, so a bad sample recorded before that is still the error
-    reported.  Rows before ``keep_from`` are dropped once checked, so only
-    the rows from ``keep_from`` on (and at most one block) are ever held.
-    Each block gets the columns of one ``observables.packed_verdict`` call,
-    which spares the purity and eigenvalues of the blocks it certifies;
-    each caller forms the columns it reads (see ``trajectory`` and
-    ``steady_states``).
+    reported.  Each block gets the columns of one
+    ``observables.packed_verdict`` call, which spares the purity and
+    eigenvalues of the blocks it certifies.
+
+    Rows before ``keep_from`` leave the recorder once checked, so only the
+    rows from ``keep_from`` on are held, with at most _FINISH_ROWS others.
+    Without a ``sink`` they are dropped: a sweep lane forms the columns it
+    reads of the rest (see ``steady_states``).  With one, they first get
+    the columns of ``observables.packed_diagnostics``, which count toward
+    the extremes of their trace errors and minimum eigenvalues, and then go
+    to the sink in time order, _FINISH_ROWS at a time; ``finish`` sends the
+    last of them with the rows from ``keep_from`` on.
     """
 
-    def __init__(self, scenario: Scenario, n_rows: int, keep_from: int = 0):
+    def __init__(self, scenario: Scenario, n_rows: int, keep_from: int = 0,
+                 sink: Callable[[np.ndarray], None] | None = None):
         self.scenario = scenario
-        self.rows = np.empty((max(min(_BLOCK, n_rows), n_rows - keep_from), len(TRAJECTORY_COLUMNS)))
+        held = n_rows - keep_from
+        self.rows = np.empty((min(n_rows, held + _FINISH_ROWS) if sink else max(min(_BLOCK, n_rows), held),
+                              len(TRAJECTORY_COLUMNS)))
         self.keep_from = keep_from
+        self.sink = sink
         self.base = 0  # index of the sample held in rows[0]
         self.written = 0
         self.checked = 0
         self.error: SimulationError | None = None
+        self.max_trace_error, self.min_eigenvalue = -math.inf, math.inf
 
     def record(self, samples: np.ndarray) -> None:
         """Write (m, 17) ``samples``, each a time and its packed state, checking each full block."""
@@ -381,9 +400,31 @@ class _SampleRecorder:
                 else f"minimum eigenvalue {min_eig:.3e} below -{sc.pos_tol:.1e} at t={t:g}"
             )
         elif self.base < self.keep_from:
-            drop = min(self.written, self.keep_from) - self.base
-            self.rows[:self.written - self.base - drop] = self.rows[drop:self.written - self.base]
-            self.base += drop
+            leaving = min(self.written, self.keep_from) - self.base
+            if self.sink is None:
+                self._drop(leaving)
+            elif leaving >= _FINISH_ROWS:
+                self._send(leaving)
+
+    def _drop(self, count: int) -> None:
+        """Drop the first ``count`` held rows."""
+        self.rows[:self.written - self.base - count] = self.rows[count:self.written - self.base]
+        self.base += count
+
+    def _send(self, count: int) -> None:
+        """Form every diagnostic column of the first ``count`` held rows, _FINISH_ROWS at a time, and send them on.
+
+        The checks have passed, so only the purity and minimum eigenvalues
+        the certificate left out change, to the same bits in any batch.
+        """
+        rows = self.rows[:count]
+        for start in range(0, count, _FINISH_ROWS):
+            chunk = rows[start:start + _FINISH_ROWS]
+            chunk[:, _DIAGNOSTICS] = packed_diagnostics(chunk[:, _STATE])
+        self.max_trace_error = float(np.maximum(self.max_trace_error, rows[:, -2].max(initial=-math.inf)))
+        self.min_eigenvalue = float(np.minimum(self.min_eigenvalue, rows[:, -1].min(initial=math.inf)))
+        self.sink(rows)
+        self._drop(count)
 
     def fail(self, message: str) -> None:
         """Store IntegrationError(message), unless a row recorded before it fails the check."""
@@ -392,26 +433,23 @@ class _SampleRecorder:
             self.error = IntegrationError(message)
 
     def kept(self) -> np.ndarray:
-        """The checked rows from ``keep_from`` on."""
+        """The held rows, checked: without a sink, those from ``keep_from`` on."""
         self.check()
         return self.rows[:self.written - self.base]
 
-    def trajectory(self, accepted: int, rejected: int, evaluations: int) -> Trajectory:
-        """The recorded run, with the extremes of its diagnostic columns; raises the run's error if it has one.
+    def finish(self, accepted: int, rejected: int, evaluations: int) -> tuple[np.ndarray, IntegrationStats]:
+        """Send every row still held to the sink; return those from ``keep_from`` on, read-only, and the run's stats.
 
-        Its rows get the columns of ``observables.packed_diagnostics`` here,
-        _FINISH_ROWS at a time: the checks have passed, so only the purity
-        and minimum eigenvalues the certificate left out change.
+        Raises the run's error if it has one.
         """
         rows = self.kept()
         if self.error is not None:
             raise self.error
-        for start in range(0, len(rows), _FINISH_ROWS):
-            chunk = rows[start:start + _FINISH_ROWS]
-            chunk[:, _DIAGNOSTICS] = packed_diagnostics(chunk[:, _STATE])
-        rows.flags.writeable = False
-        extremes = float(rows[:, -2].max()), float(rows[:, -1].min())
-        return Trajectory(self.scenario, rows, IntegrationStats(accepted, rejected, evaluations, *extremes))
+        base = self.base
+        self._send(len(rows))
+        kept = rows[max(0, self.keep_from - base):]
+        kept.flags.writeable = False
+        return kept, IntegrationStats(accepted, rejected, evaluations, self.max_trace_error, self.min_eigenvalue)
 
 
 def _reachable(scenario: Scenario, decay: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -564,7 +602,8 @@ class _Lane:
     tail's rounding could exceed atol.
     """
 
-    def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0, shared: dict | None = None):
+    def __init__(self, scenario: Scenario, grid: np.ndarray, keep_from: int = 0, shared: dict | None = None,
+                 sink: Callable[[np.ndarray], None] | None = None):
         drive, params = scenario.drive, scenario.params
         self.shared = {} if shared is None else shared
         self.basis = _once(self.shared, params, lambda: generator_basis(decay_generator(params)))
@@ -610,7 +649,7 @@ class _Lane:
             )
         self.scenario = scenario
         self.grid = grid
-        self.recorder = _SampleRecorder(scenario, len(grid), keep_from)
+        self.recorder = _SampleRecorder(scenario, len(grid), keep_from, sink)
         # The lane's column of its lane set's block at the start: y0 and, for
         # Dormand-Prince, the first stage L(t_start) y0, which each accepted
         # step then carries over from its last.
@@ -731,15 +770,17 @@ class _Lane:
         """exp(L0 dt) on the reachable components, computed once for the lanes that share L0."""
         return _once(self.shared, ("expm", self.key, dt), lambda: _expm(self.decay * dt))
 
-    def trajectory(self) -> Trajectory:
-        """The recorded run; its RHS evaluations are the generator-vector products of its attempted steps.
+    def outcome(self) -> tuple[np.ndarray, IntegrationStats]:
+        """The rows from keep_from on, once ``_SampleRecorder.finish`` has sent the rest, and the run's stats.
 
-        Dormand-Prince makes six per attempt, after the first stage at the
-        start; Radau IIA makes four, L(t + c_j h) y and L(t) y.
+        Raises the run's error if it has one.  The RHS evaluations are the
+        generator-vector products of the attempted steps: Dormand-Prince
+        makes six per attempt, after the first stage at the start; Radau IIA
+        makes four, L(t + c_j h) y and L(t) y.
         """
         attempts = self.accepted + self.rejected
         evaluations = 1 + _NEW_STAGES * attempts if self.stepper is _DopriLanes else 4 * attempts
-        return self.recorder.trajectory(self.accepted, self.rejected, evaluations)
+        return self.recorder.finish(self.accepted, self.rejected, evaluations)
 
 
 class _FlushScratch:
@@ -1094,9 +1135,30 @@ def integrate(scenario: Scenario) -> Trajectory:
     exceed atol, or L0 times the window is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        lane = _Lane(scenario, sample_times(scenario))
+        lane = _Lane(scenario, sample_times(scenario), sink=_discard)
         _run_lanes([lane])
-        return lane.trajectory()
+        return Trajectory(scenario, *lane.outcome())
+
+
+def stream_trajectory(
+    scenario: Scenario, sink: Callable[[np.ndarray], None] = _discard
+) -> tuple[SteadySummary | InsufficientDataError, IntegrationStats]:
+    """Run ``integrate(scenario)``, handing its rows to ``sink`` as they are checked, and summarise the steady window.
+
+    ``sink`` gets the rows of ``integrate(scenario).columns`` in time order,
+    in (m, 20) slices of at least _FINISH_ROWS rows but the last, and must
+    copy what it keeps.  The run holds only its steady window and one batch
+    of rows.  Returns what ``detect_steady_state(integrate(scenario))``
+    returns, bit for bit, or the InsufficientDataError it raises, and the
+    run's stats; raises what ``integrate`` raises, which comes first.
+    """
+    grid = sample_times(scenario)
+    start, window_error = _window_start(scenario, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lane = _Lane(scenario, grid, bisect.bisect_left(grid, start), sink=sink)
+        _run_lanes([lane])
+        window, stats = lane.outcome()
+    return window_error or _steady_summary(window, start), stats
 
 
 def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | SimulationError]:
@@ -1118,11 +1180,7 @@ def steady_states(scenarios: Sequence[Scenario]) -> list[SteadySummary | Simulat
         for i, scenario in enumerate(scenarios):
             window = ("grid", scenario.t_start, scenario.t_end, scenario.sample_interval)
             grid = _once(shared, window, lambda: sample_times(scenario))
-            # A window error is reported only if the run itself succeeds.
-            try:
-                start, window_error = _steady_window(scenario, grid), None
-            except SimulationError as exc:
-                start, window_error = math.inf, exc
+            start, window_error = _window_start(scenario, grid)
             try:
                 lane = _Lane(scenario, grid, bisect.bisect_left(grid, start), shared)
                 lanes[i] = (lane, start, window_error)
@@ -1160,7 +1218,7 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
 
     drive = scenario.drive
     decay = decay_generator(scenario.params)
-    recorder = _SampleRecorder(scenario, len(grid))
+    recorder = _SampleRecorder(scenario, len(grid), sink=_discard)
 
     y = pack_state(scenario.initial_state)
     recorder.record(np.concatenate((grid[:1], y))[None])
@@ -1186,7 +1244,7 @@ def integrate_fixed_step(scenario: Scenario, dt: float) -> Trajectory:
             break
         recorder.record(np.concatenate(((target,), y))[None])
 
-    return recorder.trajectory(steps, 0, 4 * steps)
+    return Trajectory(scenario, *recorder.finish(steps, 0, 4 * steps))
 
 
 def _steady_window(scenario: Scenario, grid: np.ndarray) -> float:
@@ -1209,6 +1267,14 @@ def _steady_window(scenario: Scenario, grid: np.ndarray) -> float:
             f"use a sample_interval of at most {STEADY_WINDOW:g}"
         )
     return start
+
+
+def _window_start(scenario: Scenario, grid: np.ndarray) -> tuple[float, InsufficientDataError | None]:
+    """The start of the steady window, or inf and its error, which is reported only if the run itself succeeds."""
+    try:
+        return _steady_window(scenario, grid), None
+    except InsufficientDataError as exc:
+        return math.inf, exc
 
 
 def _steady_summary(rows: np.ndarray, start: float) -> SteadySummary:

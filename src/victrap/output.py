@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import IO
 
+import numpy as np
+
 from .experiments import SweepTable
 from .integrator import _BLOCK, _STATE, TRAJECTORY_COLUMNS, IntegrationStats, SteadySummary, Trajectory
 from .liouvillian import pack_state
@@ -16,6 +18,7 @@ from .liouvillian import pack_state
 __all__ = [
     "TRAJECTORY_CSV_HEADER",
     "emit_trajectory_csv",
+    "emit_trajectory_rows",
     "emit_sweep_csv",
     "emit_sweep_json",
     "emit_summary_json",
@@ -30,12 +33,20 @@ def _f(value: float) -> str:
 
 
 def emit_trajectory_csv(traj: Trajectory, sink: IO[str]) -> None:
-    """One row per sample, columns fixed by TRAJECTORY_CSV_HEADER, formatted and written
-    _BLOCK rows at a time, so emission holds a block of Python floats, not the whole run."""
+    """One row per sample, columns fixed by TRAJECTORY_CSV_HEADER: the header, then ``emit_trajectory_rows``."""
     sink.write(TRAJECTORY_CSV_HEADER + "\n")
-    columns = traj.columns
-    for start in range(0, len(columns), _BLOCK):
-        block = columns[start:start + _BLOCK]
+    emit_trajectory_rows(traj.columns, sink)
+
+
+def emit_trajectory_rows(rows: np.ndarray, sink: IO[str]) -> None:
+    """The trajectory-CSV lines of (m, 20) rows, formatted and written _BLOCK rows at a time.
+
+    Emission holds a block of Python floats, not the whole run; a run that
+    streams its rows (``integrator.stream_trajectory``) writes them here
+    as they leave its recorder.
+    """
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start:start + _BLOCK]
         sink.write((_TRAJECTORY_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 

@@ -1,16 +1,20 @@
 import gc
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 
-from victrap import TRAJECTORY_CSV_HEADER, cli, experiments, integrate, parse_config
+from victrap import (
+    TRAJECTORY_CSV_HEADER, cli, emit_summary_json, emit_trajectory_csv, experiments, integrate, parse_config,
+)
 from victrap.cli import main
 from victrap.integrator import sample_times
 from victrap.observables import packed_diagnostics
@@ -27,6 +31,18 @@ t_end = 20.0
 [sweep]
 parameter = theta
 values = 0.0, 1.5707963267948966
+"""
+
+PURE_STATE_CFG = """\
+[decay]
+gamma01 = 0
+gamma02 = 0
+gamma03 = 0
+
+[drive]
+g01 = 30
+g02 = 10
+t0 = 0
 """
 
 SHORT_RUN_CFG = """\
@@ -134,6 +150,44 @@ class TestRun:
         assert not fresh.exists()
         assert capsys.readouterr().err.count("too stiff") == 2
 
+    def test_failure_after_streamed_rows_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # A pure state driven hard without decay dips below -pos_tol through
+        # the integrator's own error, after more than one batch of rows has
+        # left the recorder for the spool.  Nothing reaches stdout or --out,
+        # and no spool is left behind, in the --out directory or the temp one.
+        cfg = write(tmp_path, "pure.cfg", PURE_STATE_CFG)
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"earlier result\n")
+        fresh = tmp_path / "fresh.csv"
+        spools = tmp_path / "tmp"
+        spools.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spools))
+        streamed = []
+        emit = cli.emit_trajectory_rows
+        monkeypatch.setattr(cli, "emit_trajectory_rows",
+                            lambda rows, sink: streamed.append(len(rows)) or emit(rows, sink))
+        before = sorted(tmp_path.rglob("*"))
+        for out in (["--out", str(existing)], ["--out", str(fresh)], [], ["--out", "-"]):
+            streamed.clear()
+            assert main(["--quiet", "run", "--config", cfg, *out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "victrap: physics failure: minimum eigenvalue -1.001e-07 below -1.0e-07 at t=3.4\n"
+            assert sum(streamed) >= 256
+        assert existing.read_bytes() == b"earlier result\n"
+        assert not fresh.exists()
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_pure_state_run_passes_at_tight_tolerances(self, tmp_path, capsys):
+        # The failure above is the integrator's global error on a pure
+        # state, not the physics: at rtol = 1e-10 the run stays above -pos_tol.
+        cfg = write(tmp_path, "pure.cfg", PURE_STATE_CFG + "\n[integration]\nrtol = 1e-10\natol = 1e-12\n")
+        assert main(["--quiet", "run", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = sample_times(parse_config((tmp_path / "pure.cfg").read_text()))
+        assert len(captured.out.splitlines()) == 1 + len(rows)
+
     def test_invalid_config_value(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "[decay]\ntheta = -0.1\n")
         code = main(["run", "--config", cfg])
@@ -185,6 +239,20 @@ class TestPreset:
         code = main(["--quiet", "preset", "fig2", "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith(TRAJECTORY_CSV_HEADER)
+
+    def test_streamed_output_is_that_of_integrate_then_emit(self, tmp_path, capsys, fig2_run, fig4_run):
+        # run and preset stream their rows and keep only the steady window;
+        # the bytes, the summary and the stats stay those of the whole trajectory.
+        csv = io.StringIO()
+        emit_trajectory_csv(fig2_run.traj, csv)
+        summary = io.StringIO()
+        emit_summary_json(fig4_run.steady, summary, fig4_run.traj.stats)
+        out = tmp_path / "fig2.csv"
+        assert main(["--quiet", "preset", "fig2"]) == 0
+        assert main(["--quiet", "preset", "fig2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == csv.getvalue() == out.read_text()
+        assert main(["--quiet", "--format", "json", "preset", "fig4"]) == 0
+        assert capsys.readouterr().out == summary.getvalue()
 
 
 class TestBoundedGrids:
@@ -403,7 +471,7 @@ class TestOutputPath:
             raise AssertionError("stepped before checking the output path")
 
         monkeypatch.setattr(cli, "sweep", fail)
-        monkeypatch.setattr(cli, "integrate", fail)
+        monkeypatch.setattr(cli, "stream_trajectory", fail)
         monkeypatch.chdir(tmp_path)
 
     def refused(self, capsys, argv, message):

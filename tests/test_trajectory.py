@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from victrap import (
     TRAJECTORY_CSV_HEADER,
     DensityMatrix,
+    InsufficientDataError,
     IntegrationError,
     PhysicalityError,
     Scenario,
@@ -329,3 +330,68 @@ def test_non_finite_block_start_in_a_sweep_lane_is_an_integration_error(fig2_run
     assert isinstance(recorder.error, IntegrationError)
     assert str(recorder.error) == f"non-finite state at t={traj.times[nan_row]:g}"
     assert recorder.written == min(nan_row + BLOCK, len(samples))  # nothing after the NaN row's block
+
+
+class TestStreamedRows:
+    """``stream_trajectory`` hands ``integrate``'s rows to a sink as they are checked and holds only its window."""
+
+    def stream(self, scenario):
+        batches = []
+        steady, stats = integrator.stream_trajectory(scenario, lambda rows: batches.append(rows.copy()))
+        return batches, steady, stats
+
+    def test_rows_summary_and_stats_are_those_of_integrate(self, fig2_run):
+        batches, steady, stats = self.stream(fig2_run.scenario)
+        assert all(len(batch) >= integrator._FINISH_ROWS for batch in batches[:-1])
+        assert np.concatenate(batches).tobytes() == fig2_run.traj.columns.tobytes()
+        assert stats == fig2_run.traj.stats
+        assert steady._replace(state=None) == fig2_run.steady._replace(state=None)
+        assert pack_state(steady.state).tobytes() == pack_state(fig2_run.steady.state).tobytes()
+
+    def test_no_more_jacobi_calls_than_integrate(self, monkeypatch, fig2_run):
+        # The kernel costs about 0.5 ms a call however few rows it gets, so
+        # rows leave the recorder at least _FINISH_ROWS at a time.
+        calls = []
+        kernel = observables.packed_min_eigenvalues
+
+        def counted(states):
+            calls.append(len(states))
+            return kernel(states)
+
+        monkeypatch.setattr(observables, "packed_min_eigenvalues", counted)
+        integrate(fig2_run.scenario)
+        by_integrate = len(calls)
+        self.stream(fig2_run.scenario)
+        assert len(calls) - by_integrate == by_integrate == math.ceil(len(fig2_run.traj.columns) / 256)
+
+    def test_window_error_comes_after_the_rows(self):
+        # The window holds one sample: every row still reaches the sink.
+        scenario = replace(preset("fig2"), sample_interval=30.0)
+        batches, steady, stats = self.stream(scenario)
+        assert isinstance(steady, InsufficientDataError)
+        assert str(steady).startswith("window 5 holds one sample")
+        traj = integrate(scenario)
+        assert np.concatenate(batches).tobytes() == traj.columns.tobytes()
+        assert stats == traj.stats
+
+    def test_recorder_holds_the_window_and_one_batch(self, monkeypatch):
+        scenario = replace(preset("fig2"), sample_interval=0.0048)
+        grid = integrator.sample_times(scenario)
+        window = len(grid) - int(np.searchsorted(grid, integrator._steady_window(scenario, grid)))
+        held = []
+
+        class Recorder(integrator._SampleRecorder):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                held.append(len(self.rows))
+
+            def record(self, samples):
+                super().record(samples)
+                held.append(self.written - self.base)
+
+        monkeypatch.setattr(integrator, "_SampleRecorder", Recorder)
+        rows = []
+        steady, _ = integrator.stream_trajectory(scenario, lambda batch: rows.append(len(batch)))
+        assert len(grid) >= 20_000 and sum(rows) == len(grid)
+        assert steady.converged
+        assert max(held) <= window + integrator._FINISH_ROWS + integrator._BLOCK < len(grid) / 10
