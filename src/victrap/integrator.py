@@ -783,28 +783,6 @@ class _Lane:
         return self.recorder.finish(self.accepted, self.rejected, evaluations)
 
 
-class _FlushScratch:
-    """The (rows,) work arrays of _LaneSet.flush, kept from one flush to the next and grown in steps of _BLOCK rows.
-
-    numpy keeps freed arrays of under 1 kB for reuse, up to seven of each
-    byte size, so flushes of under 128 rows that made their (rows,) arrays
-    afresh would leave some behind for each row count they met: the
-    96,001-row chirped trajectory, one lane that flushes at every step,
-    peaked about 0.3 MB higher so.
-    """
-
-    capacity = 0
-
-    def reserve(self, n: int) -> "_FlushScratch":
-        """This scratch, with room for at least n rows."""
-        if n > self.capacity:
-            self.capacity = capacity = -(-n // _BLOCK) * _BLOCK
-            self.index, self.step = np.empty((2, capacity), np.intp)
-            self.times, self.theta = np.empty((2, capacity))
-            self.span = np.arange(capacity)
-        return self
-
-
 class _LaneSet:
     """The arrays of the active lanes of one method, stepped together, and the dense-output rows they ask for.
 
@@ -818,8 +796,7 @@ class _LaneSet:
     the lanes whose step was accepted.  The lane set owns its pending rows:
     the steps that ask for dense-output rows join ``requests``, ``advance``
     copies their columns of ``block`` to ``blocks``, ``rows`` counts the
-    rows asked for, and ``flush`` forms and records them, in the work
-    arrays of ``scratch``, which ``keep`` hands on.  The lockstep loop
+    rows asked for, and ``flush`` forms and records them.  The lockstep loop
     flushes before every ``keep``, so no row outlives its lane set.
     """
 
@@ -838,7 +815,6 @@ class _LaneSet:
         self.requests: list[tuple[int, float, float, float, int, int]] = []
         self.blocks: list[np.ndarray] = []
         self.gathered = self.rows = 0
-        self.scratch = _FlushScratch()
         self.drives = DriveLanes([lane.scenario.drive for lane in lanes], len(self.NODES))
         self.basis = np.stack([lane.basis for lane in lanes])
         tolerances = np.array([(lane.scenario.rtol, lane.scenario.atol) for lane in lanes])
@@ -892,9 +868,7 @@ class _LaneSet:
 
     def keep(self, indices: list[int]) -> "_LaneSet":
         """The lane set of the lanes at ``indices``, with their columns of ``block`` (states, carried stages)."""
-        kept = type(self)([self.lanes[i] for i in indices], self.block[:, indices])
-        kept.scratch = self.scratch
-        return kept
+        return type(self)([self.lanes[i] for i in indices], self.block[:, indices])
 
     def advance(self) -> None:
         """Copy the new requests' columns of ``block``; carry the accepted lanes' trial states (and stages) over."""
@@ -933,29 +907,20 @@ class _LaneSet:
             return
         n = self.rows
         spec, block = np.array(self.requests), np.concatenate(self.blocks, axis=1)
-        scratch = self.scratch.reserve(n)
         self.requests, self.gathered, self.blocks, self.rows = [], 0, [], 0
         stages, y, trial = block[:-2].transpose(1, 0, 2), block[-2], block[-1]
         owners, first, counts = spec[:, [0, 4, 5]].astype(np.intp).T
-        t, h, grid, span = spec[:, 1], spec[:, 2], self.lanes[0].grid, scratch.span
+        t, h, grid, span = spec[:, 1], spec[:, 2], self.lanes[0].grid, np.arange(n)
         # Each lane's rows take one slice of ``samples``, in time order: step
         # s's rows start at row starts[s], and row r is one of step[r]'s.
         order = np.argsort(owners, kind="stable")
-        ends = np.cumsum(counts[order])
         starts = np.empty_like(counts)
-        starts[order] = ends - counts[order]
-        index, step, times, theta = scratch.index[:n], scratch.step[:n], scratch.times[:n], scratch.theta[:n]
-        index[:] = 0
-        index[ends[:-1]] = 1
-        # Every index is in range; mode="clip" lets np.take write to ``out`` directly.
-        np.take(order, np.cumsum(index, out=index), out=step, mode="clip")
-        np.take(first - starts, step, out=index, mode="clip")
-        np.take(grid, np.add(index, span[:n], out=index), out=times, mode="clip")
+        starts[order] = np.cumsum(counts[order]) - counts[order]
+        step = np.repeat(order, counts[order])
+        times = grid[first[step] + span - starts[step]]
         samples = np.empty((n, 1 + PACKED_SIZE))
         samples[:, 0] = times
-        # theta = (times - t) / h per row; ``times`` takes each row's h once copied.
-        np.subtract(times, np.take(t, step, out=theta, mode="clip"), out=theta)
-        np.divide(theta, np.take(h, step, out=times, mode="clip"), out=theta)
+        theta = (times - t[step]) / h[step]
         degree = len(self.DENSE)
         powers = np.repeat(theta, degree).reshape(-1, degree)
         np.cumprod(powers, axis=1, out=powers)
@@ -963,7 +928,7 @@ class _LaneSet:
         # stages) and (m, stages) @ (stages, 16) products, as each would alone.
         for m in np.flatnonzero(np.bincount(counts)).tolist():
             steps = np.flatnonzero(counts == m)
-            rows = np.add(starts[steps, None], span[:m], out=scratch.index[:len(steps) * m].reshape(-1, m))
+            rows = starts[steps, None] + span[:m]
             weights = np.matmul(powers[rows], self.DENSE)
             weights *= h[steps, None, None]
             samples[rows, 1:] = y[steps, None] + np.matmul(weights, stages[steps])

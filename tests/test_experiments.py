@@ -495,6 +495,31 @@ def test_one_lane_flushes_at_one_recorder_block(monkeypatch):
     assert all(integrator._BLOCK <= rows < integrator._BLOCK + span_rows for rows, _ in flushes[:-1])
 
 
+@pytest.mark.parametrize("scenario, stepper", [
+    (preset("fig4"), integrator._DopriLanes),
+    (replace(preset("fig4"), sample_interval=0.003, t_end=40.0), integrator._DopriLanes),
+    (replace(preset("fig4"), params=replace(preset("fig4").params, gamma01=100.0, gamma02=40.0),
+             sample_interval=0.01, t_end=40.0), integrator._RadauLanes),
+], ids=["fig4", "many-rows-a-step", "radau"])
+def test_flushing_before_every_step_changes_no_bit(monkeypatch, scenario, stepper):
+    # A row's bits do not depend on the other steps flushed with it: a lane
+    # that flushes before every step, one step's rows at a time, records the
+    # bits of one that flushes in batches.  At interval 0.003 (18,667 rows)
+    # a step spans many rows.
+    assert integrator._Lane(scenario, integrator.sample_times(scenario)).stepper is stepper
+    batched = integrate(scenario)
+    step = integrator._LaneSet.step
+
+    def flushed_step(self, steps):
+        self.flush()
+        return step(self, steps)
+
+    monkeypatch.setattr(integrator._LaneSet, "step", flushed_step)
+    alone = integrate(scenario)
+    assert np.array_equal(alone.columns.view(np.int64), batched.columns.view(np.int64))
+    assert alone.stats == batched.stats
+
+
 def test_physicality_failure_in_one_lane_leaves_the_others_untouched():
     # The middle lane's first sample below -1e-17 is its outcome, with the
     # message that integrating it alone raises; its neighbours keep their bits.
